@@ -11,19 +11,25 @@ estimates connectivity from two evidence streams:
 
 The model builds a directed graph weighted by expected transmissions per
 acknowledged hop (``1/q²`` for delivery estimate ``q``, the same snooping
-proxy nodes themselves use) and answers shortest-path queries. Property P4
-of the paper — avoid owners behind lossy links — falls out of these weights.
+proxy nodes themselves use) and answers shortest-path queries with one
+memoised Dijkstra per source (or per destination, over the reversed
+graph). Property P4 of the paper — avoid owners behind lossy links —
+falls out of these weights.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.statistics import BasestationStatistics
+from repro.sim.topology import dijkstra
+
+#: ``adjacency[u][v]`` is the hop cost of edge u -> v; every node is a key.
+Adjacency = Dict[int, Dict[int, float]]
 
 #: Delivery quality assumed for routing-tree edges whose quality was never
 #: reported in a summary (a usable but unremarkable link).
@@ -51,14 +57,14 @@ class NetworkModel:
     footprint next to the radio counts.
     """
 
-    def __init__(self, graph: nx.DiGraph):
-        self._graph = graph
+    def __init__(self, adjacency: Adjacency):
+        self._succ = adjacency
         self._from_cache: Dict[int, Dict[int, float]] = {}
         self._to_cache: Dict[int, Dict[int, float]] = {}
         #: Planner work counters, all ints (JSON-ready).
         self.stats: Dict[str, int] = {
-            "model_nodes": graph.number_of_nodes(),
-            "model_edges": graph.number_of_edges(),
+            "model_nodes": len(adjacency),
+            "model_edges": sum(len(out) for out in adjacency.values()),
             "dijkstra_runs": 0,
             "dijkstra_memo_hits": 0,
             "xmits_queries": 0,
@@ -69,27 +75,26 @@ class NetworkModel:
     # ------------------------------------------------------------------
     @classmethod
     def from_statistics(cls, stats: BasestationStatistics) -> "NetworkModel":
-        graph = nx.DiGraph()
-        graph.add_nodes_from(stats.known_nodes())
+        # known_nodes() already holds every endpoint of the evidence below.
+        adjacency: Adjacency = {node: {} for node in stats.known_nodes()}
         for (a, b), quality in stats.link_quality.items():
-            graph.add_edge(a, b, weight=hop_cost(quality))
+            adjacency[a][b] = hop_cost(quality)
             # Radio links are roughly bidirectional; if the reverse
             # direction has no evidence, assume it exists but is weaker.
-            if not graph.has_edge(b, a):
-                graph.add_edge(b, a, weight=hop_cost(quality * 0.8))
+            adjacency[b].setdefault(a, hop_cost(quality * 0.8))
         for child, (parent, _when) in stats.parents.items():
             for u, v in ((child, parent), (parent, child)):
-                if not graph.has_edge(u, v):
-                    graph.add_edge(u, v, weight=hop_cost(DEFAULT_TREE_QUALITY))
-        return cls(graph)
+                adjacency[u].setdefault(v, hop_cost(DEFAULT_TREE_QUALITY))
+        return cls(adjacency)
 
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[int, int, float]]) -> "NetworkModel":
         """Build directly from (src, dst, delivery-quality) triples (tests)."""
-        graph = nx.DiGraph()
+        adjacency: Adjacency = {}
         for a, b, quality in edges:
-            graph.add_edge(a, b, weight=hop_cost(quality))
-        return cls(graph)
+            adjacency.setdefault(a, {})[b] = hop_cost(quality)
+            adjacency.setdefault(b, {})
+        return cls(adjacency)
 
     # ------------------------------------------------------------------
     # Queries
@@ -97,12 +102,7 @@ class NetworkModel:
     def _distances_from(self, src: int) -> Dict[int, float]:
         if src not in self._from_cache:
             self.stats["dijkstra_runs"] += 1
-            if src in self._graph:
-                self._from_cache[src] = nx.single_source_dijkstra_path_length(
-                    self._graph, src, weight="weight"
-                )
-            else:
-                self._from_cache[src] = {}
+            self._from_cache[src] = dijkstra(self._succ, src)
         else:
             self.stats["dijkstra_memo_hits"] += 1
         return self._from_cache[src]
@@ -110,16 +110,19 @@ class NetworkModel:
     def _distances_to(self, dst: int) -> Dict[int, float]:
         if dst not in self._to_cache:
             self.stats["dijkstra_runs"] += 1
-            if dst in self._graph:
-                reversed_graph = self._graph.reverse(copy=False)
-                self._to_cache[dst] = nx.single_source_dijkstra_path_length(
-                    reversed_graph, dst, weight="weight"
-                )
-            else:
-                self._to_cache[dst] = {}
+            self._to_cache[dst] = dijkstra(self._pred, dst)
         else:
             self.stats["dijkstra_memo_hits"] += 1
         return self._to_cache[dst]
+
+    @cached_property
+    def _pred(self) -> Adjacency:
+        """The reversed graph: ``_pred[v][u]`` is the cost of edge u -> v."""
+        pred: Adjacency = {node: {} for node in self._succ}
+        for u, out in self._succ.items():
+            for v, cost in out.items():
+                pred[v][u] = cost
+        return pred
 
     def xmits(self, src: int, dst: int) -> float:
         """Expected transmissions to move one packet from src to dst
@@ -162,4 +165,4 @@ class NetworkModel:
 
     @property
     def nodes(self) -> List[int]:
-        return sorted(self._graph.nodes)
+        return sorted(self._succ)

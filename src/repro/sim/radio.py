@@ -28,7 +28,7 @@ Performance architecture (see DESIGN.md)
 ----------------------------------------
 
 The reception fan-out is the single hottest loop in a trial, so the radio
-precomputes, once per topology at construction:
+derives from the topology's loss array, once per topology at construction:
 
 * ``_audible_ids[src]`` — the audible receivers of ``src``, ascending;
 * ``_loss_rows[src]`` — the aligned per-link loss probabilities (a numpy
@@ -52,9 +52,11 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Set
 
+import numpy as np
+
 from repro.sim.kernel import Simulator
 from repro.sim.packets import BROADCAST, Frame, FrameKind
-from repro.sim.rngstream import BatchedUniformStream, numpy_available
+from repro.sim.rngstream import BatchedUniformStream
 from repro.sim.topology import OUT_OF_RANGE, Topology
 
 
@@ -184,8 +186,6 @@ class Radio:
         self.stats = RadioStats()
         if path is None:
             path = os.environ.get("REPRO_RADIO_PATH", "vector")
-        if path == "vector" and not numpy_available():
-            path = "scalar"  # numpy is gated, not required
         if path not in ("vector", "scalar"):
             raise ValueError(f"unknown radio path {path!r}")
         self.path = path
@@ -215,22 +215,21 @@ class Radio:
         self._build_neighbor_tables()
 
     def _build_neighbor_tables(self) -> None:
-        """Precompute audibility/loss lookups (the topology is immutable)."""
+        """Precompute audibility/loss lookups (the topology is immutable).
+
+        Built from the topology's loss array with array operations, but the
+        audibility rows and receiver ids are kept as Python lists: the
+        per-frame loops index those far faster than numpy arrays."""
         loss = self.topology.loss
-        n = self.topology.n
-        self._audible_ids: List[List[int]] = []
-        self._loss_rows: List[object] = []
-        self._audible_bool: List[List[bool]] = []
-        vector = self.path == "vector"
-        if vector:
-            import numpy as np
-        for src in range(n):
-            row = loss[src]
-            ids = [dst for dst in range(n) if row[dst] < OUT_OF_RANGE]
-            self._audible_ids.append(ids)
-            aligned = [row[dst] for dst in ids]
-            self._loss_rows.append(np.asarray(aligned) if vector else aligned)
-            self._audible_bool.append([p < OUT_OF_RANGE for p in row])
+        audible = loss < OUT_OF_RANGE
+        self._audible_bool: List[List[bool]] = audible.tolist()
+        self._audible_ids: List[List[int]] = [
+            np.flatnonzero(row).tolist() for row in audible
+        ]
+        rows = [loss[src, ids] for src, ids in enumerate(self._audible_ids)]
+        self._loss_rows: List[object] = (
+            rows if self.path == "vector" else [row.tolist() for row in rows]
+        )
 
     # ------------------------------------------------------------------
     # Registration and public send API

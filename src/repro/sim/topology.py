@@ -17,19 +17,54 @@ routing tree).
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
 #: Loss value meaning "out of radio range".
 OUT_OF_RANGE = 1.0
 
+#: The out-edges of a node that has no entry in an adjacency map.
+_NO_EDGES: Mapping[int, float] = {}
 
-@dataclass
+
+def dijkstra(
+    adjacency: Mapping[int, Mapping[int, float]], source: int
+) -> Dict[int, float]:
+    """Shortest-path lengths from ``source``; ``adjacency[u][v]`` is the
+    weight of edge u -> v, and every weight must be positive.
+
+    Nodes ``source`` cannot reach are absent from the result; ``source``
+    itself maps to 0.0, even when ``adjacency`` has no entry for it. A
+    length is the float sum of its path's weights in path order, so with
+    positive weights it does not depend on the order in which equal
+    candidates are explored.
+    """
+    dist: Dict[int, float] = {}
+    best = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in dist:
+            continue
+        dist[node] = d
+        for nbr, weight in adjacency.get(node, _NO_EDGES).items():
+            if nbr in dist:
+                continue
+            alt = d + weight
+            if alt < best.get(nbr, math.inf):
+                best[nbr] = alt
+                heapq.heappush(heap, (alt, nbr))
+    return dist
+
+
+@dataclass(eq=False)
 class Topology:
     """Ground-truth radio connectivity for a simulated network.
 
@@ -38,52 +73,52 @@ class Topology:
     n:
         Number of nodes (ids ``0..n-1``; node 0 is the basestation).
     loss:
-        ``loss[i][j]`` is the probability that a frame transmitted by ``i``
+        ``loss[i, j]`` is the probability that a frame transmitted by ``i``
         is *not* received by ``j`` (independent Bernoulli per frame),
-        ignoring collisions. ``1.0`` means ``j`` never hears ``i``.
+        ignoring collisions. ``1.0`` means ``j`` never hears ``i``. Any
+        n x n nested sequence is accepted and stored as a float64 array.
     positions:
         Optional 2-D coordinates, used by generators and for debugging.
     """
 
     n: int
-    loss: List[List[float]]
+    loss: np.ndarray
     positions: Optional[List[Tuple[float, float]]] = None
     name: str = "custom"
-    _etx_cache: Optional[Dict[Tuple[int, int], float]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if len(self.loss) != self.n or any(len(row) != self.n for row in self.loss):
+        # np.array copies: the diagonal write below must never corrupt a
+        # matrix the caller still owns.
+        loss = np.array(self.loss, dtype=np.float64)
+        if loss.shape != (self.n, self.n):
             raise ValueError("loss matrix must be n x n")
-        # Copy the rows defensively: the diagonal write below must never
-        # corrupt a matrix the caller still owns.
-        self.loss = [list(row) for row in self.loss]
-        for i in range(self.n):
-            self.loss[i][i] = OUT_OF_RANGE  # no self-links
+        np.fill_diagonal(loss, OUT_OF_RANGE)  # no self-links
+        self.loss = loss
+        #: path_etx's shortest-path lengths, per source
+        self._etx_from: Dict[int, Dict[int, float]] = {}
 
     # ------------------------------------------------------------------
     # Connectivity queries
     # ------------------------------------------------------------------
     def audible(self, i: int, j: int) -> bool:
         """True if ``j`` can ever hear ``i``."""
-        return self.loss[i][j] < OUT_OF_RANGE
+        return bool(self.loss[i, j] < OUT_OF_RANGE)
 
     def neighbors(self, i: int) -> List[int]:
         """Nodes that can hear transmissions from ``i``."""
-        return [j for j in range(self.n) if self.audible(i, j)]
+        return np.flatnonzero(self.loss[i] < OUT_OF_RANGE).tolist()
 
     def in_neighbors(self, j: int) -> List[int]:
         """Nodes whose transmissions ``j`` can hear."""
-        return [i for i in range(self.n) if self.audible(i, j)]
+        return np.flatnonzero(self.loss[:, j] < OUT_OF_RANGE).tolist()
 
     def delivery(self, i: int, j: int) -> float:
         """Per-frame delivery probability from ``i`` to ``j``."""
-        return 1.0 - self.loss[i][j]
+        return 1.0 - float(self.loss[i, j])
 
     def mean_degree_fraction(self) -> float:
         """Average fraction of the network each node can transmit to."""
-        total = sum(len(self.neighbors(i)) for i in range(self.n))
+        total = int(np.count_nonzero(self.loss < OUT_OF_RANGE))
         return total / (self.n * (self.n - 1))
 
     # ------------------------------------------------------------------
@@ -101,37 +136,48 @@ class Topology:
             return math.inf
         return 1.0 / (d_f * d_r)
 
-    def _etx_graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    etx = self.link_etx(i, j)
-                    if math.isfinite(etx):
-                        graph.add_edge(i, j, weight=etx)
-        return graph
+    def _two_way(self) -> np.ndarray:
+        """``[i, j]`` is True when ``i`` and ``j`` hear each other: the
+        links whose frame and ACK can both get through, exactly those
+        with a finite :meth:`link_etx`."""
+        audible = self.loss < OUT_OF_RANGE
+        return audible & audible.T
+
+    @cached_property
+    def _etx_graph(self) -> Dict[int, Dict[int, float]]:
+        """Every link with a finite :meth:`link_etx`, as adjacency dicts
+        weighted by that ETX (built on first use)."""
+        adjacency: Dict[int, Dict[int, float]] = {i: {} for i in range(self.n)}
+        rows, cols = np.nonzero(self._two_way())
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            adjacency[i][j] = self.link_etx(i, j)
+        return adjacency
 
     def path_etx(self, src: int, dst: int) -> float:
-        """Minimum expected transmissions over any multihop path src -> dst."""
+        """Minimum expected transmissions over any multihop path src -> dst
+        (one Dijkstra per source, memoised)."""
         if src == dst:
             return 0.0
-        if self._etx_cache is None:
-            graph = self._etx_graph()
-            cache: Dict[Tuple[int, int], float] = {}
-            pairs = nx.all_pairs_dijkstra_path_length(graph, weight="weight")
-            for origin, lengths in pairs:
-                for target, dist in lengths.items():
-                    cache[(origin, target)] = dist
-            object.__setattr__(self, "_etx_cache", cache)
-        return self._etx_cache.get((src, dst), math.inf)
+        dists = self._etx_from.get(src)
+        if dists is None:
+            dists = self._etx_from[src] = dijkstra(self._etx_graph, src)
+        return dists.get(dst, math.inf)
 
     def is_connected(self) -> bool:
-        """True if every node can reach the basestation (node 0) and back."""
-        return all(
-            math.isfinite(self.path_etx(i, 0)) and math.isfinite(self.path_etx(0, i))
-            for i in range(1, self.n)
-        )
+        """True if every node can reach the basestation (node 0) and back.
+
+        A hop needs its frame and its ACK to get through, so only links
+        audible in both directions count. That relation is symmetric, so
+        one breadth-first search from node 0 answers both directions.
+        """
+        two_way = self._two_way()
+        reached = np.zeros(self.n, dtype=bool)
+        reached[0] = True
+        frontier = np.array([0])
+        while frontier.size:
+            frontier = np.flatnonzero(two_way[frontier].any(axis=0) & ~reached)
+            reached[frontier] = True
+        return bool(reached.all())
 
 
 # ----------------------------------------------------------------------
@@ -139,16 +185,15 @@ class Topology:
 # ----------------------------------------------------------------------
 def perfect(n: int, name: str = "perfect") -> Topology:
     """Fully connected, lossless topology (for unit tests)."""
-    loss = [[0.0 if i != j else OUT_OF_RANGE for j in range(n)] for i in range(n)]
-    return Topology(n=n, loss=loss, name=name)
+    return Topology(n=n, loss=np.zeros((n, n)), name=name)
 
 
 def line(n: int, link_loss: float = 0.0) -> Topology:
     """A 1-D chain 0 - 1 - 2 - ... - (n-1) with uniform link loss."""
-    loss = [[OUT_OF_RANGE] * n for _ in range(n)]
-    for i in range(n - 1):
-        loss[i][i + 1] = link_loss
-        loss[i + 1][i] = link_loss
+    loss = np.full((n, n), OUT_OF_RANGE)
+    hop = np.arange(n - 1)
+    loss[hop, hop + 1] = link_loss
+    loss[hop + 1, hop] = link_loss
     positions = [(float(i), 0.0) for i in range(n)]
     return Topology(n=n, loss=loss, positions=positions, name=f"line-{n}")
 
@@ -158,24 +203,19 @@ def grid(
 ) -> Topology:
     """A 2-D lattice with 4-connectivity (8 if ``diagonal``)."""
     n = rows * cols
-    loss = [[OUT_OF_RANGE] * n for _ in range(n)]
-    positions = []
-
-    def nid(r: int, c: int) -> int:
-        return r * cols + c
-
-    for r in range(rows):
-        for c in range(cols):
-            positions.append((float(c), float(r)))
-            steps = [(0, 1), (1, 0)]
-            if diagonal:
-                steps += [(1, 1), (1, -1)]
-            for dr, dc in steps:
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < rows and 0 <= nc < cols:
-                    a, b = nid(r, c), nid(nr, nc)
-                    loss[a][b] = link_loss
-                    loss[b][a] = link_loss
+    loss = np.full((n, n), OUT_OF_RANGE)
+    row, col = np.divmod(np.arange(n), cols)
+    steps = [(0, 1), (1, 0)]
+    if diagonal:
+        steps += [(1, 1), (1, -1)]
+    for dr, dc in steps:
+        nr, nc = row + dr, col + dc
+        inside = (0 <= nr) & (nr < rows) & (0 <= nc) & (nc < cols)
+        a = np.flatnonzero(inside)
+        b = nr[inside] * cols + nc[inside]
+        loss[a, b] = link_loss
+        loss[b, a] = link_loss
+    positions = [(float(c), float(r)) for r in range(rows) for c in range(cols)]
     return Topology(n=n, loss=loss, positions=positions, name=f"grid-{rows}x{cols}")
 
 
@@ -214,6 +254,45 @@ def _distance_loss(
     return fwd, rev
 
 
+def _pair_distances(positions: Sequence[Tuple[float, float]]) -> np.ndarray:
+    """Distances of every pair i < j, in ``np.triu_indices`` order.
+
+    Each is ``math.dist``: the range test and the loss draws depend on
+    exact distances, and a numpy formula rounds differently.
+    """
+    return np.array(
+        [math.dist(p, q) for i, p in enumerate(positions) for q in positions[i + 1 :]],
+        dtype=np.float64,
+    )
+
+
+def _pair_loss(
+    n: int,
+    distances: np.ndarray,
+    radio_range: float,
+    rng: random.Random,
+    loss_range: Tuple[float, float],
+    asymmetry: float,
+) -> np.ndarray:
+    """The loss matrix of pairs at ``distances`` (see :func:`_pair_distances`).
+
+    Only pairs within ``radio_range`` draw from ``rng``, in ascending
+    (i, j > i) order; every other pair stays out of range.
+    """
+    loss = np.full((n, n), OUT_OF_RANGE)
+    near = np.flatnonzero(distances < radio_range)
+    rows, cols = np.triu_indices(n, k=1)
+    i, j = rows[near], cols[near]
+    pairs = [
+        _distance_loss(dist, radio_range, rng, loss_range, asymmetry)
+        for dist in distances[near].tolist()
+    ]
+    fwd_rev = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    loss[i, j] = fwd_rev[:, 0]
+    loss[j, i] = fwd_rev[:, 1]
+    return loss
+
+
 def random_geometric(
     n: int,
     seed: int = 0,
@@ -237,32 +316,19 @@ def random_geometric(
         # Put the basestation near a corner, as in a building deployment
         # where the root sits at one end of the floor.
         positions[0] = (area * 0.08, area * 0.08)
-        dists = [
-            [math.dist(positions[i], positions[j]) for j in range(n)] for i in range(n)
-        ]
+        distances = _pair_distances(positions)
         # Binary-search the radio range for the target mean degree.
         lo_r, hi_r = 1e-3, area * math.sqrt(2)
         radio_range = area / 3
         for _ in range(30):
             radio_range = (lo_r + hi_r) / 2
-            degree = sum(
-                1
-                for i in range(n)
-                for j in range(n)
-                if i != j and dists[i][j] < radio_range
-            ) / (n * (n - 1))
+            in_range = 2 * int(np.count_nonzero(distances < radio_range))
+            degree = in_range / (n * (n - 1))
             if degree < target_degree_fraction:
                 lo_r = radio_range
             else:
                 hi_r = radio_range
-        loss = [[OUT_OF_RANGE] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                fwd, rev = _distance_loss(
-                    dists[i][j], radio_range, rng, loss_range, asymmetry
-                )
-                loss[i][j] = fwd
-                loss[j][i] = rev
+        loss = _pair_loss(n, distances, radio_range, rng, loss_range, asymmetry)
         topo = Topology(
             n=n,
             loss=loss,
@@ -303,13 +369,8 @@ def indoor_testbed(
         positions.append((cx + rng.uniform(-6, 6), cy + rng.uniform(-6, 6)))
         k += 1
     radio_range = width / 6.5
-    loss = [[OUT_OF_RANGE] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = math.dist(positions[i], positions[j])
-            fwd, rev = _distance_loss(dist, radio_range, rng, loss_range, asymmetry)
-            loss[i][j] = fwd
-            loss[j][i] = rev
+    distances = _pair_distances(positions)
+    loss = _pair_loss(n, distances, radio_range, rng, loss_range, asymmetry)
     topo = Topology(n=n, loss=loss, positions=positions, name=f"testbed-{n}-seed{seed}")
     if not topo.is_connected():
         # Fall back to a connected random-geometric instance with the same
@@ -362,16 +423,13 @@ def degrade(topo: Topology, extra_loss: float) -> Topology:
         raise ValueError(f"extra_loss must be in [0, 1), got {extra_loss}")
     if extra_loss == 0.0:
         return topo
-    loss = [
-        [
-            cell if cell >= OUT_OF_RANGE else 1.0 - (1.0 - cell) * (1.0 - extra_loss)
-            for cell in row
-        ]
-        for row in topo.loss
-    ]
+    loss = topo.loss
+    degraded = np.where(
+        loss >= OUT_OF_RANGE, loss, 1.0 - (1.0 - loss) * (1.0 - extra_loss)
+    )
     return Topology(
         n=topo.n,
-        loss=loss,
+        loss=degraded,
         positions=topo.positions,
         name=f"{topo.name}+loss{extra_loss:g}",
     )
@@ -379,5 +437,4 @@ def degrade(topo: Topology, extra_loss: float) -> Topology:
 
 def from_loss_matrix(loss: Sequence[Sequence[float]], name: str = "custom") -> Topology:
     """Build a topology from an explicit directed loss matrix."""
-    n = len(loss)
-    return Topology(n=n, loss=[list(row) for row in loss], name=name)
+    return Topology(n=len(loss), loss=loss, name=name)

@@ -15,9 +15,15 @@ the equivalences the optimization relies on:
   sequence tie-break exists to prevent;
 * the per-trial timing record (``events_processed`` / ``events_per_sec``)
   is populated, and determinism checks exclude exactly the wall-clock
-  derived fields.
+  derived fields;
+* the trial and serving entry points import neither networkx nor scipy,
+  which the set-up time and peak memory of every process rely on.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -26,6 +32,8 @@ from repro.core.config import ScoopConfig, ValueDomain
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.sim.kernel import Simulator
 from repro.sim.rngstream import BatchedUniformStream, numpy_available
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def small_spec(seed: int = 1, **overrides) -> ExperimentSpec:
@@ -159,3 +167,22 @@ class TestTimingRecord:
         assert det_timing["events_processed"] == timing["events_processed"]
         assert "events_per_sec" not in det_timing
         assert det["metrics"]["wall_clock_s"] == 0.0
+
+
+class TestImportFootprint:
+    def test_entry_points_import_no_graph_or_scipy_package(self):
+        probe = (
+            "import sys\n"
+            "import repro.experiments.runner, repro.service.shard\n"
+            "print(sorted({'networkx', 'scipy'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"

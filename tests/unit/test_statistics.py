@@ -188,6 +188,28 @@ class TestNetworkModel:
         assert math.isfinite(model.xmits(1, 2))
         assert math.isfinite(model.xmits(2, 1))  # weaker assumed reverse
 
+    def test_from_statistics_edge_rules(self):
+        # A snapshot built by hand, so each rule sees one known history.
+        stats = make_stats()
+        stats.link_quality = {
+            (1, 2): 0.5,  # 1->2 costs 4; assumes 2->1 at 0.4 (6.25)
+            (2, 1): 1.0,  # evidence overwrites the assumed 2->1; 1->2 stays
+            (3, 1): 0.5,  # 3->1 costs 4; assumes 1->3 at 0.4 (6.25)
+        }
+        stats.parents = {4: (0, 0.0), 3: (1, 0.0)}  # only 4<->0 is new
+        model = NetworkModel.from_statistics(stats)
+        assert model.xmits(1, 2) == pytest.approx(4.0)
+        assert model.xmits(2, 1) == pytest.approx(1.0)
+        assert model.xmits(3, 1) == pytest.approx(4.0)
+        assert model.xmits(1, 3) == pytest.approx(6.25)
+        tree_hop = 1.0 / 0.7**2
+        assert model.xmits(4, 0) == pytest.approx(tree_hop)
+        assert model.xmits(0, 4) == pytest.approx(tree_hop)
+        assert math.isinf(model.xmits(0, 1))
+        assert model.stats["model_nodes"] == 5
+        assert model.stats["model_edges"] == 6
+        assert model.nodes == [0, 1, 2, 3, 4]
+
     def test_tree_edges_fill_gaps(self):
         stats = make_stats()
         stats.observe_packet_header(3, 0, now=0.0)

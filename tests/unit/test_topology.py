@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.sim.topology import (
@@ -100,12 +101,12 @@ class TestRandomGeometric:
     def test_deterministic_per_seed(self):
         a = random_geometric(20, seed=9)
         b = random_geometric(20, seed=9)
-        assert a.loss == b.loss
+        assert np.array_equal(a.loss, b.loss)
 
     def test_different_seeds_differ(self):
         a = random_geometric(20, seed=1)
         b = random_geometric(20, seed=2)
-        assert a.loss != b.loss
+        assert not np.array_equal(a.loss, b.loss)
 
 
 class TestIndoorTestbed:
