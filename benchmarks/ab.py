@@ -1,26 +1,28 @@
 """Same-host A/B runs of the benchmark: a base commit against this checkout.
 
     python benchmarks/ab.py --base BASE --out benchmarks/BENCH_<topic>.json \\
-        [--pairs 10] [--seconds S] [WORKLOAD[:SEED] ...]
+        [WORKLOAD[:SEED] ...]
 
 The host's speed drifts by up to 1.7x in spells that last minutes, so a
 before/after is quoted only from runs of both sides made side by side.
 The base commit's files are exported with ``git archive`` into a
 temporary directory: exactly what was committed, and nothing to clean up
-in the repository if a run is killed. The head side is this checkout.
-Both sides must hold the same ``BENCHMARK.json`` and ``perfbench/``, or
-the runner refuses to start.
+in the repository if a run is killed. The head side is this checkout,
+and it must be committed: the runner refuses a working tree with any
+change or untracked file besides ``--out``, so the JSON names the two
+commits it measured. Both sides must hold the same ``BENCHMARK.json`` and
+``perfbench/``, or the runner refuses to start.
 
-Each workload gets ``--pairs`` pairs of ``--trace 0`` runs of the command
-``BENCHMARK.json`` names, one base and one head run per pair, with the
-side that runs first alternating from pair to pair. Then each side makes
-one ``--trace 1`` run. The JSON written to ``--out`` holds, per workload
-and end-to-end metric:
+Each workload gets 10 pairs of ``--trace 0`` runs of the command
+``BENCHMARK.json`` names, at its ``run_seconds``, one base and one head
+run per pair, with the side that runs first alternating from pair to
+pair. Then each side makes one ``--trace 1`` run. The JSON written to
+``--out`` holds, per workload and end-to-end metric:
 
 * each side's values, median and quartiles;
 * the per-pair head/base ratios, with their median and quartiles;
 * ``wins``: pairs in which the head was better, ties counting for
-  neither, out of ``pairs``;
+  neither, out of the complete ``pairs``;
 
 and per workload the operations each side attempted and failed, the exit
 code of every run (a serve-open run whose load generator fell behind,
@@ -31,8 +33,7 @@ empty on the trial workloads; serve-open's counts follow the host's
 timing, so they may differ there.
 
 Workloads default to every one in ``BENCHMARK.json`` at seed 1;
-``trial-dense:7`` names another seed. ``--seconds`` defaults to the
-benchmark's own ``run_seconds``.
+``trial-dense:7`` names another seed.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SEED = 1
+#: Pairs per workload: enough for a claim's nine-of-ten wins rule.
+PAIRS = 10
 SIDES = ("base", "head")
 #: perfbench's exit code for a serve-open run whose load generator fell
 #: behind its schedule: the run measured nothing, so it is made again.
@@ -61,7 +64,7 @@ def git(*args: str) -> str:
     out = subprocess.run(
         ["git", "-C", str(REPO_ROOT), *args], check=True, capture_output=True
     )
-    return out.stdout.decode().strip()
+    return out.stdout.decode().rstrip()
 
 
 def export_commit(commit: str, dest: Path) -> None:
@@ -116,12 +119,11 @@ def compare(
     roots: Dict[str, Path],
     workload: str,
     seed: int,
-    pairs: int,
     seconds: float,
 ) -> Dict[str, object]:
     runs: Dict[str, List[Optional[Dict[str, object]]]] = {side: [] for side in SIDES}
     exits: Dict[str, List[int]] = {side: [] for side in SIDES}
-    for pair in range(pairs):
+    for pair in range(PAIRS):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             codes, result = run_once(command, roots[side], workload, seed, seconds, 0)
@@ -129,7 +131,7 @@ def compare(
             runs[side].append(result)
             print(f"  {workload}:{seed} pair {pair + 1} {side}: exit {codes}")
     complete = [
-        i for i in range(pairs) if all(runs[side][i] is not None for side in SIDES)
+        i for i in range(PAIRS) if all(runs[side][i] is not None for side in SIDES)
     ]
 
     def value(side: str, i: int, name: str) -> float:
@@ -202,13 +204,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="commit to compare against")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD[:SEED]")
     args = parser.parse_args(argv)
 
     bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     command = list(bench["command"])
     if command[0].startswith("python"):
         command[0] = sys.executable
@@ -224,13 +224,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Both sides must run the same benchmark, or the pairs compare
         # two benchmarks instead of two programs.
         parser.error(f"the benchmark differs from {base[:12]}: {changed.split()}")
+    out = args.out.resolve()
+    dirty = [
+        line
+        for line in git("status", "--porcelain", "--untracked-files=all").splitlines()
+        if REPO_ROOT / line[3:] != out
+    ]
+    if dirty:
+        # The head side runs from this checkout, so what it measures must
+        # be a commit the JSON can name.
+        parser.error(f"commit or remove these first: {dirty}")
     doc: Dict[str, object] = {
         "tool": "benchmarks/ab.py",
         "base": base,
-        "head": git("describe", "--always", "--dirty", "--abbrev=40"),
+        "head": git("rev-parse", "HEAD"),
         "command": bench["command"],
         "seconds": seconds,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -242,7 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         export_commit(base, Path(tmp))
         roots = {"base": Path(tmp), "head": REPO_ROOT}
         for name, seed in targets:
-            entry = compare(bench, command, roots, name, seed, args.pairs, seconds)
+            entry = compare(bench, command, roots, name, seed, seconds)
             doc["workloads"][f"{name}:{seed}"] = entry  # type: ignore[index]
             print_table(entry)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
