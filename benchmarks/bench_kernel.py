@@ -4,8 +4,7 @@ Three measurements, reported as one JSON document:
 
 * **kernel events/sec** — a pure scheduling workload (self-rescheduling
   timers plus cancellation churn) through :class:`repro.sim.kernel.
-  Simulator`, once per available scheduler backend (``heap`` always;
-  ``calendar`` when the kernel provides it);
+  Simulator`;
 * **E13-smoke trial throughput** — one full SCOOP trial at the scaling
   grid's 64-node point, time-scaled exactly as CI's smoke runs are
   (``scale=0.15``), reported as trials/sec and simulator events/sec;
@@ -117,14 +116,9 @@ def grid_probe_spec(n_nodes: int, seed: int = 1) -> ExperimentSpec:
 # ----------------------------------------------------------------------
 # Measurements
 # ----------------------------------------------------------------------
-def measure_kernel(scheduler: str = "heap", n_events: int = KERNEL_EVENTS) -> float:
-    """Events/sec of a pure scheduling workload on one backend."""
-    try:
-        sim = Simulator(seed=7, scheduler=scheduler)
-    except TypeError:  # pre-PR6 kernel: heap only, no scheduler parameter
-        if scheduler != "heap":
-            return 0.0
-        sim = Simulator(seed=7)
+def measure_kernel(n_events: int = KERNEL_EVENTS) -> float:
+    """Events/sec of a pure scheduling workload."""
+    sim = Simulator(seed=7)
 
     handles: List[object] = []
 
@@ -198,11 +192,8 @@ def run_bench(
     with transient scheduler noise stripped, which is what a regression
     gate must compare.
     """
-    best_heap = max(measure_kernel("heap") for _ in range(kernel_repeats))
+    best_heap = max(measure_kernel() for _ in range(kernel_repeats))
     kernel = {"heap_events_per_sec": round(best_heap, 1)}
-    calendar = max(measure_kernel("calendar") for _ in range(kernel_repeats))
-    if calendar:
-        kernel["calendar_events_per_sec"] = round(calendar, 1)
 
     spec = e13_smoke_spec()
     trials = [measure_trial(spec) for _ in range(trial_repeats)]
@@ -256,7 +247,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--kernel-repeats",
         type=int,
         default=3,
-        help="kernel measurements per backend (best-of)",
+        help="kernel measurements (best-of)",
     )
     parser.add_argument(
         "--update-baseline",

@@ -9,8 +9,8 @@ two supported client entry points:
   connection, server-push METRICS telemetry.
 
 Everything crosses the wire as the typed API (``QueryAnswer`` in,
-``ShedError``/``MalformedRequestError``/... out) — no raw dicts, no
-JSON-lines. Connecting blocks until every shard reports ready, so the
+``ShedError``/``MalformedRequestError``/... out) — no raw dicts.
+Connecting blocks until every shard reports ready, so the
 first query after ``connect()`` always finds a live deployment.
 
 Usage:

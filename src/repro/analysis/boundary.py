@@ -67,10 +67,8 @@ SERVICE_BOUNDARY = BoundaryConfig(
             "AsyncScoopClient",
             "ScoopServer",
             "serve_framed",
-            "QueryGateway",
             "ShardedGateway",
             "BackoffPolicy",
-            "serve_gateway",
             "ServiceLimits",
             "Deployment",
             # load drivers

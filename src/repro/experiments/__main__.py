@@ -13,7 +13,7 @@ Usage:
                                     [--format svg|png|svg,png]
     python -m repro.experiments serve <scenario> [--tenants N] [--workers W]
                                     [--port P] [--host H] [--duration S]
-                                    [--scale S] [--base-seed B] [--jsonl]
+                                    [--scale S] [--base-seed B]
                                     [--loadtest [FILE]] [--clients N]
                                     [--requests N]
                                     [--export] [--export-dir DIR]
@@ -34,8 +34,7 @@ given) export — neither re-runs anything. ``serve`` boots a scenario's
 spec as resident deployments (one per tenant), shards them across
 ``--workers`` worker processes, and answers framed-protocol queries over
 TCP (E16's serving layer; clients connect with
-``repro.service.ScoopClient``). ``--jsonl`` keeps the deprecated
-single-process JSON-lines transport; ``--loadtest`` drives the bound
+``repro.service.ScoopClient``). ``--loadtest`` drives the bound
 server from ``--clients`` real concurrent connections and reports the
 run as JSON — the nightly real-socket E16 job.
 """
@@ -172,14 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes the tenants are sharded across (framed "
-        "protocol mode; ignored with --jsonl)",
-    )
-    serve.add_argument(
-        "--jsonl",
-        action="store_true",
-        help="serve the deprecated single-process JSON-lines protocol "
-        "instead of the framed one",
+        help="worker processes the tenants are sharded across",
     )
     serve.add_argument(
         "--loadtest",
@@ -435,13 +427,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.experiments.campaign import _scale_override
-    from repro.service import (
-        PROTOCOL_VERSION,
-        QueryGateway,
-        ScoopServer,
-        ShardedGateway,
-        serve_gateway,
-    )
+    from repro.service import PROTOCOL_VERSION, ScoopServer, ShardedGateway
 
     name = canonical_scenario_name(args.scenario)
     if name not in SCENARIOS:
@@ -453,19 +439,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"error: need at least one worker, got {args.workers}", file=sys.stderr)
         return 2
-    if args.jsonl and args.loadtest is not None:
-        print(
-            "error: --loadtest drives the framed protocol; it cannot be "
-            "combined with --jsonl",
-            file=sys.stderr,
-        )
-        return 2
-    if args.chaos_kill_worker and (args.loadtest is None or args.jsonl):
-        print(
-            "error: --chaos-kill-worker needs the sharded framed server "
-            "under --loadtest (no --jsonl)",
-            file=sys.stderr,
-        )
+    if args.chaos_kill_worker and args.loadtest is None:
+        print("error: --chaos-kill-worker needs --loadtest", file=sys.stderr)
         return 2
     with _scale_override(args.scale):
         trials = scenario_trials(name, seed=args.base_seed)
@@ -475,53 +450,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     report_holder: dict = {}
 
     async def _serve() -> dict:
-        if args.jsonl:
-            print(
-                f"booting {args.tenants} tenant(s) of {name} ({label}) "
-                "in-process — each runs its warm-up to completion..."
-            )
-            gateway = QueryGateway.from_spec(
-                spec,
-                tenants=args.tenants,
-                base_seed=args.base_seed,
-                progress=lambda tenant: print(f"  {tenant}: deployment live"),
-            )
-            await gateway.start()
-            jsonl_server = await serve_gateway(
-                gateway, host=args.host, port=args.port
-            )
-            bound = jsonl_server.sockets[0].getsockname()
-            print(
-                f"serving on {bound[0]}:{bound[1]} — JSON lines "
-                "(deprecated; prefer repro.service.ScoopClient), e.g. "
-                '{"op": "query", "tenant": "tenant0", "attr": 0, "lo": 10, "hi": 30}'
-            )
-            server_close = jsonl_server.close
-            server_wait = jsonl_server.wait_closed
-            server = None
-        else:
-            gateway = ShardedGateway(
-                spec,
-                tenants=args.tenants,
-                workers=args.workers,
-                base_seed=args.base_seed,
-            )
-            await gateway.start()
-            server = ScoopServer(gateway, host=args.host, port=args.port)
-            await server.start()
-            print(
-                f"serving on {server.host}:{server.port} — framed protocol "
-                f"v{PROTOCOL_VERSION}, {gateway.workers} worker(s); connect "
-                "with repro.service.ScoopClient"
-            )
-            print(
-                f"booting {args.tenants} tenant(s) of {name} ({label}) "
-                "across the shard pool (client hellos block until ready)..."
-            )
-            await gateway.wait_ready()
-            print(f"all shards ready: tenants {gateway.tenants}")
-            server_close = server.close
-            server_wait = None
+        gateway = ShardedGateway(
+            spec,
+            tenants=args.tenants,
+            workers=args.workers,
+            base_seed=args.base_seed,
+        )
+        await gateway.start()
+        server = ScoopServer(gateway, host=args.host, port=args.port)
+        await server.start()
+        print(
+            f"serving on {server.host}:{server.port} — framed protocol "
+            f"v{PROTOCOL_VERSION}, {gateway.workers} worker(s); connect "
+            "with repro.service.ScoopClient"
+        )
+        print(
+            f"booting {args.tenants} tenant(s) of {name} ({label}) "
+            "across the shard pool (client hellos block until ready)..."
+        )
+        await gateway.wait_ready()
+        print(f"all shards ready: tenants {gateway.tenants}")
         try:
             if args.loadtest is not None:
                 from repro.service.loadtest import drive_socket_load
@@ -559,11 +507,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else:
                 await asyncio.Event().wait()  # until Ctrl-C
         finally:
-            result = server_close()
-            if asyncio.iscoroutine(result):
-                await result
-            if server_wait is not None:
-                await server_wait()
+            await server.close()
         stats = await gateway.service_stats()
         await gateway.close()
         return stats.to_wire()

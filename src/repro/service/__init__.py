@@ -3,18 +3,13 @@
 :class:`~repro.service.deployment.Deployment` is the canonical way to
 wire and run a Scoop network — the batch runner
 (:func:`repro.experiments.runner.run_experiment`) is a thin driver over
-it. On top of it sit two serving modes behind one duck-type contract:
-
-* in-process — :class:`~repro.service.gateway.QueryGateway`, one
-  resident deployment per tenant in this interpreter (bit-identical to
-  the batch path; what the oracle and cache-replay gates pin);
-* sharded — :class:`~repro.service.shard.ShardedGateway`, tenants placed
-  across a pool of worker processes.
-
-Either gateway is served over TCP by
-:class:`~repro.service.server.ScoopServer` speaking the framed protocol
-of :mod:`repro.service.protocol`, and the supported client entry points
-are :class:`~repro.service.client.ScoopClient` /
+it. Batch trials serve their offered load in-process through
+:func:`~repro.service.loadtest.drive_load`, which is what the oracle and
+cache-replay gates pin. Live serving places tenants across a pool of
+worker processes with :class:`~repro.service.shard.ShardedGateway`,
+served over TCP by :class:`~repro.service.server.ScoopServer` speaking
+the framed protocol of :mod:`repro.service.protocol`; the client entry
+points are :class:`~repro.service.client.ScoopClient` /
 :class:`~repro.service.client.AsyncScoopClient`. The only types crossing
 that boundary are the frozen dataclasses of :mod:`repro.service.api`
 (:class:`~repro.service.api.QueryRequest`,
@@ -37,7 +32,7 @@ from repro.service.api import (
 )
 from repro.service.client import AsyncScoopClient, ScoopClient
 from repro.service.deployment import Deployment
-from repro.service.gateway import QueryGateway, ServiceLimits, serve_gateway
+from repro.service.gateway import ServiceLimits
 from repro.service.loadtest import (
     answers_digest,
     build_arrivals,
@@ -61,7 +56,6 @@ __all__ = [
     "ProtocolError",
     "ProtocolVersionError",
     "QueryAnswer",
-    "QueryGateway",
     "QueryRequest",
     "ScoopClient",
     "ScoopServer",
@@ -79,5 +73,4 @@ __all__ = [
     "drive_load",
     "drive_socket_load",
     "serve_framed",
-    "serve_gateway",
 ]

@@ -7,14 +7,9 @@ Raw gateway dicts and :class:`~repro.service.gateway.ServiceTicket`\\ s
 never escape ``repro.service``; a grep-enforced test
 (``tests/unit/test_api_boundary.py``) keeps it that way.
 
-Two codecs serialize the same types:
-
-* the framed binary protocol (:mod:`repro.service.protocol`) — the
-  supported transport, spoken by :class:`~repro.service.client.ScoopClient`;
-* the legacy JSON-lines protocol (:func:`encode_jsonl_answer` et al.) —
-  deprecated but wire-compatible with the PR-7 gateway, byte-for-byte
-  (pinned by a golden-bytes test), so old scripts keep working against
-  ``serve --jsonl``.
+Each type's ``to_wire`` / ``from_wire`` pair is its payload in the
+framed protocol of :mod:`repro.service.protocol`, the one transport,
+spoken by :class:`~repro.service.client.ScoopClient`.
 
 Failure surfaces as *typed exceptions*, never as strings for callers to
 pattern-match: overload sheds raise :class:`ShedError`, client mistakes
@@ -27,7 +22,6 @@ raise :class:`MalformedRequestError`, version skew raises
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
@@ -38,8 +32,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Type
 PROTOCOL_VERSION = 1
 
 #: Answers truncate their inline reading list at this many tuples (the
-#: full count still rides in ``n_readings``) — the same bound the PR-7
-#: JSON-lines protocol applied, kept so both codecs stay wire-compatible.
+#: full count still rides in ``n_readings``), which bounds a RESPONSE
+#: frame's size whatever the query's range.
 MAX_WIRE_READINGS = 50
 
 
@@ -178,9 +172,9 @@ class QueryAnswer:
     :class:`~repro.service.client.ScoopClient` raises :class:`ShedError`
     instead. ``readings`` carries at most :data:`MAX_WIRE_READINGS`
     ``(value, time, node)`` tuples; ``n_readings`` is the untruncated
-    count. ``shard`` names the worker that served the answer
-    (``"shard0"`` in single-process mode) — diagnostic only, never part
-    of the deprecated JSON-lines form.
+    count. ``shard`` names the worker that served the answer —
+    diagnostic only, and the one field that depends on placement, so
+    :func:`~repro.service.loadtest.answers_digest` transcripts drop it.
     """
 
     tenant: str
@@ -223,13 +217,6 @@ class QueryAnswer:
         )
 
     def to_wire(self) -> Dict[str, object]:
-        wire = self.to_jsonl_dict()
-        wire["shard"] = self.shard
-        return wire
-
-    def to_jsonl_dict(self) -> Dict[str, object]:
-        """The deprecated JSON-lines response body — key set and order
-        are frozen to the PR-7 ``ServiceTicket.to_dict`` wire format."""
         return {
             "status": self.status,
             "tenant": self.tenant,
@@ -243,6 +230,7 @@ class QueryAnswer:
             "epoch": self.epoch,
             "n_readings": self.n_readings,
             "readings": [list(r) for r in self.readings],
+            "shard": self.shard,
         }
 
     @classmethod
@@ -377,64 +365,3 @@ def aggregate_shard_stats(
             default=0.0,
         ),
     }
-
-
-# ----------------------------------------------------------------------
-# Deprecated JSON-lines codec (wire-compatible with the PR-7 gateway)
-# ----------------------------------------------------------------------
-def encode_jsonl_request(request: QueryRequest) -> bytes:
-    """One JSON-lines query, exactly as PR-7 clients sent it."""
-    return (
-        json.dumps(
-            {
-                "op": "query",
-                "tenant": request.tenant,
-                "attr": request.attr,
-                "lo": request.lo,
-                "hi": request.hi,
-            }
-        )
-        + "\n"
-    ).encode("utf-8")
-
-
-def decode_jsonl_request(line: bytes) -> Tuple[str, Optional[QueryRequest]]:
-    """Parse one JSON-lines request into ``(op, request)``.
-
-    ``request`` is populated for ``op == "query"`` and ``None`` for the
-    control ops (``ping``, ``stats``). Anything unparseable raises
-    :class:`MalformedRequestError` — the JSON-lines transport reports it
-    as the legacy ``{"status": "error"}`` object.
-    """
-    try:
-        data = json.loads(line)
-    except ValueError as exc:
-        raise MalformedRequestError(f"bad JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise MalformedRequestError("request must be a JSON object")
-    op = str(data.get("op", "query"))
-    if op == "query":
-        return op, QueryRequest.from_wire(data)
-    if op in ("ping", "stats"):
-        return op, None
-    raise MalformedRequestError(f"unknown op {op!r}; one of ping, query, stats")
-
-
-def encode_jsonl_answer(answer: QueryAnswer) -> bytes:
-    """One JSON-lines response, byte-identical to the PR-7 wire format
-    (pinned by a golden-bytes test)."""
-    return (json.dumps(answer.to_jsonl_dict()) + "\n").encode("utf-8")
-
-
-def encode_jsonl_error(message: str) -> bytes:
-    return (
-        json.dumps({"status": "error", "error": str(message)}) + "\n"
-    ).encode("utf-8")
-
-
-def decode_jsonl_response(line: bytes) -> Dict[str, object]:
-    """Parse one JSON-lines response object (legacy clients see dicts)."""
-    data = json.loads(line)
-    if not isinstance(data, dict):
-        raise ProtocolError("response must be a JSON object")
-    return data

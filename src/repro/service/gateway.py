@@ -1,7 +1,7 @@
-"""The query gateway: admission control, batching, epoch-keyed caching.
+"""The per-tenant serving core: admission control, batching, caching.
 
-Three layers, separable so the serving logic stays testable without an
-event loop:
+Two layers, separable so the serving logic stays testable without an
+event loop or a worker process:
 
 * :class:`AnswerCache` — an LRU of recent query answers keyed on
   ``(attr, range bucket, index epoch)``. Requested ranges are quantized
@@ -18,9 +18,11 @@ event loop:
   (queued misses coalesce by cache bucket and at most
   ``batch_capacity`` basestation queries go out per batch), and the
   latency/staleness/shed accounting exported as service metrics.
-* :class:`QueryGateway` — the asyncio front: one ``TenantService`` per
-  tenant, a worker task per tenant draining its queue, and a JSON-lines
-  TCP protocol (:func:`serve_gateway`) for external clients.
+
+Two drivers run a ``TenantService``: each worker process of
+:class:`~repro.service.shard.ShardedGateway` hosts one per tenant it
+owns, and :func:`~repro.service.loadtest.drive_load` replays a batch
+trial's offered load through one.
 
 All serving metrics are *simulated-time* quantities (arrival-to-answer
 latency on the deployment clock, answer staleness, shed counts), so a
@@ -30,11 +32,7 @@ campaign pipeline's determinism checks like every other metric.
 
 from __future__ import annotations
 
-import asyncio
-import dataclasses
-import json
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -42,17 +40,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.config import ValueDomain
 from repro.core.messages import WireReading
 from repro.experiments.runner import ExperimentSpec
-from repro.service.api import (
-    MalformedRequestError,
-    QueryAnswer,
-    QueryRequest,
-    ServiceStats,
-    ServiceUnavailableError,
-    aggregate_shard_stats,
-    decode_jsonl_request,
-    encode_jsonl_answer,
-    encode_jsonl_error,
-)
 
 
 def percentile(values: List[float], q: float) -> float:
@@ -183,23 +170,6 @@ class ServiceTicket:
     #: bucket-aligned range actually queried (set once admitted).
     bucket: Optional[Tuple[int, int]] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready wire form (the TCP protocol's response body)."""
-        return {
-            "status": self.status,
-            "tenant": self.tenant,
-            "seq": self.seq,
-            "attr": self.attr,
-            "lo": self.lo,
-            "hi": self.hi,
-            "latency_s": round(self.latency_s, 6),
-            "cache_hit": self.cache_hit,
-            "staleness_s": round(self.staleness_s, 6),
-            "epoch": self.epoch,
-            "n_readings": len(self.readings),
-            "readings": [list(r) for r in self.readings[:50]],
-        }
-
 
 class TenantService:
     """The synchronous serving core around one resident deployment.
@@ -207,8 +177,8 @@ class TenantService:
     ``submit`` admits (or sheds, or answers from cache) one request;
     ``process_batch`` drains up to ``batch_capacity`` coalesced bucket
     queries through the deployment and advances the kernel through one
-    reply window. Single-threaded by design: the asyncio gateway calls
-    both from one event loop, the batch load driver from a plain loop.
+    reply window. Single-threaded by design: a shard worker calls both
+    from its command loop, the batch load driver from a plain loop.
     """
 
     def __init__(
@@ -383,253 +353,3 @@ class TenantService:
             "staleness_p95_s": percentile(self.staleness, 0.95),
             "epochs_seen": float(len(self.epochs_seen)),
         }
-
-
-class QueryGateway:
-    """Asyncio front: one resident deployment per tenant, one worker
-    task per tenant batching its queue, futures bridging client
-    coroutines to batch completions."""
-
-    def __init__(
-        self,
-        services: Dict[str, TenantService],
-        batch_delay: float = 0.02,
-    ):
-        if not services:
-            raise ValueError("gateway needs at least one tenant service")
-        self._services = dict(services)
-        #: wall-clock coalescing delay before a worker drains its queue
-        #: (0 = process as soon as woken; tests use 0 for determinism).
-        self.batch_delay = batch_delay
-        self._events: Dict[str, asyncio.Event] = {}
-        self._futures: Dict[str, Dict[int, asyncio.Future]] = {
-            name: {} for name in self._services
-        }
-        self._workers: List[asyncio.Task] = []
-        self._closed = False
-        #: readiness barrier (shares the ShardedGateway duck type). The
-        #: in-process gateway boots its deployments in ``from_spec``, so
-        #: ``start()`` flips it immediately.
-        self.ready = asyncio.Event()
-        self._metrics_tick = 0
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: ExperimentSpec,
-        tenants: int = 1,
-        base_seed: Optional[int] = None,
-        batch_delay: float = 0.02,
-        progress=None,
-    ) -> "QueryGateway":
-        """Boot ``tenants`` resident deployments of ``spec`` (seeds
-        ``base_seed, base_seed+1, ...``) and wrap each in a tenant
-        service. Booting runs each deployment's warm-up to completion,
-        so construction takes real time — ``progress`` (a callable
-        taking the tenant name) reports each one coming up."""
-        from repro.service.deployment import Deployment
-
-        if tenants < 1:
-            raise ValueError(f"need at least one tenant, got {tenants}")
-        seed0 = spec.seed if base_seed is None else base_seed
-        services: Dict[str, TenantService] = {}
-        for i in range(tenants):
-            name = f"tenant{i}"
-            dep = Deployment.create(dataclasses.replace(spec, seed=seed0 + i))
-            dep.boot()
-            dep.stabilize()
-            services[name] = TenantService(name, dep)
-            if progress is not None:
-                progress(name)
-        return cls(services, batch_delay=batch_delay)
-
-    @property
-    def tenants(self) -> List[str]:
-        return sorted(self._services)
-
-    @property
-    def workers(self) -> int:
-        """Worker-process count — 1 by definition for in-process mode."""
-        return 1
-
-    def service(self, tenant: str) -> TenantService:
-        try:
-            return self._services[tenant]
-        except KeyError:
-            raise ValueError(
-                f"unknown tenant {tenant!r}; one of {self.tenants}"
-            ) from None
-
-    async def start(self) -> None:
-        """Spawn one worker task per tenant."""
-        for name in self._services:
-            self._events[name] = asyncio.Event()
-            self._workers.append(
-                asyncio.create_task(self._worker(name), name=f"gateway-{name}")
-            )
-        self.ready.set()
-
-    async def _worker(self, name: str) -> None:
-        service = self._services[name]
-        event = self._events[name]
-        futures = self._futures[name]
-        while not self._closed:
-            await event.wait()
-            event.clear()
-            if self._closed:
-                return
-            if self.batch_delay > 0:
-                # Let concurrently arriving requests join this batch.
-                await asyncio.sleep(self.batch_delay)
-            for ticket in service.process_batch():
-                future = futures.pop(ticket.seq, None)
-                if future is not None and not future.done():
-                    future.set_result(ticket)
-            if service.backlog:
-                # More queued than one batch's capacity: keep draining.
-                event.set()
-
-    async def query(
-        self,
-        tenant: str,
-        attr: int = 0,
-        lo: Optional[int] = None,
-        hi: Optional[int] = None,
-    ) -> ServiceTicket:
-        """Submit one request and await its ticket (immediately for
-        cache hits and sheds, after a batch window otherwise)."""
-        if self._closed:
-            raise RuntimeError("gateway is closed")
-        service = self.service(tenant)
-        ticket = service.submit(attr, lo, hi)
-        if ticket.status != "pending":
-            return ticket
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._futures[tenant][ticket.seq] = future
-        self._events[tenant].set()
-        return await future
-
-    async def answer(self, request: QueryRequest) -> QueryAnswer:
-        """The public typed entry point (shares the ShardedGateway duck
-        type): one :class:`~repro.service.api.QueryRequest` in, one
-        :class:`~repro.service.api.QueryAnswer` out, typed faults for
-        everything that is not an answer."""
-        try:
-            ticket = await self.query(
-                request.tenant, request.attr, request.lo, request.hi
-            )
-        except RuntimeError as exc:
-            raise ServiceUnavailableError(str(exc), seq=request.seq) from None
-        except ValueError as exc:
-            raise MalformedRequestError(str(exc), seq=request.seq) from None
-        answer = QueryAnswer.from_ticket(ticket, shard="shard0")
-        if answer.seq != request.seq:
-            # The connection-scoped seq is what clients correlate on.
-            answer = dataclasses.replace(answer, seq=request.seq)
-        return answer
-
-    def stats(self) -> Dict[str, Dict[str, float]]:
-        return {name: svc.snapshot() for name, svc in self._services.items()}
-
-    async def service_stats(self) -> ServiceStats:
-        """Typed stats: every tenant scorecard plus the single-shard
-        aggregate (in-process mode is the one-shard special case)."""
-        tenants = self.stats()
-        return ServiceStats(
-            tenants=tenants,
-            shards={
-                "shard0": aggregate_shard_stats(tenants, worker_pid=os.getpid())
-            },
-        )
-
-    def metrics_snapshots(self) -> Dict[str, Dict[str, object]]:
-        """Live telemetry in the per-shard shape the metrics stream
-        pushes (one synthetic ``shard0`` for in-process mode)."""
-        self._metrics_tick += 1
-        tenants = self.stats()
-        return {
-            "shard0": {
-                "tick": self._metrics_tick,
-                "stats": aggregate_shard_stats(tenants, worker_pid=os.getpid()),
-                "tenants": tenants,
-            }
-        }
-
-    async def close(self) -> None:
-        self._closed = True
-        for event in self._events.values():
-            event.set()
-        for worker in self._workers:
-            worker.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        for futures in self._futures.values():
-            for future in futures.values():
-                if not future.done():
-                    future.cancel()
-            futures.clear()
-
-
-async def serve_gateway(
-    gateway: QueryGateway, host: str = "127.0.0.1", port: int = 0
-) -> asyncio.AbstractServer:
-    """Expose a gateway over TCP as the *deprecated* JSON-lines protocol.
-
-    One request object per line; responses are one JSON object per line,
-    byte-identical to the PR-7 wire format (pinned by a golden-bytes
-    test). The transport is now just a codec
-    (:func:`repro.service.api.encode_jsonl_answer` et al.) over the same
-    typed :class:`~repro.service.api.QueryRequest` /
-    :class:`~repro.service.api.QueryAnswer` the framed protocol speaks —
-    new clients should use :class:`~repro.service.client.ScoopClient`
-    against :class:`~repro.service.server.ScoopServer` instead.
-
-    Ops: ``{"op": "query", "tenant": ..., "attr": 0, "lo": ..., "hi": ...}``
-    (tenant defaults to ``tenant0``), ``{"op": "stats"}``,
-    ``{"op": "ping"}``. Malformed requests get ``{"status": "error"}``
-    with a message — the connection stays open.
-    """
-
-    async def handle(reader, writer):
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            try:
-                op, request = decode_jsonl_request(line)
-                if op == "ping":
-                    payload = (
-                        json.dumps(
-                            {
-                                "status": "ok",
-                                "op": "ping",
-                                "tenants": gateway.tenants,
-                            }
-                        )
-                        + "\n"
-                    ).encode("utf-8")
-                elif op == "stats":
-                    payload = (
-                        json.dumps({"status": "ok", "stats": gateway.stats()})
-                        + "\n"
-                    ).encode("utf-8")
-                else:
-                    # The legacy protocol reports the tenant-scoped seq,
-                    # so answers go through the ticket, not answer().
-                    ticket = await gateway.query(
-                        request.tenant, request.attr, request.lo, request.hi
-                    )
-                    payload = encode_jsonl_answer(
-                        QueryAnswer.from_ticket(ticket, shard="shard0")
-                    )
-            except (
-                MalformedRequestError,
-                ValueError,
-                TypeError,
-                KeyError,
-            ) as exc:
-                payload = encode_jsonl_error(str(exc))
-            writer.write(payload)
-            await writer.drain()
-        writer.close()
-
-    return await asyncio.start_server(handle, host, port)

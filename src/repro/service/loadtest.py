@@ -15,8 +15,8 @@ here touches wall clocks or the simulation's own RNG stream:
   :class:`~repro.service.deployment.Deployment` through a
   :class:`~repro.service.gateway.TenantService`: requests are submitted
   as the clock reaches their arrival times and queued misses are batched
-  once per query interval — the same serving discipline the asyncio
-  gateway applies, minus the event loop.
+  once per query interval — the same serving core a shard worker runs,
+  minus the sockets and processes.
 
 The resulting scorecard lands on ``deployment.service_stats`` and is
 exported as ``TrialMetrics.service``.
@@ -204,9 +204,9 @@ def build_client_program(
 
 def answers_digest(answers: Dict[str, List[Dict[str, object]]]) -> str:
     """Canonical digest of a per-tenant answer transcript — what the
-    worker-count identity gates compare. The JSON-lines dict form is
-    used deliberately: it excludes the ``shard`` field, which is the one
-    legitimately placement-dependent part of an answer."""
+    worker-count identity gates compare. Transcripts hold each answer's
+    wire dict without its ``shard`` field, the one legitimately
+    placement-dependent part of an answer."""
     canonical = json.dumps(
         {t: answers[t] for t in sorted(answers)},
         sort_keys=True,
@@ -304,9 +304,11 @@ def drive_socket_load(
                             counts["shed"] += 1
                         maybe_chaos()
                         continue
+                    wire = answer.to_wire()
+                    del wire["shard"]
                     with lock:
                         counts["ok"] += 1
-                        answers[tenant].append(answer.to_jsonl_dict())
+                        answers[tenant].append(wire)
                     maybe_chaos()
         except ServiceFault as exc:
             with lock:

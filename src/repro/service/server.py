@@ -1,9 +1,7 @@
 """The framed TCP server: credit backpressure, readiness, metrics push.
 
-:class:`ScoopServer` exposes any gateway speaking the duck-type contract
-(:class:`~repro.service.gateway.QueryGateway` in-process,
-:class:`~repro.service.shard.ShardedGateway` multi-process) over the
-length-prefixed protocol of :mod:`repro.service.protocol`.
+:class:`ScoopServer` exposes a :class:`~repro.service.shard.ShardedGateway`
+over the length-prefixed protocol of :mod:`repro.service.protocol`.
 
 Per-connection lifecycle:
 
@@ -56,6 +54,7 @@ from repro.service.protocol import (
     stats_frame,
     welcome_frame,
 )
+from repro.service.shard import ShardedGateway
 
 #: How often (seconds, wall clock) subscribed connections receive the
 #: per-shard METRICS push.
@@ -67,7 +66,7 @@ class ScoopServer:
 
     def __init__(
         self,
-        gateway,
+        gateway: ShardedGateway,
         host: str = "127.0.0.1",
         port: int = 0,
         credits: int = DEFAULT_CREDITS,
@@ -300,7 +299,7 @@ class ScoopServer:
 
 
 async def serve_framed(
-    gateway,
+    gateway: ShardedGateway,
     host: str = "127.0.0.1",
     port: int = 0,
     credits: int = DEFAULT_CREDITS,

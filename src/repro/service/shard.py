@@ -343,16 +343,10 @@ class _Shard:
 
 class ShardedGateway:
     """Tenants sharded across supervised worker processes, one asyncio
-    front.
-
-    The duck-type contract shared with the in-process
-    :class:`~repro.service.gateway.QueryGateway` (what
-    :class:`~repro.service.server.ScoopServer` serves):
-    ``tenants`` / ``workers``, ``ready`` (asyncio event),
-    ``await answer(request) -> QueryAnswer`` (raising
-    :class:`~repro.service.api.ServiceFault` subclasses),
-    ``await service_stats() -> ServiceStats``, ``metrics_snapshots()``,
-    ``await close()``.
+    front — the gateway :class:`~repro.service.server.ScoopServer`
+    serves. ``await answer(request)`` returns a
+    :class:`~repro.service.api.QueryAnswer` or raises a
+    :class:`~repro.service.api.ServiceFault` subclass.
     """
 
     def __init__(

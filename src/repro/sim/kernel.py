@@ -24,22 +24,15 @@ Performance notes (see DESIGN.md, "Performance architecture"):
 * Events are ``__slots__`` records; the event *is* the cancellation handle
   (:class:`EventHandle` is an alias), so scheduling allocates exactly one
   object plus one tuple.
-* Two interchangeable queue backends exist behind the same
-  ``schedule``/``schedule_at`` interface: the default C-``heapq`` backend
-  and an adaptive calendar queue (Brown 1988). Both pop in identical
-  ``(time, seq)`` order, so runs are bit-identical across backends — a
-  differential test asserts this. Select with ``Simulator(...,
-  scheduler="calendar")`` or ``REPRO_SIM_SCHEDULER=calendar``.
+* The queue is one C ``heapq`` list. Cancelling only flags an event; the
+  pop loops discard flagged entries when they reach the front.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from heapq import heappop, heappush
-from math import inf
 from random import Random
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -70,173 +63,6 @@ EventHandle = _Event
 _Entry = Tuple[float, int, _Event]
 
 
-class _HeapScheduler:
-    """Binary-heap event queue (C ``heapq``) — the default backend."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[_Entry] = []
-
-    def push(self, entry: _Entry) -> None:
-        heappush(self._heap, entry)
-
-    def pop_before(self, limit: float) -> Optional[_Event]:
-        """Remove and return the next live event with ``time <= limit``.
-
-        Cancelled entries encountered on the way are discarded. Returns
-        ``None`` (leaving the queue intact) when the next live event is
-        beyond ``limit`` or the queue is empty.
-        """
-        heap = self._heap
-        while heap:
-            if heap[0][0] > limit:
-                return None
-            event = heappop(heap)[2]
-            if not event.cancelled:
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
-        return heap[0][0] if heap else None
-
-    def entries(self) -> Iterable[_Entry]:
-        return self._heap
-
-
-class _CalendarScheduler:
-    """Adaptive calendar queue (Brown 1988): O(1) expected enqueue/dequeue.
-
-    Events hash into day buckets by ``time // width``; each bucket stays
-    sorted (C ``bisect.insort`` on the entry tuples), and dequeue walks the
-    calendar from the current day. Bucket count doubles/halves as the
-    population grows/shrinks, and the day width is re-estimated from the
-    observed event spacing at each resize, so the queue adapts to the
-    simulation's timer mix. Total order is exactly ``(time, seq)`` — same-
-    time events always land in the same bucket, so cross-bucket ordering
-    can never split a tie.
-    """
-
-    __slots__ = ("_buckets", "_nbuckets", "_width", "_count", "_day", "_day_end")
-
-    MIN_BUCKETS = 4
-
-    def __init__(self) -> None:
-        self._nbuckets = self.MIN_BUCKETS
-        self._buckets: List[List[_Entry]] = [[] for _ in range(self._nbuckets)]
-        self._width = 0.01
-        self._count = 0
-        self._day = 0  # current day index (monotonic, not wrapped)
-        self._day_end = self._width  # upper time bound of the current day
-
-    def push(self, entry: _Entry) -> None:
-        day = int(entry[0] / self._width)
-        if day < self._day:
-            # Same-timestamp-as-now events can land just behind the cursor
-            # after a resize recomputed the width; file them in the current
-            # day so they are still found (ordering is preserved by the
-            # in-bucket sort).
-            day = self._day
-        insort(self._buckets[day % self._nbuckets], entry)
-        self._count += 1
-        if self._count > self._nbuckets * 4:
-            self._resize(self._nbuckets * 2)
-
-    def pop_before(self, limit: float) -> Optional[_Event]:
-        while self._count:
-            bucket = self._buckets[self._day % self._nbuckets]
-            if bucket and bucket[0][0] < self._day_end:
-                if bucket[0][0] > limit:
-                    return None
-                event = bucket.pop(0)[2]
-                self._count -= 1
-                if self._count < self._nbuckets // 4 > self.MIN_BUCKETS:
-                    self._resize(max(self.MIN_BUCKETS, self._nbuckets // 2))
-                if not event.cancelled:
-                    return event
-                continue
-            # Current day exhausted: walk the calendar day by day (O(1)
-            # amortized when the width matches the event spacing). Only
-            # after a fruitless full year fall back to a direct search —
-            # doing the search on every advance is O(nbuckets) per event,
-            # which collapses on sparse calendars.
-            day = self._day
-            day_end = self._day_end
-            buckets = self._buckets
-            nbuckets = self._nbuckets
-            width = self._width
-            for _ in range(nbuckets):
-                day += 1
-                day_end += width
-                ahead = buckets[day % nbuckets]
-                if ahead and ahead[0][0] < day_end:
-                    break
-            else:
-                next_time = self._min_time()
-                if next_time is None:
-                    return None
-                day = int(next_time / width)
-                if day <= self._day:
-                    # Float rounding at an exact day boundary can map the
-                    # next event back onto the exhausted day; force
-                    # progress or this loop never terminates.
-                    day = self._day + 1
-                day_end = (day + 1) * width
-            self._day = day
-            self._day_end = day_end
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        self._discard_cancelled_heads()
-        return self._min_time()
-
-    def entries(self) -> Iterable[_Entry]:
-        for bucket in self._buckets:
-            yield from bucket
-
-    # -- internals -------------------------------------------------------
-    def _discard_cancelled_heads(self) -> None:
-        for bucket in self._buckets:
-            while bucket and bucket[0][2].cancelled:
-                bucket.pop(0)
-                self._count -= 1
-
-    def _min_time(self) -> Optional[float]:
-        best = None
-        for bucket in self._buckets:
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        return best[0] if best is not None else None
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [e for bucket in self._buckets for e in bucket]
-        entries.sort()
-        # Estimate the day width from the average spacing of the queue's
-        # next events (the classic heuristic): wide enough that a day holds
-        # a few events, narrow enough that a day never holds most of them.
-        if len(entries) >= 2:
-            sample = entries[: min(len(entries), 64)]
-            span = sample[-1][0] - sample[0][0]
-            avg_gap = span / max(1, len(sample) - 1)
-            self._width = max(avg_gap * 2.0, 1e-9)
-        self._nbuckets = nbuckets
-        self._buckets = [[] for _ in range(nbuckets)]
-        self._count = 0
-        if entries:
-            self._day = int(entries[0][0] / self._width)
-        self._day_end = (self._day + 1) * self._width
-        for entry in entries:
-            day = max(int(entry[0] / self._width), self._day)
-            self._buckets[day % nbuckets].append(entry)
-            self._count += 1
-
-
-_SCHEDULERS = {"heap": _HeapScheduler, "calendar": _CalendarScheduler}
-
-
 class Simulator:
     """A deterministic discrete-event simulator clock.
 
@@ -245,32 +71,21 @@ class Simulator:
     seed:
         Seed for the simulation-wide random number generator. Components
         must draw randomness only from :attr:`rng`.
-    scheduler:
-        Queue backend: ``"heap"`` (default) or ``"calendar"``. ``None``
-        reads ``REPRO_SIM_SCHEDULER`` (falling back to ``"heap"``). Both
-        backends execute events in identical ``(time, seq)`` order.
     """
 
     __slots__ = (
-        "_sched",
+        "_heap",
         "_seq",
         "now",
         "_running",
         "rng",
         "seed",
-        "scheduler_name",
         "events_executed",
     )
 
-    def __init__(self, seed: int = 0, scheduler: Optional[str] = None):
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SIM_SCHEDULER", "heap")
-        if scheduler not in _SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; one of {sorted(_SCHEDULERS)}"
-            )
-        self.scheduler_name = scheduler
-        self._sched = _SCHEDULERS[scheduler]()
+    def __init__(self, seed: int = 0):
+        #: the event queue, a C ``heapq`` of ``(time, seq, event)`` entries
+        self._heap: List[_Entry] = []
         self._seq = 0
         #: current simulation time in seconds (read-only by convention;
         #: a plain attribute rather than a property because hot callbacks
@@ -292,7 +107,7 @@ class Simulator:
         time = self.now + delay
         event = _Event(time, fn, args)
         self._seq += 1
-        self._sched.push((time, self._seq, event))
+        heappush(self._heap, (time, self._seq, event))
         return event
 
     def schedule_at(
@@ -305,22 +120,27 @@ class Simulator:
             )
         event = _Event(time, fn, args)
         self._seq += 1
-        self._sched.push((time, self._seq, event))
+        heappush(self._heap, (time, self._seq, event))
         return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
-        return self._sched.peek_time()
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run the single next event. Returns False if the queue was empty."""
-        event = self._sched.pop_before(inf)
-        if event is None:
-            return False
-        self.now = event.time
-        self.events_executed += 1
-        event.fn(*event.args)
-        return True
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
+            if not event.cancelled:
+                self.now = event.time
+                self.events_executed += 1
+                event.fn(*event.args)
+                return True
+        return False
 
     def run(self, until: float) -> None:
         """Run events in timestamp order until the clock reaches ``until``.
@@ -331,12 +151,12 @@ class Simulator:
         if until < self.now:
             raise SimulationError(f"cannot run backwards to {until}")
         self._running = True
-        pop_before = self._sched.pop_before
+        heap = self._heap
         try:
-            while True:
-                event = pop_before(until)
-                if event is None:
-                    break
+            while heap and heap[0][0] <= until:
+                event = heappop(heap)[2]
+                if event.cancelled:
+                    continue
                 self.now = event.time
                 self.events_executed += 1
                 event.fn(*event.args)
@@ -356,7 +176,7 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for e in self._sched.entries() if not e[2].cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
 
 class Timer:

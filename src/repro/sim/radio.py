@@ -31,8 +31,8 @@ The reception fan-out is the single hottest loop in a trial, so the radio
 derives from the topology's loss array, once per topology at construction:
 
 * ``_audible_ids[src]`` — the audible receivers of ``src``, ascending;
-* ``_loss_rows[src]`` — the aligned per-link loss probabilities (a numpy
-  array on the vectorized path, a plain list on the scalar path);
+* ``_loss_rows[src]`` — the aligned per-link loss probabilities, as a
+  numpy array;
 * ``_audible_bool`` — the full n×n audibility matrix for O(1) carrier-sense
   and collision checks.
 
@@ -41,14 +41,13 @@ dedicated :class:`~repro.sim.rngstream.BatchedUniformStream` seeded from
 the trial seed, not from ``sim.rng``. Loss draws obey a fixed discipline:
 **every transmission consumes exactly ``len(_audible_ids[src])`` uniforms,
 in ascending receiver id order, regardless of collision or failure
-outcomes**. Both the vectorized path (one ``take(k)`` block compare) and
-the scalar path (``k`` successive ``random()`` calls) therefore consume
-byte-identical draws, which is what the differential determinism tests pin.
+outcomes** — one ``take(k)`` block compared against ``_loss_rows[src]``.
+The number of draws is thus a function of the sender alone, which keeps
+the stream's position independent of what happens to each frame.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Set
 
@@ -153,7 +152,6 @@ class Radio:
         "topology",
         "config",
         "stats",
-        "path",
         "_stream",
         "_listeners",
         "_live",
@@ -163,7 +161,6 @@ class Radio:
         "_pending_acks",
         "_failed",
         "_on_transmit",
-        "_on_delivery",
         "_on_deliveries",
         "_audible_ids",
         "_loss_rows",
@@ -176,19 +173,12 @@ class Radio:
         topology: Topology,
         config: Optional[RadioConfig] = None,
         on_transmit: Optional[Callable[[int, Frame], None]] = None,
-        on_delivery: Optional[Callable[[int, int, Frame], None]] = None,
         on_deliveries: Optional[Callable[[int, List[int], Frame, int], None]] = None,
-        path: Optional[str] = None,
     ):
         self.sim = sim
         self.topology = topology
         self.config = config or RadioConfig()
         self.stats = RadioStats()
-        if path is None:
-            path = os.environ.get("REPRO_RADIO_PATH", "vector")
-        if path not in ("vector", "scalar"):
-            raise ValueError(f"unknown radio path {path!r}")
-        self.path = path
         self._stream = BatchedUniformStream(sim.seed)
         self._listeners: Dict[int, RadioListener] = {}
         #: reception fast path: _live[node] is the node's listener when it
@@ -206,11 +196,10 @@ class Radio:
         #: neither transmit, receive, ACK, nor run send-completion
         #: callbacks until revived.
         self._failed: Set[int] = set()
-        #: census/energy hooks: (sender, frame) per attempt; (src, dst, frame)
-        #: per successful delivery, or — preferred by the accounting hot
-        #: path — (src, receivers, frame, bits) once per transmission.
+        #: census/energy hooks: (sender, frame) per attempt, and
+        #: (src, receivers, frame, bits) once per transmission that
+        #: reached anyone.
         self._on_transmit = on_transmit
-        self._on_delivery = on_delivery
         self._on_deliveries = on_deliveries
         self._build_neighbor_tables()
 
@@ -226,10 +215,9 @@ class Radio:
         self._audible_ids: List[List[int]] = [
             np.flatnonzero(row).tolist() for row in audible
         ]
-        rows = [loss[src, ids] for src, ids in enumerate(self._audible_ids)]
-        self._loss_rows: List[object] = (
-            rows if self.path == "vector" else [row.tolist() for row in rows]
-        )
+        self._loss_rows: List[np.ndarray] = [
+            loss[src, ids] for src, ids in enumerate(self._audible_ids)
+        ]
 
     # ------------------------------------------------------------------
     # Registration and public send API
@@ -379,22 +367,14 @@ class Radio:
             overlapping = ()
 
         receivers = self._audible_ids[src]
-        k = len(receivers)
-        # Draw-count discipline: exactly k loss uniforms per transmission,
-        # ascending receiver order, consumed before any outcome is known —
-        # this keeps the vectorized and scalar paths (and serial vs
-        # parallel campaign runs) on identical RNG trajectories.
-        if self.path == "vector":
-            lost = (self._stream.take(k) < self._loss_rows[src]).tolist()
-        else:
-            stream_random = self._stream.random
-            loss_row = self._loss_rows[src]
-            lost = [stream_random() < loss_row[i] for i in range(k)]
+        # Draw-count discipline: exactly len(receivers) loss uniforms per
+        # transmission, ascending receiver order, consumed before any
+        # outcome is known.
+        lost = (self._stream.take(len(receivers)) < self._loss_rows[src]).tolist()
 
         live = self._live
         audible_bool = self._audible_bool
         stats = self.stats
-        on_delivery = self._on_delivery
         on_deliveries = self._on_deliveries
         delivered: Optional[List[int]] = [] if on_deliveries is not None else None
         dst = frame.dst
@@ -433,8 +413,6 @@ class Radio:
             n_delivered += 1
             if delivered is not None:
                 delivered.append(receiver)
-            elif on_delivery is not None:
-                on_delivery(src, receiver, frame)
             if is_broadcast:
                 listener.on_receive(frame)
             elif dst == receiver:

@@ -13,28 +13,17 @@ The stream is one flat sequence ``u0, u1, u2, ...`` of uniforms in
 ``[0, 1)``, fixed entirely by the seed. Blocks are an implementation
 detail: ``take(k)`` returns exactly the next ``k`` elements of that
 sequence, and is therefore draw-for-draw identical to ``k`` successive
-:meth:`random` calls. Consumers keep serial ≡ parallel and vectorized ≡
-scalar determinism by obeying one rule: *the number and order of draws
-consumed must be a pure function of simulation state that both code paths
-share* — e.g. the radio draws exactly ``len(audible_neighbors(src))`` loss
-uniforms per transmission, in ascending receiver id order, regardless of
-whether a collision already doomed the frame.
-
-When numpy is unavailable the same interface is served by
-:class:`random.Random` (``take`` returns a list); the sequence differs from
-the numpy one, but every discipline above still holds, so results remain
-deterministic per (seed, backend).
+:meth:`random` calls. Consumers keep serial ≡ parallel determinism by
+obeying one rule: *the number and order of draws consumed must be a pure
+function of simulation state* — e.g. the radio draws exactly
+``len(audible_neighbors(src))`` loss uniforms per transmission, in
+ascending receiver id order, regardless of whether a collision already
+doomed the frame.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Sequence
-
-try:  # gate, don't require: the container may lack numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as np
 
 #: Mixed into the seed so the radio stream never aliases ``Simulator.rng``
 #: (which is seeded with the bare trial seed).
@@ -52,21 +41,12 @@ class BatchedUniformStream:
         self.seed = seed
         self._size = block_size
         self._pos = block_size  # empty: first draw triggers a refill
-        self._block: Optional[Sequence[float]] = None
-        if _np is not None:
-            entropy = _np.random.SeedSequence(
-                [seed & 0xFFFFFFFFFFFFFFFF, _STREAM_DOMAIN]
-            )
-            self._gen = _np.random.Generator(_np.random.PCG64(entropy))
-        else:  # pragma: no cover - exercised only without numpy
-            self._gen = random.Random((seed, _STREAM_DOMAIN))
+        self._block = np.empty(0)
+        entropy = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, _STREAM_DOMAIN])
+        self._gen = np.random.Generator(np.random.PCG64(entropy))
 
     def _refill(self) -> None:
-        if _np is not None:
-            self._block = self._gen.random(self._size)
-        else:  # pragma: no cover
-            rand = self._gen.random
-            self._block = [rand() for _ in range(self._size)]
+        self._block = self._gen.random(self._size)
         self._pos = 0
 
     def random(self) -> float:
@@ -81,31 +61,16 @@ class BatchedUniformStream:
         """One draw scaled to ``[lo, hi)``."""
         return lo + (hi - lo) * self.random()
 
-    def take(self, k: int):
-        """The next ``k`` uniforms as an array (numpy when available).
-
-        Identical draws to ``k`` successive :meth:`random` calls — this is
-        what lets the vectorized and scalar radio paths share trajectories.
-        """
-        if k <= 0:
-            return _np.empty(0) if _np is not None else []
-        if _np is not None:
-            out = _np.empty(k)
-            filled = 0
-            while filled < k:
-                if self._pos >= self._size:
-                    self._refill()
-                n = min(self._size - self._pos, k - filled)
-                out[filled : filled + n] = self._block[self._pos : self._pos + n]
-                self._pos += n
-                filled += n
-            return out
-        out_list: List[float] = []  # pragma: no cover
-        while len(out_list) < k:
-            out_list.append(self.random())
-        return out_list
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized (numpy) backend is usable."""
-    return _np is not None
+    def take(self, k: int) -> np.ndarray:
+        """The next ``k`` uniforms as an array — identical draws to ``k``
+        successive :meth:`random` calls."""
+        out = np.empty(max(k, 0))
+        filled = 0
+        while filled < k:
+            if self._pos >= self._size:
+                self._refill()
+            n = min(self._size - self._pos, k - filled)
+            out[filled : filled + n] = self._block[self._pos : self._pos + n]
+            self._pos += n
+            filled += n
+        return out

@@ -21,16 +21,18 @@ exhausted its tenants are re-placed onto survivors; in every case no
 request hangs (they fail typed and retryable) and no worker process
 outlives its gateway.
 
-The protocol-behavior tests run against the in-process
-:class:`QueryGateway` (same server, same frames, no process spawn); the
-determinism test boots real :class:`ShardedGateway` worker processes.
+Every test boots real :class:`ShardedGateway` worker processes; the
+protocol-behavior tests use one worker hosting one tenant of
+:func:`tiny_spec`.
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.core.config import ScoopConfig, ValueDomain
+from repro.experiments import __main__ as cli
 from repro.experiments.runner import ExperimentSpec
 from repro.service.api import (
     PROTOCOL_VERSION,
@@ -40,7 +42,6 @@ from repro.service.api import (
     ShedError,
 )
 from repro.service.client import AsyncScoopClient
-from repro.service.gateway import QueryGateway
 from repro.service.loadtest import drive_socket_load
 from repro.service.server import serve_framed
 from repro.service.shard import BackoffPolicy, ShardedGateway
@@ -91,16 +92,16 @@ def tiny_spec(seed: int = 3) -> ExperimentSpec:
     )
 
 
-def in_process_gateway(tenants: int = 1) -> QueryGateway:
-    return QueryGateway.from_spec(tiny_spec(), tenants=tenants, batch_delay=0.0)
+def one_worker_gateway() -> ShardedGateway:
+    return ShardedGateway(tiny_spec(), tenants=1, workers=1)
 
 
 class TestFramedServer:
-    """Protocol behavior over a real socket, in-process gateway."""
+    """Protocol behavior over a real socket, one worker, one tenant."""
 
     def test_query_stats_ping_round_trip(self):
         async def program():
-            gateway = in_process_gateway()
+            gateway = one_worker_gateway()
             await gateway.start()
             server = await serve_framed(gateway)
             try:
@@ -118,6 +119,7 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 
@@ -127,7 +129,7 @@ class TestFramedServer:
         connection stays usable for control frames."""
 
         async def program():
-            gateway = in_process_gateway()
+            gateway = one_worker_gateway()
             await gateway.start()
             server = await serve_framed(gateway, credits=0)
             try:
@@ -141,12 +143,13 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 
     def test_version_skew_is_typed_and_fatal(self):
         async def program():
-            gateway = in_process_gateway()
+            gateway = one_worker_gateway()
             await gateway.start()
             server = await serve_framed(gateway)
             try:
@@ -159,12 +162,13 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 
     def test_unknown_tenant_is_malformed(self):
         async def program():
-            gateway = in_process_gateway()
+            gateway = one_worker_gateway()
             await gateway.start()
             server = await serve_framed(gateway)
             try:
@@ -177,12 +181,13 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 
     def test_metrics_subscription_pushes_shard_scorecards(self):
         async def program():
-            gateway = in_process_gateway()
+            gateway = one_worker_gateway()
             await gateway.start()
             server = await serve_framed(gateway, metrics_interval=0.02)
             try:
@@ -204,6 +209,7 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 
@@ -283,6 +289,23 @@ class TestShardedGateway:
         # The tentpole invariant: identical transcripts, hence digests.
         assert report1["answers"] == report4["answers"]
         assert report1["answers_digest"] == report4["answers_digest"]
+
+    def test_closed_gateway_refuses_typed(self):
+        """After close(), answer() fails fast with a typed fault rather
+        than queueing onto a shard whose worker is gone."""
+
+        async def program():
+            gateway = one_worker_gateway()
+            await gateway.start()
+            try:
+                await gateway.wait_ready(timeout=60.0)
+            finally:
+                await gateway.close()
+                assert_no_zombies(gateway)
+            with pytest.raises(ServiceUnavailableError, match="gateway is closed"):
+                await gateway.answer(_request(gateway, "tenant0", seq=1))
+
+        asyncio.run(program())
 
 
 class TestShardSupervision:
@@ -458,6 +481,25 @@ class TestShardSupervision:
                 assert_no_zombies(gateway)
 
         asyncio.run(program())
+
+
+class TestServeCommand:
+    """The ``serve --loadtest`` command the nightly serving job runs."""
+
+    def test_loadtest_answers_match_across_worker_counts(self, tmp_path):
+        digests = []
+        for workers in (1, 2):
+            path = tmp_path / f"loadtest_w{workers}.json"
+            args = "serve smoke --tenants 2 --clients 2 --requests 6 --scale 0.05"
+            args += f" --workers {workers} --port 0"
+            assert cli.main(args.split() + ["--loadtest", str(path)]) == 0
+            report = json.loads(path.read_text())
+            assert report["workers"] == workers
+            assert report["counts"]["ok"] == 12
+            assert report["counts"]["failed"] == 0
+            assert report["stats"]["protocol"]["protocol_errors"] == 0
+            digests.append(report["answers_digest"])
+        assert digests[0] == digests[1]
 
 
 def _request(gateway: ShardedGateway, tenant: str, seq: int):

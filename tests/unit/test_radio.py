@@ -1,5 +1,7 @@
 """Unit tests for the radio medium: loss, ACKs, CSMA, collisions, snooping."""
 
+from collections import Counter
+
 import pytest
 
 from repro.sim.kernel import Simulator
@@ -184,12 +186,69 @@ class TestAccountingHooks:
 
     def test_on_delivery_reports_receiver(self):
         deliveries = []
+
+        def on_deliveries(src, receivers, frame, bits):
+            deliveries.extend((src, r) for r in receivers)
+
         sim = Simulator()
-        radio = Radio(
-            sim, perfect(3), on_delivery=lambda s, r, f: deliveries.append((s, r))
-        )
+        radio = Radio(sim, perfect(3), on_deliveries=on_deliveries)
         for i in range(3):
             radio.register(Listener(i))
         radio.broadcast(data_frame(0, BROADCAST))
         sim.run(1.0)
         assert (0, 1) in deliveries and (0, 2) in deliveries
+
+
+class StreamSpy:
+    """Wraps a radio's uniform stream, recording every ``take(k)`` size."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self.takes = []
+
+    def take(self, k):
+        self.takes.append(k)
+        return self._stream.take(k)
+
+    def uniform(self, lo, hi):
+        return self._stream.uniform(lo, hi)
+
+
+class TestDrawDiscipline:
+    def test_each_transmission_draws_once_per_audible_receiver(self):
+        """Every transmission, DATA or ACK, takes exactly one loss
+        uniform per audible receiver, even when a collision or a dead
+        receiver decides the outcome before the draw is looked at."""
+        off = 1.0
+        # Out-degrees differ per sender (0: 3, 1: 2, 2: 1), so the
+        # multiset of take sizes pins which transmissions drew. 0 and 2
+        # cannot hear each other but both reach 1: a hidden terminal.
+        topo = from_loss_matrix(
+            [
+                [off, 0.0, off, 0.0, 0.0],
+                [0.0, off, 0.0, off, off],
+                [off, 0.0, off, off, off],
+                [off, off, off, off, off],
+                [off, off, off, off, off],
+            ]
+        )
+        sent = []
+        sim = Simulator(seed=7)
+        radio = Radio(sim, topo, on_transmit=lambda n, f: sent.append((n, f.kind)))
+        for i in range(topo.n):
+            radio.register(Listener(i))
+        spy = StreamSpy(radio._stream)
+        radio._stream = spy
+        radio.fail_node(3)  # one of node 0's receivers is dead
+        for _ in range(3):
+            radio.broadcast(data_frame(0, BROADCAST, payload_bytes=29))
+            radio.broadcast(data_frame(2, BROADCAST, payload_bytes=29))
+            sim.run(sim.now + 0.5)
+        radio.unicast(data_frame(0, 1))
+        sim.run(sim.now + 1.0)
+
+        assert radio.stats.collisions >= 1
+        assert {kind for _node, kind in sent} == {FrameKind.DATA, FrameKind.ACK}
+        assert Counter(spy.takes) == Counter(
+            len(radio._audible_ids[node]) for node, _kind in sent
+        )

@@ -1,10 +1,7 @@
 """The public service API: typed request/answer/error/stats dataclasses,
-the exception ↔ wire-code mapping, shard-stat aggregation, and the
-deprecated JSON-lines codec — including the golden-bytes test pinning it
-to the PR-7 wire format.
+the exception ↔ wire-code mapping, shard-stat aggregation, and a
+golden-bytes pin of an answer's RESPONSE frame.
 """
-
-import json
 
 import pytest
 
@@ -23,15 +20,11 @@ from repro.service.api import (
     ShardRestartingError,
     ShedError,
     aggregate_shard_stats,
-    decode_jsonl_request,
-    decode_jsonl_response,
-    encode_jsonl_answer,
-    encode_jsonl_error,
-    encode_jsonl_request,
     error_to_exception,
     exception_to_error,
 )
 from repro.service.gateway import ServiceTicket
+from repro.service.protocol import response_frame
 
 
 class TestQueryRequest:
@@ -79,23 +72,10 @@ class TestQueryAnswer:
         answer = QueryAnswer.from_ticket(self._ticket(), shard="shard0")
         assert QueryAnswer.from_wire(answer.to_wire()) == answer
 
-    def test_jsonl_dict_excludes_shard(self):
-        answer = QueryAnswer.from_ticket(self._ticket(), shard="shard7")
-        assert "shard" not in answer.to_jsonl_dict()
-        assert answer.to_wire()["shard"] == "shard7"
-
-    def test_golden_bytes_jsonl_matches_pr7_ticket_wire_format(self):
-        """The deprecated JSON-lines response must stay byte-identical
-        to what the PR-7 gateway emitted: ``ServiceTicket.to_dict()``
-        serialized with the stdlib defaults."""
-        ticket = self._ticket()
-        legacy = (json.dumps(ticket.to_dict()) + "\n").encode("utf-8")
-        modern = encode_jsonl_answer(QueryAnswer.from_ticket(ticket))
-        assert modern == legacy
-
     def test_golden_bytes_pinned_literal(self):
-        """Belt and braces: the exact bytes, so a drift in *both*
-        ServiceTicket.to_dict and the codec still fails."""
+        """The exact RESPONSE frame bytes of one answer: length prefix,
+        header (type, version, seq) and the sorted-key JSON payload. A
+        change here is a wire change and needs a PROTOCOL_VERSION bump."""
         ticket = ServiceTicket(
             seq=1, tenant="tenant0", attr=0, lo=10, hi=30, arrival=600.0
         )
@@ -103,11 +83,13 @@ class TestQueryAnswer:
         ticket.readings = [(12, 600.0, 3)]
         ticket.latency_s = 8.0
         ticket.epoch = 0
-        assert encode_jsonl_answer(QueryAnswer.from_ticket(ticket)) == (
-            b'{"status": "ok", "tenant": "tenant0", "seq": 1, "attr": 0, '
-            b'"lo": 10, "hi": 30, "latency_s": 8.0, "cache_hit": false, '
-            b'"staleness_s": 0.0, "epoch": 0, "n_readings": 1, '
-            b'"readings": [[12, 600.0, 3]]}\n'
+        answer = QueryAnswer.from_ticket(ticket, shard="shard0")
+        assert response_frame(answer) == (
+            b"\x00\x00\x00\xc1\x04\x01\x00\x00\x00\x01"
+            b'{"attr":0,"cache_hit":false,"epoch":0,"hi":30,"latency_s":8.0,'
+            b'"lo":10,"n_readings":1,"readings":[[12,600.0,3]],"seq":1,'
+            b'"shard":"shard0","staleness_s":0.0,"status":"ok",'
+            b'"tenant":"tenant0"}'
         )
 
     def test_bad_payload_is_protocol_error(self):
@@ -194,38 +176,7 @@ class TestAggregateShardStats:
         assert agg["latency_p95_s"] == 0.0
 
 
-class TestJsonlCodec:
-    def test_request_round_trip(self):
-        request = QueryRequest(tenant="t1", attr=1, lo=3, hi=9)
-        op, decoded = decode_jsonl_request(encode_jsonl_request(request))
-        assert op == "query"
-        assert (decoded.tenant, decoded.attr, decoded.lo, decoded.hi) == (
-            "t1",
-            1,
-            3,
-            9,
-        )
-
-    def test_control_ops(self):
-        assert decode_jsonl_request(b'{"op": "ping"}\n') == ("ping", None)
-        assert decode_jsonl_request(b'{"op": "stats"}\n') == ("stats", None)
-
-    def test_bad_json_is_malformed(self):
-        with pytest.raises(MalformedRequestError):
-            decode_jsonl_request(b"not json\n")
-        with pytest.raises(MalformedRequestError):
-            decode_jsonl_request(b"[1, 2]\n")
-        with pytest.raises(MalformedRequestError, match="unknown op"):
-            decode_jsonl_request(b'{"op": "fly"}\n')
-
-    def test_error_line_shape(self):
-        line = encode_jsonl_error("malformed request: nope")
-        assert decode_jsonl_response(line) == {
-            "status": "error",
-            "error": "malformed request: nope",
-        }
-
-    def test_version_constant_is_one(self):
-        # Bumping PROTOCOL_VERSION is an intentional compatibility event;
-        # this pin makes it a conscious edit, not a drive-by.
-        assert PROTOCOL_VERSION == 1
+def test_version_constant_is_one():
+    # Bumping PROTOCOL_VERSION is an intentional compatibility event;
+    # this pin makes it a conscious edit, not a drive-by.
+    assert PROTOCOL_VERSION == 1

@@ -1,20 +1,15 @@
-"""The serving layer in isolation: cache, admission control, batching,
-and the asyncio gateway — all against a fake deployment, so every
-behavior (bucket math, epoch invalidation, shedding, coalescing,
-concurrent-client determinism) is pinned without running a simulation.
+"""The serving core in isolation: cache, admission control and
+batching against a fake deployment, so every behavior (bucket math,
+epoch invalidation, shedding, coalescing) is pinned without running a
+simulation.
 """
-
-import asyncio
-import json
 
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.service.gateway import (
     AnswerCache,
-    QueryGateway,
     ServiceLimits,
     TenantService,
     percentile,
-    serve_gateway,
 )
 
 DOMAIN = ValueDomain(0, 100)
@@ -174,116 +169,6 @@ class TestAdmission:
         hit = service.submit(attr=0, lo=10, hi=12, arrival=dep.now - 3.0)
         assert hit.cache_hit
         assert hit.latency_s == 3.0
-
-
-def run_gateway_program(n_clients=4, per_client=5):
-    """One fixed concurrent-client program against a two-tenant gateway;
-    returns the ordered list of (client, status, cache_hit) outcomes."""
-
-    async def program():
-        services = {
-            "tenant0": make_service("tenant0"),
-            "tenant1": make_service("tenant1"),
-        }
-        gateway = QueryGateway(services, batch_delay=0)
-        await gateway.start()
-        outcomes = []
-
-        async def client(idx):
-            tenant = f"tenant{idx % 2}"
-            for i in range(per_client):
-                lo = (idx * 17 + i * 11) % 90
-                ticket = await gateway.query(tenant, 0, lo, lo + 5)
-                outcomes.append((idx, ticket.status, ticket.cache_hit))
-
-        await asyncio.gather(*(client(i) for i in range(n_clients)))
-        stats = gateway.stats()
-        await gateway.close()
-        return outcomes, stats
-
-    return asyncio.run(program())
-
-
-class TestGateway:
-    def test_concurrent_clients_deterministic(self):
-        first_outcomes, first_stats = run_gateway_program()
-        second_outcomes, second_stats = run_gateway_program()
-        assert first_outcomes == second_outcomes
-        assert first_stats == second_stats
-        assert all(status == "ok" for _i, status, _hit in first_outcomes)
-        served = sum(s["requests_served"] for s in first_stats.values())
-        assert served == 20
-
-    def test_unknown_tenant_rejected(self):
-        async def program():
-            gateway = QueryGateway({"tenant0": make_service("tenant0")}, batch_delay=0)
-            await gateway.start()
-            try:
-                await gateway.query("nope", 0, 1, 2)
-                raise AssertionError("expected ValueError")
-            except ValueError as exc:
-                assert "unknown tenant" in str(exc)
-            finally:
-                await gateway.close()
-
-        asyncio.run(program())
-
-    def test_closed_gateway_refuses_queries(self):
-        async def program():
-            gateway = QueryGateway({"tenant0": make_service("tenant0")}, batch_delay=0)
-            await gateway.start()
-            await gateway.close()
-            try:
-                await gateway.query("tenant0", 0, 1, 2)
-                raise AssertionError("expected RuntimeError")
-            except RuntimeError as exc:
-                assert "closed" in str(exc)
-
-        asyncio.run(program())
-
-
-class TestServeGateway:
-    def test_json_lines_protocol(self):
-        async def program():
-            gateway = QueryGateway({"tenant0": make_service("tenant0")}, batch_delay=0)
-            await gateway.start()
-            server = await serve_gateway(gateway, host="127.0.0.1", port=0)
-            port = server.sockets[0].getsockname()[1]
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-
-            async def roundtrip(payload):
-                writer.write((json.dumps(payload) + "\n").encode())
-                await writer.drain()
-                return json.loads(await reader.readline())
-
-            pong = await roundtrip({"op": "ping"})
-            assert pong == {"status": "ok", "op": "ping", "tenants": ["tenant0"]}
-
-            answer = await roundtrip({"op": "query", "lo": 10, "hi": 14})
-            assert answer["status"] == "ok"
-            assert answer["tenant"] == "tenant0"
-            assert answer["n_readings"] == len(answer["readings"])
-            assert all(10 <= r[0] <= 14 for r in answer["readings"])
-
-            bad = await roundtrip({"op": "query", "lo": -4, "hi": 5})
-            assert bad["status"] == "error"
-            assert "malformed request" in bad["error"]
-
-            unknown = await roundtrip({"op": "frobnicate"})
-            assert unknown["status"] == "error"
-            assert "unknown op" in unknown["error"]
-
-            stats = await roundtrip({"op": "stats"})
-            assert stats["status"] == "ok"
-            assert stats["stats"]["tenant0"]["requests_served"] == 1.0
-
-            writer.close()
-            await writer.wait_closed()
-            server.close()
-            await server.wait_closed()
-            await gateway.close()
-
-        asyncio.run(program())
 
 
 class TestSnapshot:
