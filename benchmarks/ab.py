@@ -11,7 +11,10 @@ in the repository if a run is killed. The head side is this checkout,
 and it must be committed: the runner refuses a working tree with any
 change or untracked file besides ``--out``, so the JSON names the two
 commits it measured. Both sides must hold the same ``BENCHMARK.json`` and
-``perfbench/``, or the runner refuses to start.
+``perfbench/``, or the runner refuses to start. Every run reads and
+writes bytecode under one fresh ``PYTHONPYCACHEPREFIX`` in the temporary
+directory, never a checkout's ``__pycache__``, so both sides start from
+the same bytecode state: each compiles on its first run only.
 
 Each workload gets 10 pairs of ``--trace 0`` runs of the command
 ``BENCHMARK.json`` names, at its ``run_seconds``, one base and one head
@@ -88,11 +91,20 @@ def summary(values: List[float]) -> Dict[str, object]:
 
 
 def run_once(
-    command: List[str], root: Path, workload: str, seed: int, seconds: float, trace: int
+    command: List[str],
+    root: Path,
+    pycache: Path,
+    workload: str,
+    seed: int,
+    seconds: float,
+    trace: int,
 ) -> Tuple[List[int], Optional[Dict[str, object]]]:
     """One benchmark run in ``root``, made again while invalid: the exit
-    code of every attempt, and the result line of the last."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code of every attempt, and the result line of the last. The child
+    reads and writes bytecode under ``pycache`` only."""
+    dropped = ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")
+    env = {k: v for k, v in os.environ.items() if k not in dropped}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     args = ["--workload", workload, "--seed", str(seed)]
     args += ["--seconds", f"{seconds:g}", "--trace", str(trace)]
     codes: List[int] = []
@@ -117,6 +129,7 @@ def compare(
     bench: Dict[str, object],
     command: List[str],
     roots: Dict[str, Path],
+    pycache: Path,
     workload: str,
     seed: int,
     seconds: float,
@@ -126,7 +139,9 @@ def compare(
     for pair in range(PAIRS):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
-            codes, result = run_once(command, roots[side], workload, seed, seconds, 0)
+            codes, result = run_once(
+                command, roots[side], pycache, workload, seed, seconds, 0
+            )
             exits[side].extend(codes)
             runs[side].append(result)
             print(f"  {workload}:{seed} pair {pair + 1} {side}: exit {codes}")
@@ -157,7 +172,9 @@ def compare(
 
     layers: Dict[str, Dict[str, float]] = {}
     for side in SIDES:
-        codes, result = run_once(command, roots[side], workload, seed, seconds, 1)
+        codes, result = run_once(
+            command, roots[side], pycache, workload, seed, seconds, 1
+        )
         print(f"  {workload}:{seed} traced {side}: exit {codes}")
         metrics = result["metrics"] if result else {}
         layers[side] = {k: v["value"] for k, v in metrics.items()}  # type: ignore
@@ -248,11 +265,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
-        export_commit(base, Path(tmp))
-        roots = {"base": Path(tmp), "head": REPO_ROOT}
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        roots = {"base": Path(tmp) / "base", "head": REPO_ROOT}
+        roots["base"].mkdir()
+        export_commit(base, roots["base"])
+        pycache = Path(tmp) / "pycache"
         for name, seed in targets:
-            entry = compare(bench, command, roots, name, seed, seconds)
+            entry = compare(bench, command, roots, pycache, name, seed, seconds)
             doc["workloads"][f"{name}:{seed}"] = entry  # type: ignore[index]
             print_table(entry)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")

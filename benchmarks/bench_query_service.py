@@ -173,18 +173,15 @@ async def _serve_and_drive(workers: int, chaos_kill: bool = False) -> dict:
         await gateway.wait_ready()
         chaos = gateway.chaos_kill_worker if chaos_kill else None
         retries = 30 if chaos_kill else None
-        report = await asyncio.get_running_loop().run_in_executor(
-            None,
-            lambda: drive_socket_load(
-                "127.0.0.1",
-                server.port,
-                clients=SOCKET_CLIENTS,
-                requests=SOCKET_REQUESTS,
-                seed=SOCKET_SEED,
-                keep_answers=False,
-                retries=retries,
-                chaos=chaos,
-            ),
+        report = await drive_socket_load(
+            "127.0.0.1",
+            server.port,
+            clients=SOCKET_CLIENTS,
+            requests=SOCKET_REQUESTS,
+            seed=SOCKET_SEED,
+            keep_answers=False,
+            retries=retries,
+            chaos=chaos,
         )
     finally:
         await server.close()

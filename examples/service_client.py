@@ -1,12 +1,10 @@
-"""Scoop as a service: the sharded server and the typed clients.
+"""Scoop as a service: the sharded server and the typed client.
 
 Boots the full serving stack in one process — two tenants sharded
 across two worker processes behind a framed TCP server — then tours the
-two supported client entry points:
-
-* ``ScoopClient`` — blocking, strictly request/response;
-* ``AsyncScoopClient`` — asyncio, many queries in flight on one
-  connection, server-push METRICS telemetry.
+supported client entry point, ``AsyncScoopClient``: the WELCOME fields,
+a query and its cached repeat, a typed fault, many queries in flight on
+one connection, server-push METRICS telemetry and per-shard stats.
 
 Everything crosses the wire as the typed API (``QueryAnswer`` in,
 ``ShedError``/``MalformedRequestError``/... out) — no raw dicts.
@@ -23,7 +21,6 @@ from repro import ExperimentSpec, ScoopConfig, ValueDomain
 from repro.service import (
     AsyncScoopClient,
     MalformedRequestError,
-    ScoopClient,
     ShardedGateway,
     serve_framed,
 )
@@ -52,38 +49,28 @@ def small_spec() -> ExperimentSpec:
     )
 
 
-def sync_tour(port: int) -> None:
-    """The blocking client: one query at a time, typed faults."""
-    with ScoopClient("127.0.0.1", port, name="sync-demo") as client:
+async def tour(port: int) -> None:
+    """One connection: typed answers and faults, concurrent queries,
+    the METRICS subscription and per-shard stats."""
+    async with AsyncScoopClient(
+        "127.0.0.1", port, name="demo", metrics=True
+    ) as client:
         print(
-            f"[sync] connected: tenants={client.tenants} "
+            f"connected: tenants={client.tenants} "
             f"workers={client.workers} credits={client.credits}"
         )
-        answer = client.query(tenant="tenant0", attr=0, lo=20, hi=60)
+        answer = await client.query(tenant="tenant0", attr=0, lo=20, hi=60)
         print(
-            f"[sync] tenant0 [20, 60] -> {answer.n_readings} readings in "
+            f"tenant0 [20, 60] -> {answer.n_readings} readings in "
             f"{answer.latency_s:.1f}s simulated (shard {answer.shard})"
         )
-        again = client.query(tenant="tenant0", attr=0, lo=20, hi=60)
-        print(f"[sync] same range again: cache_hit={again.cache_hit}")
+        again = await client.query(tenant="tenant0", attr=0, lo=20, hi=60)
+        print(f"same range again: cache_hit={again.cache_hit}")
         try:
-            client.query(tenant="nobody")
+            await client.query(tenant="nobody")
         except MalformedRequestError as exc:
-            print(f"[sync] typed fault for a bad request: {exc}")
-        stats = client.stats()
-        for shard, card in sorted(stats.shards.items()):
-            print(
-                f"[sync] {shard}: {card['tenants']:.0f} tenant(s), "
-                f"{card['requests_served']:.0f} served, "
-                f"hit rate {card['cache_hit_rate']:.0%}"
-            )
+            print(f"typed fault for a bad request: {exc}")
 
-
-async def async_tour(port: int) -> None:
-    """The asyncio client: concurrent queries, METRICS subscription."""
-    async with AsyncScoopClient(
-        "127.0.0.1", port, name="async-demo", metrics=True
-    ) as client:
         ranges = [(0, 30), (30, 60), (60, 100), (10, 90)]
         answers = await asyncio.gather(
             *(
@@ -94,7 +81,7 @@ async def async_tour(port: int) -> None:
         )
         total = sum(a.n_readings for a in answers)
         print(
-            f"[async] {len(answers)} concurrent queries over one "
+            f"{len(answers)} concurrent queries over one "
             f"connection -> {total} readings"
         )
         # Give the server's metrics pump one interval to push.
@@ -102,9 +89,16 @@ async def async_tour(port: int) -> None:
         if client.metrics:
             push = client.metrics[-1]
             print(
-                f"[async] METRICS push from {push['shard']}: "
+                f"METRICS push from {push['shard']}: "
                 f"tick={push['tick']} "
                 f"served={push['stats']['requests_served']:.0f}"
+            )
+        stats = await client.stats()
+        for shard, card in sorted(stats.shards.items()):
+            print(
+                f"{shard}: {card['tenants']:.0f} tenant(s), "
+                f"{card['requests_served']:.0f} served, "
+                f"hit rate {card['cache_hit_rate']:.0%}"
             )
 
 
@@ -114,12 +108,9 @@ async def main() -> None:
     await gateway.start()
     server = await serve_framed(gateway, metrics_interval=0.2)
     try:
-        # No explicit wait: the clients' connect() blocks on the
+        # No explicit wait: the client's connect() blocks on the
         # server's readiness-gated WELCOME.
-        await asyncio.get_running_loop().run_in_executor(
-            None, sync_tour, server.port
-        )
-        await async_tour(server.port)
+        await tour(server.port)
     finally:
         await server.close()
         await gateway.close()

@@ -63,7 +63,6 @@ SERVICE_BOUNDARY = BoundaryConfig(
             "ShardRestartingError",
             "aggregate_shard_stats",
             # entry points
-            "ScoopClient",
             "AsyncScoopClient",
             "ScoopServer",
             "serve_framed",

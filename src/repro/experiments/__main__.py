@@ -34,7 +34,7 @@ given) export — neither re-runs anything. ``serve`` boots a scenario's
 spec as resident deployments (one per tenant), shards them across
 ``--workers`` worker processes, and answers framed-protocol queries over
 TCP (E16's serving layer; clients connect with
-``repro.service.ScoopClient``). ``--loadtest`` drives the bound
+``repro.service.AsyncScoopClient``). ``--loadtest`` drives the bound
 server from ``--clients`` real concurrent connections and reports the
 run as JSON — the nightly real-socket E16 job.
 """
@@ -427,7 +427,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.experiments.campaign import _scale_override
-    from repro.service import PROTOCOL_VERSION, ScoopServer, ShardedGateway
+    from repro.service import PROTOCOL_VERSION, ShardedGateway, serve_framed
 
     name = canonical_scenario_name(args.scenario)
     if name not in SCENARIOS:
@@ -447,9 +447,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     label, spec = next(
         ((lbl, s) for lbl, s in trials if s.policy == "scoop"), trials[0]
     )
-    report_holder: dict = {}
 
-    async def _serve() -> dict:
+    async def _serve() -> Tuple[dict, Optional[dict]]:
         gateway = ShardedGateway(
             spec,
             tenants=args.tenants,
@@ -457,12 +456,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             base_seed=args.base_seed,
         )
         await gateway.start()
-        server = ScoopServer(gateway, host=args.host, port=args.port)
-        await server.start()
+        server = await serve_framed(gateway, host=args.host, port=args.port)
         print(
             f"serving on {server.host}:{server.port} — framed protocol "
             f"v{PROTOCOL_VERSION}, {gateway.workers} worker(s); connect "
-            "with repro.service.ScoopClient"
+            "with repro.service.AsyncScoopClient"
         )
         print(
             f"booting {args.tenants} tenant(s) of {name} ({label}) "
@@ -470,12 +468,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         await gateway.wait_ready()
         print(f"all shards ready: tenants {gateway.tenants}")
+        report = None
         try:
             if args.loadtest is not None:
                 from repro.service.loadtest import drive_socket_load
 
-                dial = "127.0.0.1" if args.host == "0.0.0.0" else args.host
-                port = server.port
                 chaos = None
                 retries = None
                 if args.chaos_kill_worker:
@@ -487,21 +484,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     # Enough retry budget to ride out a full worker
                     # reboot (deployment boot + stabilization).
                     retries = 30
-                report = await asyncio.get_running_loop().run_in_executor(
-                    None,
-                    lambda: drive_socket_load(
-                        dial,
-                        port,
-                        clients=args.clients,
-                        requests=args.requests,
-                        seed=args.base_seed,
-                        retries=retries,
-                        chaos=chaos,
-                    ),
+                report = await drive_socket_load(
+                    "127.0.0.1" if args.host == "0.0.0.0" else args.host,
+                    server.port,
+                    clients=args.clients,
+                    requests=args.requests,
+                    seed=args.base_seed,
+                    retries=retries,
+                    chaos=chaos,
                 )
                 report["scenario"] = name
                 report["label"] = label
-                report_holder["report"] = report
             elif args.duration is not None:
                 await asyncio.sleep(args.duration)
             else:
@@ -510,15 +503,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await server.close()
         stats = await gateway.service_stats()
         await gateway.close()
-        return stats.to_wire()
+        return stats.to_wire(), report
 
     try:
-        stats = asyncio.run(_serve())
+        stats, report = asyncio.run(_serve())
     except KeyboardInterrupt:
         print("\nshutting down")
         return 0
-    if report_holder:
-        report = report_holder["report"]
+    if report is not None:
         counts = report["counts"]
         print(
             f"loadtest: {args.clients} client(s) x {args.requests} requests "

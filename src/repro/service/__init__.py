@@ -1,4 +1,4 @@
-"""Scoop as a service: resident deployments, shards, protocol, clients.
+"""Scoop as a service: resident deployments, shards, protocol, client.
 
 :class:`~repro.service.deployment.Deployment` is the canonical way to
 wire and run a Scoop network — the batch runner
@@ -9,10 +9,9 @@ cache-replay gates pin. Live serving places tenants across a pool of
 worker processes with :class:`~repro.service.shard.ShardedGateway`,
 served over TCP by :class:`~repro.service.server.ScoopServer` speaking
 the framed protocol of :mod:`repro.service.protocol`; the client entry
-points are :class:`~repro.service.client.ScoopClient` /
-:class:`~repro.service.client.AsyncScoopClient`. The only types crossing
-that boundary are the frozen dataclasses of :mod:`repro.service.api`
-(:class:`~repro.service.api.QueryRequest`,
+point is :class:`~repro.service.client.AsyncScoopClient`. The only types
+crossing that boundary are the frozen dataclasses of
+:mod:`repro.service.api` (:class:`~repro.service.api.QueryRequest`,
 :class:`~repro.service.api.QueryAnswer`, ...) and its typed exceptions.
 """
 
@@ -30,7 +29,7 @@ from repro.service.api import (
     ShardRestartingError,
     ShedError,
 )
-from repro.service.client import AsyncScoopClient, ScoopClient
+from repro.service.client import AsyncScoopClient
 from repro.service.deployment import Deployment
 from repro.service.gateway import ServiceLimits
 from repro.service.loadtest import (
@@ -57,7 +56,6 @@ __all__ = [
     "ProtocolVersionError",
     "QueryAnswer",
     "QueryRequest",
-    "ScoopClient",
     "ScoopServer",
     "ServiceError",
     "ServiceFault",

@@ -9,7 +9,7 @@ never escape ``repro.service``; a grep-enforced test
 
 Each type's ``to_wire`` / ``from_wire`` pair is its payload in the
 framed protocol of :mod:`repro.service.protocol`, the one transport,
-spoken by :class:`~repro.service.client.ScoopClient`.
+spoken by :class:`~repro.service.client.AsyncScoopClient`.
 
 Failure surfaces as *typed exceptions*, never as strings for callers to
 pattern-match: overload sheds raise :class:`ShedError`, client mistakes
@@ -99,8 +99,7 @@ class ShardRestartingError(ServiceFault):
 
     *Retryable*: unlike :class:`ServiceUnavailableError` this is a
     transient condition — back off briefly and resend the same request.
-    :class:`~repro.service.client.ScoopClient` /
-    :class:`~repro.service.client.AsyncScoopClient` do exactly that,
+    :class:`~repro.service.client.AsyncScoopClient` does exactly that,
     with a capped exponential backoff, before surfacing the fault.
     The wire code is additive (old clients degrade it to the base
     :class:`ServiceFault`), so it needs no protocol version bump.
@@ -169,8 +168,8 @@ class QueryAnswer:
     """One answered (or shed) request, the only response type.
 
     ``status`` is ``"ok"`` or ``"shed"``; clients never see the string —
-    :class:`~repro.service.client.ScoopClient` raises :class:`ShedError`
-    instead. ``readings`` carries at most :data:`MAX_WIRE_READINGS`
+    :class:`~repro.service.client.AsyncScoopClient` raises
+    :class:`ShedError` instead. ``readings`` carries at most :data:`MAX_WIRE_READINGS`
     ``(value, time, node)`` tuples; ``n_readings`` is the untruncated
     count. ``shard`` names the worker that served the answer —
     diagnostic only, and the one field that depends on placement, so

@@ -21,10 +21,11 @@ here touches wall clocks or the simulation's own RNG stream:
 The resulting scorecard lands on ``deployment.service_stats`` and is
 exported as ``TrialMetrics.service``.
 
-A second, wall-clock driver lives alongside: :func:`drive_socket_load`
-opens N *real* concurrent :class:`~repro.service.client.ScoopClient`
-connections against a running :class:`~repro.service.server.ScoopServer`
-and replays deterministic per-client programs
+A second, wall-clock driver lives alongside: the coroutine
+:func:`drive_socket_load` opens N *real* concurrent
+:class:`~repro.service.client.AsyncScoopClient` connections against a
+running :class:`~repro.service.server.ScoopServer`, in the caller's
+event loop, and replays deterministic per-client programs
 (:func:`build_client_program`) — the load path the sharded serving
 stack is benchmarked and CI-gated on. Its per-tenant answer transcripts
 are deterministic for a fixed program (each tenant is driven by one
@@ -34,10 +35,10 @@ sequential connection), which is what the ``--workers 1`` ≡
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import random
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -215,7 +216,7 @@ def answers_digest(answers: Dict[str, List[Dict[str, object]]]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def drive_socket_load(
+async def drive_socket_load(
     host: str,
     port: int,
     clients: int = 2,
@@ -227,110 +228,95 @@ def drive_socket_load(
     chaos: Optional[Callable[[], Optional[str]]] = None,
 ) -> Dict[str, object]:
     """Drive a running server from ``clients`` real concurrent TCP
-    connections (one thread + one :class:`ScoopClient` each).
+    connections (one :class:`AsyncScoopClient` coroutine each, gathered
+    in the caller's event loop).
 
-    Client ``i`` is pinned to tenant ``tenants[i % len(tenants)]`` and
-    replays :func:`build_client_program` sequentially (each request
-    awaits its answer), so with ``clients <= tenants`` every tenant sees
-    exactly one ordered request stream — the regime in which answers are
+    A probe connection reads the tenants first; with ``domain=None`` it
+    also makes one whole-domain query on ``tenants[0]``, which is part
+    of that tenant's stream. Client ``i`` is then pinned to tenant
+    ``tenants[i % len(tenants)]`` and replays
+    :func:`build_client_program` sequentially (each request awaits its
+    answer), so with ``clients <= tenants`` every tenant sees exactly
+    one ordered request stream — the regime in which answers are
     bit-identical across worker counts. Sheds and malformed rejections
-    are counted, never raised.
+    are counted per request, never raised; any other fault counts the
+    client as ``failed`` and ends its program.
 
     ``chaos`` is the fault-injection hook: a callable (e.g.
-    ``gateway.chaos_kill_worker``) fired exactly once, from a client
-    thread, after roughly a third of the offered load has settled —
-    mid-run, so in-flight and queued requests are on the wire when the
-    worker dies. ``retries`` overrides the clients' retry budget against
-    the resulting ``retry`` faults (chaos runs need enough to ride out a
+    ``gateway.chaos_kill_worker``) fired exactly once, inline, when
+    ``ok + shed`` first reaches a third of the offered load — mid-run,
+    so in-flight and queued requests are on the wire when the worker
+    dies. ``retries`` overrides the clients' retry budget against the
+    resulting ``retry`` faults (chaos runs need enough to ride out a
     worker reboot); the total resends land in ``counts["retried"]``.
 
     Returns a JSON-ready report: outcome counts, wall-clock throughput,
     the per-tenant answer transcripts (``keep_answers``) and their
     :func:`answers_digest`, the server's end-of-run stats (per-shard
-    scorecards + protocol counters), and a ``chaos`` record of whether
-    (and which shard) the hook killed.
+    scorecards + protocol counters, probed after every client has
+    finished), and a ``chaos`` record of whether (and which shard) the
+    hook killed.
     """
-    from repro.service.api import ServiceFault, ShedError
-    from repro.service.client import ScoopClient
+    from repro.service.api import MalformedRequestError, ServiceFault, ShedError
+    from repro.service.client import AsyncScoopClient
 
     if clients < 1:
         raise ValueError(f"need at least one client, got {clients}")
-    with ScoopClient(host, port, name="loadtest-probe") as probe:
+    async with AsyncScoopClient(host, port, name="loadtest-probe") as probe:
         tenants = probe.tenants
         workers = probe.workers
         if domain is None:
             # Probe the domain from one whole-domain query.
-            first = probe.query(tenant=tenants[0])
+            first = await probe.query(tenant=tenants[0])
             domain = (first.lo, first.hi)
 
     answers: Dict[str, List[Dict[str, object]]] = {t: [] for t in tenants}
     counts = {"ok": 0, "shed": 0, "malformed": 0, "failed": 0, "retried": 0}
-    lock = threading.Lock()
     errors: List[str] = []
-    # Chaos trigger: fire once, mid-run, after ~1/3 of the offered load
-    # has settled (so there are in-flight requests to orphan).
     chaos_threshold = max(1, (clients * requests) // 3)
-    chaos_fired = threading.Event()
-    chaos_killed: List[Optional[str]] = [None]
+    chaos_record: Dict[str, object] = {"fired": False, "killed": None}
 
-    def maybe_chaos() -> None:
-        if chaos is None or chaos_fired.is_set():
-            return
-        with lock:
-            # Test-and-set under the counts lock: exactly one thread
-            # crosses the threshold holding the trigger.
-            if (
-                chaos_fired.is_set()
-                or counts["ok"] + counts["shed"] < chaos_threshold
-            ):
-                return
-            chaos_fired.set()
-        chaos_killed[0] = chaos()  # the kill itself runs outside the lock
-
-    def one_client(index: int) -> None:
+    async def one_client(index: int) -> None:
         tenant = tenants[index % len(tenants)]
         program = build_client_program(requests, domain, seed=seed + index)
         kwargs = {} if retries is None else {"retries": retries}
-        client = ScoopClient(host, port, name=f"loadtest-{index}", **kwargs)
+        client = AsyncScoopClient(host, port, name=f"loadtest-{index}", **kwargs)
         try:
-            with client:
+            async with client:
                 for attr, lo, hi in program:
                     try:
-                        answer = client.query(
+                        answer = await client.query(
                             tenant=tenant, attr=attr, lo=lo, hi=hi
                         )
                     except ShedError:
-                        with lock:
-                            counts["shed"] += 1
-                        maybe_chaos()
+                        counts["shed"] += 1
+                    except MalformedRequestError:
+                        counts["malformed"] += 1
                         continue
-                    wire = answer.to_wire()
-                    del wire["shard"]
-                    with lock:
+                    else:
+                        wire = answer.to_wire()
+                        del wire["shard"]
                         counts["ok"] += 1
                         answers[tenant].append(wire)
-                    maybe_chaos()
+                    if (
+                        chaos is not None
+                        and not chaos_record["fired"]
+                        and counts["ok"] + counts["shed"] >= chaos_threshold
+                    ):
+                        chaos_record["fired"] = True
+                        chaos_record["killed"] = chaos()
         except ServiceFault as exc:
-            with lock:
-                counts["failed"] += 1
-                errors.append(f"client {index}: {exc.code}: {exc}")
+            counts["failed"] += 1
+            errors.append(f"client {index}: {exc.code}: {exc}")
         finally:
-            with lock:
-                counts["retried"] += client.retries_used
+            counts["retried"] += client.retries_used
 
-    threads = [
-        threading.Thread(target=one_client, args=(i,), name=f"loadtest-{i}")
-        for i in range(clients)
-    ]
     started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    await asyncio.gather(*(one_client(i) for i in range(clients)))
     elapsed = time.perf_counter() - started
 
-    with ScoopClient(host, port, name="loadtest-stats") as reporter:
-        stats = reporter.stats()
+    async with AsyncScoopClient(host, port, name="loadtest-stats") as reporter:
+        stats = await reporter.stats()
 
     report: Dict[str, object] = {
         "clients": clients,
@@ -344,7 +330,7 @@ def drive_socket_load(
         "qps": (counts["ok"] + counts["shed"]) / elapsed if elapsed > 0 else 0.0,
         "answers_digest": answers_digest(answers),
         "stats": stats.to_wire(),
-        "chaos": {"fired": chaos_fired.is_set(), "killed": chaos_killed[0]},
+        "chaos": chaos_record,
     }
     if keep_answers:
         report["answers"] = answers

@@ -3,7 +3,7 @@
 The JSON-lines transport of PR 7 had no version field, no backpressure,
 and no way to interleave server-push telemetry with responses. This
 module defines the framed replacement both ends speak
-(:class:`~repro.service.client.ScoopClient` ↔
+(:class:`~repro.service.client.AsyncScoopClient` ↔
 :class:`~repro.service.server.ScoopServer`):
 
 ======  ======  =====================================================

@@ -99,15 +99,6 @@ class ScoopServer:
         sock = self._server.sockets[0]
         self.port = sock.getsockname()[1]
 
-    @property
-    def address(self):
-        return (self.host, self.port)
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
     async def close(self) -> None:
         if self._server is not None:
             self._server.close()

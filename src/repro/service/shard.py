@@ -357,7 +357,6 @@ class ShardedGateway:
         base_seed: Optional[int] = None,
         batch_delay: float = 0.0,
         backoff: Optional[BackoffPolicy] = None,
-        liveness_interval: float = LIVENESS_INTERVAL,
     ):
         if tenants < 1:
             raise ValueError(f"need at least one tenant, got {tenants}")
@@ -366,7 +365,6 @@ class ShardedGateway:
         self.spec = spec
         self.batch_delay = batch_delay
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.liveness_interval = liveness_interval
         seed0 = spec.seed if base_seed is None else base_seed
         names = [f"tenant{i}" for i in range(tenants)]
         #: tenant -> spec payload (the campaign pool's serialization).
@@ -512,7 +510,7 @@ class ShardedGateway:
         pump with a ``dead`` sentinel."""
         process = shard.process
         while True:
-            await self._sleep(self.liveness_interval)
+            await self._sleep(LIVENESS_INTERVAL)
             if not process.is_alive():
                 shard.queue.put_nowait(
                     ("dead", f"worker exited (exitcode {process.exitcode})")
@@ -661,8 +659,8 @@ class ShardedGateway:
 
         Kills the named shard's worker, or the first ready one in shard
         order. Returns the shard name killed (``None`` if no worker was
-        live). Thread-safe — the loadtest driver calls this from a
-        client thread mid-load.
+        live). Synchronous, so the loadtest driver can fire it inline
+        from a client coroutine mid-load.
         """
         names = [shard] if shard is not None else sorted(self._shards)
         for name in names:

@@ -77,7 +77,6 @@ class Simulator:
         "_heap",
         "_seq",
         "now",
-        "_running",
         "rng",
         "seed",
         "events_executed",
@@ -91,7 +90,6 @@ class Simulator:
         #: a plain attribute rather than a property because hot callbacks
         #: read it hundreds of thousands of times per trial).
         self.now = 0.0
-        self._running = False
         self.rng = Random(seed)
         self.seed = seed
         #: number of events executed so far (diagnostic; exported per trial
@@ -150,18 +148,14 @@ class Simulator:
         """
         if until < self.now:
             raise SimulationError(f"cannot run backwards to {until}")
-        self._running = True
         heap = self._heap
-        try:
-            while heap and heap[0][0] <= until:
-                event = heappop(heap)[2]
-                if event.cancelled:
-                    continue
-                self.now = event.time
-                self.events_executed += 1
-                event.fn(*event.args)
-        finally:
-            self._running = False
+        while heap and heap[0][0] <= until:
+            event = heappop(heap)[2]
+            if event.cancelled:
+                continue
+            self.now = event.time
+            self.events_executed += 1
+            event.fn(*event.args)
         self.now = max(self.now, until)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:

@@ -254,15 +254,8 @@ class TestShardedGateway:
             server = await serve_framed(gateway)
             try:
                 await gateway.wait_ready()
-                report = await asyncio.get_running_loop().run_in_executor(
-                    None,
-                    lambda: drive_socket_load(
-                        "127.0.0.1",
-                        server.port,
-                        clients=4,
-                        requests=6,
-                        seed=11,
-                    ),
+                report = await drive_socket_load(
+                    "127.0.0.1", server.port, clients=4, requests=6, seed=11
                 )
             finally:
                 await server.close()
@@ -306,6 +299,59 @@ class TestShardedGateway:
                 await gateway.answer(_request(gateway, "tenant0", seq=1))
 
         asyncio.run(program())
+
+
+class TestSocketLoadDriver:
+    """``drive_socket_load``'s outcome counting and chaos hook."""
+
+    @staticmethod
+    def drive(gateway: ShardedGateway, **kwargs) -> dict:
+        async def program():
+            await gateway.start()
+            server = await serve_framed(gateway)
+            try:
+                return await drive_socket_load("127.0.0.1", server.port, **kwargs)
+            finally:
+                await server.close()
+                await gateway.close()
+                assert_no_zombies(gateway)
+
+        return asyncio.run(program())
+
+    def test_malformed_requests_are_counted_per_request(self):
+        """Ranges outside tiny_spec's [0, 100] are rejected one request
+        at a time: counted as ``malformed`` while the client carries on
+        with the rest of its program."""
+        gateway = ShardedGateway(tiny_spec(), tenants=2, workers=1)
+        report = self.drive(gateway, clients=2, requests=10, domain=(0, 1000))
+        counts = report["counts"]
+        assert counts["failed"] == 0, report["errors"]
+        assert counts["malformed"] > 0
+        assert counts["ok"] + counts["shed"] + counts["malformed"] == 2 * 10
+
+    def test_chaos_hook_kills_once_and_every_request_lands(self):
+        """The chaos leg at tier-1 scale: the hook fires once, mid-load,
+        and the clients' retries deliver every offered request (what
+        assert_query_service.check_chaos_report gates nightly)."""
+        gateway = ShardedGateway(tiny_spec(), tenants=2, workers=2)
+        kills = []
+
+        def chaos():
+            kills.append(gateway.chaos_kill_worker())
+            return kills[-1]
+
+        report = self.drive(gateway, clients=2, requests=12, retries=30, chaos=chaos)
+        counts = report["counts"]
+        assert report["chaos"] == {"fired": True, "killed": kills[0]}
+        assert len(kills) == 1 and kills[0] is not None
+        assert counts["failed"] == 0, report["errors"]
+        assert counts["ok"] + counts["shed"] == 2 * 12
+        shards = report["stats"]["shards"]
+        recoveries = sum(
+            s.get("restarts", 0) + s.get("replacements", 0) for s in shards.values()
+        )
+        assert recoveries >= 1, shards
+        assert shards[kills[0]]["last_exit"] != 0, shards
 
 
 class TestShardSupervision:

@@ -50,7 +50,7 @@ def test_synthetic_violations_are_caught(tmp_path):
             """
             import repro.service.gateway
             from repro.service.gateway import TenantService
-            from repro.service import ScoopClient, AnswerCache
+            from repro.service import AsyncScoopClient, AnswerCache
             from repro.service.api import *
 
             def peek(gw):
@@ -66,6 +66,8 @@ def test_synthetic_violations_are_caught(tmp_path):
     assert "whole-module import" in messages
     assert "internal module" in messages
     assert "'AnswerCache' is not part of the public" in messages
+    # The public name beside it on the same line is not flagged.
+    assert "AsyncScoopClient" not in messages
     assert "star import" in messages
     assert "'ServiceTicket' reached via attribute access" in messages
     # line-accurate: the ticket peek is attributed to its own line.

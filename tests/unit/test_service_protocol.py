@@ -1,13 +1,16 @@
 """The framing layer: encode/decode round trips, the incremental
-decoder's defensive behavior (truncation waits, violations poison), and
-the frame constructors' payload schemas.
+decoder's defensive behavior (truncation waits, violations poison), the
+frame constructors' payload schemas, and the client's reply bound
+against listeners that never answer.
 """
 
+import asyncio
 import json
 import struct
 
 import pytest
 
+import repro.service.client as client_module
 from repro.service.api import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -16,7 +19,9 @@ from repro.service.api import (
     QueryRequest,
     ServiceError,
     ServiceStats,
+    ServiceUnavailableError,
 )
+from repro.service.client import AsyncScoopClient
 from repro.service.protocol import (
     HEADER_SIZE,
     MAX_FRAME_SIZE,
@@ -208,3 +213,58 @@ class TestConstructors:
         assert one_frame(credit_frame(16)).payload == {"credits": 16}
         pong = one_frame(pong_frame(seq=9, tenants=["t0"]))
         assert pong.seq == 9 and pong.payload == {"tenants": ["t0"]}
+
+
+class TestClientReplyTimeout:
+    """``AsyncScoopClient`` waits at most ``REPLY_TIMEOUT_S`` for the
+    WELCOME and for each reply; a silent server fails the call typed.
+    Each program runs under an outer 5 s bound so a missing client
+    bound fails the test instead of hanging it."""
+
+    @staticmethod
+    def run_against(handler, program) -> None:
+        async def main():
+            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            try:
+                await program(server.sockets[0].getsockname()[1])
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(asyncio.wait_for(main(), 5.0))
+
+    def test_unanswered_query_raises_unavailable(self, monkeypatch):
+        monkeypatch.setattr(client_module, "REPLY_TIMEOUT_S", 0.2)
+
+        async def welcome_then_silence(reader, writer):
+            length = await reader.readexactly(4)
+            await reader.readexactly(int.from_bytes(length, "big"))  # the HELLO
+            writer.write(welcome_frame(["tenant0"], credits=8, workers=1))
+            await writer.drain()
+            await reader.read()  # never answers; returns when the client closes
+            writer.close()
+
+        async def program(port):
+            async with AsyncScoopClient(port=port) as client:
+                with pytest.raises(ServiceUnavailableError) as info:
+                    await client.query(tenant="tenant0")
+                assert info.value.seq == 1
+                assert not client._pending
+
+        self.run_against(welcome_then_silence, program)
+
+    def test_missing_welcome_raises_unavailable(self, monkeypatch):
+        monkeypatch.setattr(client_module, "REPLY_TIMEOUT_S", 0.2)
+
+        async def never_welcome(reader, writer):
+            await reader.read()  # takes the HELLO, sends nothing
+            writer.close()
+
+        async def program(port):
+            client = AsyncScoopClient(port=port)
+            with pytest.raises(ServiceUnavailableError):
+                await client.connect()
+            # The timed-out connect closed its connection.
+            assert client._writer is None and client._reader_task is None
+
+        self.run_against(never_welcome, program)
