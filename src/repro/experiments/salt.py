@@ -1,4 +1,5 @@
-"""Code salt for cache keys: a content hash of the ``repro`` source tree.
+"""Code salt for cache keys: a hash of the ``repro`` source tree and of the
+interpreter's major.minor version.
 
 The persistent result cache keys trials by their spec, which historically
 ignored simulator *code* — after editing the simulator you had to remember
@@ -7,6 +8,11 @@ that hole: :func:`repro.experiments.runner.spec_key` hashes this salt into
 every key, so editing any ``.py`` file under ``src/repro/`` changes every
 key and the next run re-executes, while the old entries are simply
 orphaned on disk (and swept by ``clear-cache``).
+
+The interpreter version is mixed in because identical sources need not
+compute identical floats everywhere: from Python 3.12, builtin ``sum()``
+of floats uses compensated summation. A cache written under 3.11 is
+therefore never replayed as a 3.12 result.
 
 ``REPRO_CACHE_SALT`` overrides the tree hash with a fixed string — useful
 to keep a cache warm across code changes that are known not to affect
@@ -18,6 +24,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -60,12 +67,14 @@ def _tree_hash_cached() -> str:
     # One stat+read pass per process; sources do not change mid-run (and
     # if they did, a stale in-process salt is no worse than the pre-salt
     # behaviour).
-    return source_tree_hash()
+    version = "python%d.%d" % sys.version_info[:2]
+    return hashlib.sha256(f"{version}\x00{source_tree_hash()}".encode()).hexdigest()
 
 
 def cache_salt() -> str:
     """The salt mixed into every spec key: ``$REPRO_CACHE_SALT`` if set
-    (any fixed string, the empty string included), else the memoized
+    (any fixed string, the empty string included, used verbatim), else
+    the memoized SHA-256 of the interpreter's major.minor version and the
     source-tree hash."""
     env = os.environ.get(SALT_ENV)
     if env is not None:

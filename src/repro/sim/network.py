@@ -102,6 +102,3 @@ class Network:
     def tree_converged(self) -> bool:
         """True when every booted node has joined the routing tree."""
         return all(m.tree.joined for m in self.motes.values() if m.booted)
-
-    def tree_depths(self) -> Dict[int, float]:
-        return {nid: m.tree.path_etx for nid, m in self.motes.items()}

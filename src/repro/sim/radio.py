@@ -33,8 +33,17 @@ derives from the topology's loss array, once per topology at construction:
 * ``_audible_ids[src]`` — the audible receivers of ``src``, ascending;
 * ``_loss_rows[src]`` — the aligned per-link loss probabilities, as a
   numpy array;
-* ``_audible_bool`` — the full n×n audibility matrix for O(1) carrier-sense
-  and collision checks.
+* ``_audible_sets[src]`` — the same receivers as a frozenset, for
+  membership and shared-receiver tests.
+
+Interference is local, so no check scans the channel's history. ``_air``
+holds only the transmissions now on the air (a handful, even on a
+1024-node network). When a transmission starts, it is linked with each
+on-air transmission that can corrupt it at one of its receivers, and
+vice versa: a sender that is one of its receivers (half-duplex), or one
+that shares an audible receiver with it (collision). Each transmission's
+``overlaps`` list thus holds, at its end, exactly the transmissions that
+decide its receivers' collision outcomes. Carrier sense scans ``_air``.
 
 All radio randomness (loss outcomes and every backoff) comes from a
 dedicated :class:`~repro.sim.rngstream.BatchedUniformStream` seeded from
@@ -49,7 +58,7 @@ the stream's position independent of what happens to each frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Protocol, Set
 
 import numpy as np
 
@@ -108,15 +117,17 @@ class RadioStats:
 
 
 class _Transmission:
-    """One frame on the air for [start, end)."""
+    """One frame on the air from its start until ``end`` (exclusive)."""
 
-    __slots__ = ("src", "frame", "start", "end")
+    __slots__ = ("src", "frame", "end", "overlaps")
 
-    def __init__(self, src: int, frame: Frame, start: float, end: float):
+    def __init__(self, src: int, frame: Frame, end: float):
         self.src = src
         self.frame = frame
-        self.start = start
         self.end = end
+        #: transmissions overlapping this one in time that can corrupt it
+        #: at one of its receivers (filled in as transmissions start)
+        self.overlaps: List[_Transmission] = []
 
 
 class _SendEntry:
@@ -164,7 +175,7 @@ class Radio:
         "_on_deliveries",
         "_audible_ids",
         "_loss_rows",
-        "_audible_bool",
+        "_audible_sets",
     )
 
     def __init__(
@@ -186,7 +197,7 @@ class Radio:
         #: replaces a dict lookup plus a failed-set membership test in the
         #: per-receiver fan-out loop.
         self._live: List[Optional[RadioListener]] = [None] * topology.n
-        #: recent/ongoing transmissions, pruned opportunistically
+        #: transmissions now on the air
         self._air: List[_Transmission] = []
         #: per-node FIFO of frames waiting for the channel
         self._queues: Dict[int, List[_SendEntry]] = {}
@@ -207,13 +218,14 @@ class Radio:
         """Precompute audibility/loss lookups (the topology is immutable).
 
         Built from the topology's loss array with array operations, but the
-        audibility rows and receiver ids are kept as Python lists: the
-        per-frame loops index those far faster than numpy arrays."""
+        receiver ids are kept as Python lists and sets: the per-frame loops
+        index and probe those far faster than numpy arrays."""
         loss = self.topology.loss
-        audible = loss < OUT_OF_RANGE
-        self._audible_bool: List[List[bool]] = audible.tolist()
         self._audible_ids: List[List[int]] = [
-            np.flatnonzero(row).tolist() for row in audible
+            np.flatnonzero(row).tolist() for row in loss < OUT_OF_RANGE
+        ]
+        self._audible_sets: List[FrozenSet[int]] = [
+            frozenset(ids) for ids in self._audible_ids
         ]
         self._loss_rows: List[np.ndarray] = [
             loss[src, ids] for src, ids in enumerate(self._audible_ids)
@@ -236,9 +248,6 @@ class Radio:
     # ------------------------------------------------------------------
     # Failure injection (node power state)
     # ------------------------------------------------------------------
-    def is_failed(self, node: int) -> bool:
-        return node in self._failed
-
     def fail_node(self, node: int) -> None:
         """Power the node's radio off: its send queue is lost, pending
         attempts go silent, and it stops hearing the channel."""
@@ -302,14 +311,14 @@ class Radio:
         )
 
     def _channel_busy_until(self, node: int) -> float:
-        """Latest end-time of any ongoing transmission audible at ``node``."""
-        now = self.sim.now
-        busy = now
-        audible_bool = self._audible_bool
+        """Latest end-time of any ongoing transmission audible at ``node``,
+        or now if there is none. A node never hears itself: the topology
+        has no self-links."""
+        busy = self.sim.now
+        audible_sets = self._audible_sets
         for tx in self._air:
-            if tx.end > now and tx.src != node and audible_bool[tx.src][node]:
-                if tx.end > busy:
-                    busy = tx.end
+            if tx.end > busy and node in audible_sets[tx.src]:
+                busy = tx.end
         return busy
 
     def _try_send(self, node: int, entry: _SendEntry) -> None:
@@ -331,14 +340,31 @@ class Radio:
     # Transmission and reception
     # ------------------------------------------------------------------
     def _start_transmission(self, node: int, entry: _SendEntry) -> None:
-        frame = entry.frame
+        self.stats.frames_sent += 1
+        self._transmit(node, entry.frame, entry)
+
+    def _transmit(self, src: int, frame: Frame, entry: Optional[_SendEntry]) -> None:
+        """Put ``frame`` on the air now and link it with every on-air
+        transmission that can corrupt it, or that it can corrupt, at a
+        receiver (see the module docstring)."""
         airtime = frame.size_bits() / self.config.bitrate_bps
         now = self.sim.now
-        tx = _Transmission(node, frame, now, now + airtime)
+        tx = _Transmission(src, frame, now + airtime)
+        audible_sets = self._audible_sets
+        reach = audible_sets[src]
+        overlaps = tx.overlaps
+        for other in self._air:
+            # One ending exactly now has finished; its end event is pending.
+            if other.end > now:
+                other_reach = audible_sets[other.src]
+                shared = not reach.isdisjoint(other_reach)
+                if shared or other.src in reach:
+                    overlaps.append(other)
+                if shared or src in other_reach:
+                    other.overlaps.append(tx)
         self._air.append(tx)
-        self.stats.frames_sent += 1
         if self._on_transmit is not None:
-            self._on_transmit(node, frame)
+            self._on_transmit(src, frame)
         self.sim.schedule(airtime, self._finish_transmission, tx, entry)
 
     def _finish_transmission(
@@ -346,25 +372,16 @@ class Radio:
     ) -> None:
         frame = tx.frame
         src = tx.src
-        air = self._air
-        if len(air) > 16:
-            # Pruning is amortized: stale entries never overlap anything, so
-            # they only cost scan time, and the scans stay short as long as
-            # the list is kept bounded.
-            self._prune_air()
-            air = self._air
-        # Compute the set of transmissions overlapping this one once; the
-        # per-receiver check then only tests audibility of these few.
-        if len(air) > 1:
-            tx_start = tx.start
-            tx_end = tx.end
-            overlapping = [
-                other
-                for other in air
-                if other is not tx and other.start < tx_end and tx_start < other.end
-            ]
+        self._air.remove(tx)
+        overlaps = tx.overlaps
+        if overlaps:
+            # Dropped so that finished transmissions do not keep each other
+            # alive.
+            tx.overlaps = []
+            sending = {other.src for other in overlaps}
+            missed = sending.union(*[self._audible_sets[s] for s in sending])
         else:
-            overlapping = ()
+            sending = missed = set()
 
         receivers = self._audible_ids[src]
         # Draw-count discipline: exactly len(receivers) loss uniforms per
@@ -373,7 +390,6 @@ class Radio:
         lost = (self._stream.take(len(receivers)) < self._loss_rows[src]).tolist()
 
         live = self._live
-        audible_bool = self._audible_bool
         stats = self.stats
         on_deliveries = self._on_deliveries
         delivered: Optional[List[int]] = [] if on_deliveries is not None else None
@@ -389,23 +405,13 @@ class Radio:
             if listener is None:
                 continue  # unregistered or dead radios hear nothing
 
-            if overlapping:
-                # Half-duplex first (order-independent): a receiver that was
-                # itself transmitting misses the frame without a collision
-                # being counted; otherwise any audible overlap corrupts it.
-                half_duplex = False
-                collided = False
-                for other in overlapping:
-                    if other.src == receiver:
-                        half_duplex = True
-                        break
-                    if not collided and audible_bool[other.src][receiver]:
-                        collided = True
-                if half_duplex:
-                    continue
-                if collided:
+            if receiver in missed:
+                # A receiver that was itself sending misses the frame without
+                # a collision being counted (half-duplex); any other that
+                # hears an overlapping sender has it corrupted there.
+                if receiver not in sending:
                     n_collisions += 1
-                    continue
+                continue
             if lost[idx]:
                 n_losses += 1
                 continue
@@ -454,13 +460,6 @@ class Radio:
         else:
             self._retry_or_fail(src, entry)
 
-    def _prune_air(self) -> None:
-        # Keep a short history so overlap checks at frame end still see
-        # transmissions that finished mid-frame (airtimes are ~10 ms).
-        horizon = self.sim.now - 0.1
-        if any(tx.end < horizon for tx in self._air):
-            self._air = [tx for tx in self._air if tx.end >= horizon]
-
     # ------------------------------------------------------------------
     # Link-layer ACK machinery
     # ------------------------------------------------------------------
@@ -473,16 +472,9 @@ class Radio:
         )
         self.stats.acks_sent += 1
         # ACKs are sent at MAC level with a fixed turnaround and skip CSMA.
-        self.sim.schedule(self.config.ack_turnaround, self._send_ack_now, ack)
-
-    def _send_ack_now(self, ack: Frame) -> None:
-        airtime = ack.size_bits() / self.config.bitrate_bps
-        now = self.sim.now
-        tx = _Transmission(ack.src, ack, now, now + airtime)
-        self._air.append(tx)
-        if self._on_transmit is not None:
-            self._on_transmit(ack.src, ack)
-        self.sim.schedule(airtime, self._finish_transmission, tx, None)
+        self.sim.schedule(
+            self.config.ack_turnaround, self._transmit, from_node, ack, None
+        )
 
     def _handle_ack_arrival(self, receiver: int, ack_frame: Frame) -> None:
         payload: _AckPayload = ack_frame.payload

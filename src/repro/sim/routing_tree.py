@@ -146,12 +146,6 @@ class RoutingTree:
         )
         self._reevaluate()
 
-    def _candidate_cost(self, neighbor: int) -> float:
-        cand = self._candidates.get(neighbor)
-        if cand is None:
-            return math.inf
-        return cand.advertised_etx + self.linkest.etx(neighbor)
-
     def _reevaluate(self) -> None:
         # Runs on every received/snooped beacon — the candidate sweep reads
         # the link estimator's cached per-record ETX instead of going
@@ -216,11 +210,6 @@ class RoutingTree:
     def joined(self) -> bool:
         """True once the node has a route to the basestation."""
         return self.is_root or self.parent is not None
-
-    @property
-    def depth_estimate(self) -> float:
-        """Path ETX to the root (∞ before joining)."""
-        return self.path_etx
 
     # ------------------------------------------------------------------
     # Descendants list

@@ -5,6 +5,7 @@ cache keys."""
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
@@ -286,6 +287,19 @@ class TestCacheSalt:
     def test_package_tree_hash_is_stable_in_process(self):
         assert salt.cache_salt() == salt.cache_salt()
         assert len(salt._tree_hash_cached()) == 64
+
+    def test_default_salt_changes_with_the_interpreter(self, monkeypatch):
+        # Builtin float sum() differs from Python 3.12 on, so a cache
+        # written by one interpreter must not be replayed by another.
+        monkeypatch.delenv(salt.SALT_ENV, raising=False)
+        salt._tree_hash_cached.cache_clear()
+        here = salt.cache_salt()
+        monkeypatch.setattr(sys, "version_info", (3, 99, 0, "final", 0))
+        salt._tree_hash_cached.cache_clear()
+        try:
+            assert salt.cache_salt() != here
+        finally:
+            salt._tree_hash_cached.cache_clear()
 
 
 class TestCLIExportAndReport:
