@@ -26,6 +26,8 @@ pair. Then each side makes one ``--trace 1`` run. The JSON written to
 * the per-pair head/base ratios, with their median and quartiles;
 * ``wins``: pairs in which the head was better, ties counting for
   neither, out of the complete ``pairs``;
+* ``verdict``: ``better``, ``worse``, ``unresolved`` or ``within_bound``
+  (see :func:`verdict`);
 
 and per workload the operations each side attempted and failed, the exit
 code of every run (a serve-open run whose load generator fell behind,
@@ -80,14 +82,53 @@ def export_commit(commit: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def summary(values: List[float]) -> Dict[str, object]:
-    """Median and quartiles (``statistics.quantiles(values, n=4)``, as
-    perfbench/BASELINE.md reports spread); None without values."""
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """``statistics.quantiles(values, n=4)``, as perfbench/BASELINE.md
+    reports spread; one value is all three."""
     if len(values) >= 2:
         q1, median, q3 = statistics.quantiles(values, n=4)
-    else:
-        q1 = median = q3 = values[0] if values else None
+        return q1, median, q3
+    return values[0], values[0], values[0]
+
+
+def summary(values: List[float]) -> Dict[str, object]:
+    """Median and quartiles; None without values."""
+    q1, median, q3 = quartiles(values) if values else (None, None, None)
     return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def verdict(base: List[float], head: List[float], lower: bool, bound: float) -> str:
+    """How the head compares with the base on one metric, from complete
+    pairs (``base[i]`` and ``head[i]`` ran side by side), in the first of
+    these that holds:
+
+    * ``better``: the head wins at least 9 of 10 pairs, ties counting for
+      neither, and its median beats the base median by more than the
+      base's interquartile range;
+    * ``worse``: the head median is worse than the base median by more
+      than ``bound`` times the base median;
+    * ``unresolved``: the base's interquartile range exceeds ``bound``
+      times its median, and not every head run beats every base run (or
+      there is no complete pair);
+    * ``within_bound``: otherwise.
+    """
+    if not base:
+        return "unresolved"
+    # Signed so that a positive difference means the head is better.
+    sign = 1.0 if lower else -1.0
+    q1, base_median, q3 = quartiles(base)
+    gain = sign * (base_median - quartiles(head)[1])
+    iqr = q3 - q1
+    wins = sum(sign * (x - y) > 0 for x, y in zip(base, head))
+    if 10 * wins >= 9 * len(base) and gain > iqr:
+        return "better"
+    allowed = bound * base_median
+    if -gain > allowed:
+        return "worse"
+    every_head_beats = min(sign * x for x in base) > max(sign * y for y in head)
+    if iqr > allowed and not every_head_beats:
+        return "unresolved"
+    return "within_bound"
 
 
 def run_once(
@@ -168,6 +209,7 @@ def compare(
             "ratio": summary([h / b for b, h in zip(base, head)]),
             "wins": wins,
             "pairs": len(complete),
+            "verdict": verdict(base, head, lower, metric["bound"]),
         }
 
     layers: Dict[str, Dict[str, float]] = {}
@@ -212,7 +254,7 @@ def print_table(entry: Dict[str, object]) -> None:
             f"  {name:12s} base {m['base']['median']:10.4g}  head "
             f"{m['head']['median']:10.4g}  head/base {m['ratio']['median']:.3f} "
             f"[{m['ratio']['q1']:.3f}, {m['ratio']['q3']:.3f}]  "
-            f"wins {m['wins']}/{m['pairs']}"
+            f"wins {m['wins']}/{m['pairs']}  {m['verdict']}"
         )
     print(f"  counts that differ: {entry['counts_differ'] or 'none'}")
 

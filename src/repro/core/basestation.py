@@ -101,9 +101,6 @@ class Basestation(ScoopNode):
         """Start periodic index recomputation (call when sampling starts)."""
         self._remap_timer.start(delay=self.config.remap_interval)
 
-    def stop_scoop(self) -> None:
-        self._remap_timer.stop()
-
     def force_remap(self) -> None:
         """Run one remap cycle immediately, outside the periodic timer.
 

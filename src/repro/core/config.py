@@ -385,6 +385,3 @@ class ScoopConfig:
     @property
     def sensor_ids(self) -> range:
         return range(1, self.n_nodes)
-
-    def total_runtime(self) -> float:
-        return self.stabilization + self.duration

@@ -297,10 +297,6 @@ def credit_frame(credits: int) -> bytes:
     return encode_frame(FrameType.CREDIT, {"credits": int(credits)})
 
 
-def ping_frame(seq: int = 0) -> bytes:
-    return encode_frame(FrameType.PING, {}, seq=seq)
-
-
 def pong_frame(seq: int = 0, tenants: Optional[List[str]] = None) -> bytes:
     return encode_frame(
         FrameType.PONG, {"tenants": list(tenants or [])}, seq=seq

@@ -11,23 +11,40 @@ keeps a windowed reception-rate estimate per neighbor, evicts neighbors not
 heard from "for a long time" (Section 5.1), and caps the table at the
 paper's 32 entries.
 
-Hot-path note: :meth:`quality` and :meth:`etx` are called for every routing
-re-evaluation (hundreds of thousands of times per trial), so both values
-are recomputed once per *heard frame* in :meth:`hear` and cached on the
-``__slots__`` neighbor record; the queries are plain attribute reads.
+Hot-path note: :meth:`hear` runs for every heard frame, so it does work
+in proportion to what changed. Quality and ETX are recomputed there once
+and cached on the ``__slots__`` neighbor record, where the routing tree
+reads them. The sender joins :attr:`LinkEstimator.changed`, the set of
+neighbors the routing tree re-ranks at its next beacon (it clears the
+set). An insert scans the table for silent entries only when a lower
+bound on the oldest ``last_heard`` says one may have timed out, and finds
+the worst entry with one ``min`` over the records.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import math
+from operator import attrgetter
+from typing import Dict, List, Set, Tuple
+
+_quality = attrgetter("quality")
 
 
 class _NeighborRecord:
     """Windowed reception estimate for one heard neighbor."""
 
-    __slots__ = ("last_seqno", "received", "missed", "last_heard", "quality", "etx")
+    __slots__ = (
+        "neighbor",
+        "last_seqno",
+        "received",
+        "missed",
+        "last_heard",
+        "quality",
+        "etx",
+    )
 
-    def __init__(self, last_seqno: int, last_heard: float):
+    def __init__(self, neighbor: int, last_seqno: int, last_heard: float):
+        self.neighbor = neighbor
         self.last_seqno = last_seqno
         self.received = 1.0
         self.missed = 0.0
@@ -54,7 +71,14 @@ class LinkEstimator:
         adapts to changing conditions.
     """
 
-    __slots__ = ("max_neighbors", "silence_timeout", "decay", "_table")
+    __slots__ = (
+        "max_neighbors",
+        "silence_timeout",
+        "decay",
+        "_table",
+        "_heard_floor",
+        "changed",
+    )
 
     def __init__(
         self,
@@ -66,13 +90,22 @@ class LinkEstimator:
         self.silence_timeout = silence_timeout
         self.decay = decay
         self._table: Dict[int, _NeighborRecord] = {}
+        #: at most the oldest ``last_heard`` in the table (lowered on every
+        #: write below it, so it holds even if ``now`` goes backwards)
+        self._heard_floor = math.inf
+        #: neighbors inserted, updated or dropped since the routing tree
+        #: last re-ranked its candidates (it clears the set)
+        self.changed: Set[int] = set()
 
     def hear(self, neighbor: int, seqno: int, now: float) -> None:
         """Record a successfully heard frame from ``neighbor``."""
+        self.changed.add(neighbor)
         record = self._table.get(neighbor)
         if record is None:
             self._maybe_evict(now)
-            self._table[neighbor] = _NeighborRecord(seqno, now)
+            self._table[neighbor] = _NeighborRecord(neighbor, seqno, now)
+            if now < self._heard_floor:
+                self._heard_floor = now
             return
         gap = seqno - record.last_seqno - 1
         decay = self.decay
@@ -85,31 +118,43 @@ class LinkEstimator:
         if seqno > record.last_seqno:
             record.last_seqno = seqno
         record.last_heard = now
+        if now < self._heard_floor:
+            self._heard_floor = now
         quality = received / (received + missed)
         record.quality = quality
         record.etx = 1.0 / (quality * quality)
 
     def _maybe_evict(self, now: float) -> None:
-        self.expire(now)
-        if len(self._table) < self.max_neighbors:
+        # Every entry was heard at or after the floor, so while the floor
+        # is within the timeout no entry can have expired.
+        if now - self._heard_floor > self.silence_timeout:
+            self.expire(now)
+        table = self._table
+        if len(table) < self.max_neighbors:
             return
-        worst = min(self._table, key=lambda nbr: self._table[nbr].quality)
-        del self._table[worst]
+        # The first minimal record in table order, as a min over the keys
+        # would pick.
+        worst = min(table.values(), key=_quality).neighbor
+        del table[worst]
+        self.changed.add(worst)
 
     def reset(self) -> None:
         """Forget every neighbor (a cold reboot loses the RAM table)."""
+        self.changed.update(self._table)
         self._table.clear()
+        self._heard_floor = math.inf
 
     def expire(self, now: float) -> None:
         """Drop neighbors not heard within the silence timeout."""
         timeout = self.silence_timeout
-        stale = [
-            nbr
-            for nbr, rec in self._table.items()
-            if now - rec.last_heard > timeout
-        ]
+        table = self._table
+        stale = [nbr for nbr, rec in table.items() if now - rec.last_heard > timeout]
         for nbr in stale:
-            del self._table[nbr]
+            del table[nbr]
+        self.changed.update(stale)
+        self._heard_floor = min(
+            (rec.last_heard for rec in table.values()), default=math.inf
+        )
 
     # ------------------------------------------------------------------
     # Queries

@@ -44,9 +44,9 @@ class MessageCensus:
         self.received_bits: Dict[int, int] = defaultdict(int)
 
     # -- recording hooks (wired to the radio) ---------------------------
-    def record_transmit(self, node: int, frame: Frame) -> None:
-        self.sent[node][frame.kind] += 1
-        self.sent_bits[node] += frame.size_bits()
+    def record_transmit(self, node: int, kind: FrameKind, bits: int) -> None:
+        self.sent[node][kind] += 1
+        self.sent_bits[node] += bits
 
     def record_delivery(self, sender: int, receiver: int, frame: Frame) -> None:
         self.received[receiver][frame.kind] += 1

@@ -77,7 +77,6 @@ class Mote:
             is_root=is_root,
             beacon_interval=beacon_interval,
             max_descendants=max_descendants,
-            max_neighbors=max_neighbors,
         )
         self._beacon_timer = Timer(
             sim, self._send_beacon, interval=beacon_interval, periodic=True, jitter=0.2

@@ -46,9 +46,9 @@ class Network:
     # ------------------------------------------------------------------
     # Accounting hooks
     # ------------------------------------------------------------------
-    def _on_transmit(self, node: int, frame: Frame) -> None:
-        self.census.record_transmit(node, frame)
-        self.energy.radio_tx(node, frame.size_bits())
+    def _on_transmit(self, node: int, frame: Frame, bits: int) -> None:
+        self.census.record_transmit(node, frame.kind, bits)
+        self.energy.radio_tx(node, bits)
 
     def _on_deliveries(
         self, sender: int, receivers: list, frame: Frame, bits: int

@@ -119,11 +119,13 @@ class RadioStats:
 class _Transmission:
     """One frame on the air from its start until ``end`` (exclusive)."""
 
-    __slots__ = ("src", "frame", "end", "overlaps")
+    __slots__ = ("src", "frame", "bits", "end", "overlaps")
 
-    def __init__(self, src: int, frame: Frame, end: float):
+    def __init__(self, src: int, frame: Frame, bits: int, end: float):
         self.src = src
         self.frame = frame
+        #: the frame's size on the air, computed once for its airtime
+        self.bits = bits
         self.end = end
         #: transmissions overlapping this one in time that can corrupt it
         #: at one of its receivers (filled in as transmissions start)
@@ -183,7 +185,7 @@ class Radio:
         sim: Simulator,
         topology: Topology,
         config: Optional[RadioConfig] = None,
-        on_transmit: Optional[Callable[[int, Frame], None]] = None,
+        on_transmit: Optional[Callable[[int, Frame, int], None]] = None,
         on_deliveries: Optional[Callable[[int, List[int], Frame, int], None]] = None,
     ):
         self.sim = sim
@@ -207,7 +209,7 @@ class Radio:
         #: neither transmit, receive, ACK, nor run send-completion
         #: callbacks until revived.
         self._failed: Set[int] = set()
-        #: census/energy hooks: (sender, frame) per attempt, and
+        #: census/energy hooks: (sender, frame, bits) per attempt, and
         #: (src, receivers, frame, bits) once per transmission that
         #: reached anyone.
         self._on_transmit = on_transmit
@@ -347,9 +349,10 @@ class Radio:
         """Put ``frame`` on the air now and link it with every on-air
         transmission that can corrupt it, or that it can corrupt, at a
         receiver (see the module docstring)."""
-        airtime = frame.size_bits() / self.config.bitrate_bps
+        bits = frame.size_bits()
+        airtime = bits / self.config.bitrate_bps
         now = self.sim.now
-        tx = _Transmission(src, frame, now + airtime)
+        tx = _Transmission(src, frame, bits, now + airtime)
         audible_sets = self._audible_sets
         reach = audible_sets[src]
         overlaps = tx.overlaps
@@ -364,7 +367,7 @@ class Radio:
                     other.overlaps.append(tx)
         self._air.append(tx)
         if self._on_transmit is not None:
-            self._on_transmit(src, frame)
+            self._on_transmit(src, frame, bits)
         self.sim.schedule(airtime, self._finish_transmission, tx, entry)
 
     def _finish_transmission(
@@ -436,7 +439,7 @@ class Radio:
         if n_losses:
             stats.bernoulli_losses += n_losses
         if delivered:
-            on_deliveries(src, delivered, frame, frame.size_bits())
+            on_deliveries(src, delivered, frame, tx.bits)
 
         if is_ack:
             return  # ACK frames are fire-and-forget and bypass the queues

@@ -11,11 +11,24 @@ paper's routing rules depend on (Section 5.1):
 * a **descendants list** (max 32 entries) mapping each known descendant to
   the child branch it is reachable through, learned "by tracking all nodes
   on whose behalf it routes packets up the routing tree";
-* a **neighbor list** (max 32 entries) from the link estimator, "independent
-  of the routing tree", used to take shortcuts.
+* a **neighbor list** (max 32 entries), "independent of the routing tree",
+  used to take shortcuts. It is the link estimator's table itself: the
+  mote gives both the same cap, so the table never holds more entries
+  than the list may.
 
 Entries are evicted LRU-style when the lists overflow and when nodes fall
 silent, "thus adapting to changes in network connectivity".
+
+Parent re-ranking is incremental. A candidate's cost is its advertised
+path ETX plus the link estimator's ETX to it, and between two beacons
+only the neighbors in the estimator's ``changed`` set (plus the beacon's
+sender) can have a new cost. So each beacon merges just those into the
+cached best candidate, ordered by (cost, rank), where the rank records
+the candidate's position in the table, the tie-break of a full sweep.
+The full sweep runs instead when that merge could differ from it: a
+candidate may have timed out, one was removed, or the best one got
+worse. Either way the parent, its cost and every counter come out the
+same.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Simulator
 from repro.sim.linkest import LinkEstimator
@@ -41,19 +54,15 @@ class BeaconPayload:
 
 
 class _ParentCandidate:
-    """One neighbor's last-advertised route (slotted: rebuilt per beacon)."""
+    """One neighbor's last-advertised route (updated in place per beacon)."""
 
-    __slots__ = ("advertised_etx", "advertised_parent", "last_heard")
+    __slots__ = ("advertised_etx", "last_heard", "rank")
 
-    def __init__(
-        self,
-        advertised_etx: float,
-        advertised_parent: Optional[int],
-        last_heard: float,
-    ):
+    def __init__(self, advertised_etx: float, last_heard: float, rank: int):
         self.advertised_etx = advertised_etx
-        self.advertised_parent = advertised_parent
         self.last_heard = last_heard
+        #: insertion order among the candidates: ranks ascend in dict order
+        self.rank = rank
 
 
 class RoutingTree:
@@ -73,12 +82,16 @@ class RoutingTree:
         "is_root",
         "beacon_interval",
         "max_descendants",
-        "max_neighbors",
         "switch_threshold",
         "parent_timeout",
         "parent",
         "path_etx",
         "_candidates",
+        "_next_rank",
+        "_best",
+        "_best_cost",
+        "_best_rank",
+        "_heard_floor",
         "_descendants",
         "neighbor_parents",
         "parent_changes",
@@ -92,7 +105,6 @@ class RoutingTree:
         is_root: bool = False,
         beacon_interval: float = 10.0,
         max_descendants: int = 32,
-        max_neighbors: int = 32,
         switch_threshold: float = 0.75,
         parent_timeout_beacons: float = 8.0,
     ):
@@ -102,13 +114,21 @@ class RoutingTree:
         self.is_root = is_root
         self.beacon_interval = beacon_interval
         self.max_descendants = max_descendants
-        self.max_neighbors = max_neighbors
         self.switch_threshold = switch_threshold
         self.parent_timeout = parent_timeout_beacons * beacon_interval
 
         self.parent: Optional[int] = None
         self.path_etx: float = 0.0 if is_root else math.inf
         self._candidates: Dict[int, _ParentCandidate] = {}
+        self._next_rank = 0
+        # The last evaluation's best candidate (None when every cost was
+        # infinite; rank -1 then, so no tie can pick an infinite cost) and
+        # a lower bound on the candidates' last_heard; -inf forces a full
+        # sweep.
+        self._best: Optional[int] = None
+        self._best_cost = math.inf
+        self._best_rank = -1
+        self._heard_floor = math.inf
         #: descendant -> next-hop child, most-recently-used last
         self._descendants: "OrderedDict[int, int]" = OrderedDict()
         #: neighbor -> the parent it advertised in its last beacon; lets a
@@ -133,53 +153,80 @@ class RoutingTree:
         self.neighbor_parents[sender] = payload.parent
         if self.is_root:
             return
+        candidates = self._candidates
         if payload.parent == self.node_id or payload.path_etx > self.MAX_PATH_ETX:
             # The sender routes through us (loop) or advertises a cost that
             # only a cycle can produce: not a usable parent.
-            self._candidates.pop(sender, None)
+            if candidates.pop(sender, None) is not None:
+                self._heard_floor = -math.inf
             self._reevaluate()
             return
-        self._candidates[sender] = _ParentCandidate(
-            advertised_etx=payload.path_etx,
-            advertised_parent=payload.parent,
-            last_heard=self.sim.now,
-        )
+        now = self.sim.now
+        cand = candidates.get(sender)
+        if cand is None:
+            candidates[sender] = _ParentCandidate(
+                payload.path_etx, now, self._next_rank
+            )
+            self._next_rank += 1
+            if now < self._heard_floor:
+                self._heard_floor = now
+        else:
+            # In place, so the candidate keeps its table position and rank.
+            # The clock never runs backwards, so the floor still holds.
+            cand.advertised_etx = payload.path_etx
+            cand.last_heard = now
+        self.linkest.changed.add(sender)
         self._reevaluate()
 
     def _reevaluate(self) -> None:
-        # Runs on every received/snooped beacon — the candidate sweep reads
-        # the link estimator's cached per-record ETX instead of going
-        # through the etx() lookup twice per candidate.
+        # Runs on every received/snooped beacon. Costs read the link
+        # estimator's cached per-record ETX directly (not linkest.etx()):
+        # the method-call tax dominated this profile.
         now = self.sim.now
         candidates = self._candidates
         cutoff = now - self.parent_timeout
         parent = self.parent
-        stale = None
-        best: Optional[int] = None
-        best_cost = math.inf
-        current_cost: Optional[float] = None
         inf = math.inf
-        # Single pass: stale detection and the cost sweep share one loop.
-        # Direct table access (not linkest.etx()): this runs for every heard
-        # beacon and the method-call tax dominated its profile.
         table = self.linkest._table
-        for nbr, cand in candidates.items():
-            if cand.last_heard < cutoff:
-                if stale is None:
-                    stale = [nbr]
-                else:
-                    stale.append(nbr)
-                continue
-            rec = table.get(nbr)
-            cost = cand.advertised_etx + (rec.etx if rec is not None else inf)
-            if cost < best_cost:
-                best, best_cost = nbr, cost
-            if nbr == parent:
-                current_cost = cost
-
-        if stale:
-            for nbr in stale:
-                del candidates[nbr]
+        changed = self.linkest.changed
+        best = self._best
+        best_cost = self._best_cost
+        sweep = self._heard_floor < cutoff
+        if not sweep and best is not None and best in changed:
+            rec = table.get(best)
+            cost = candidates[best].advertised_etx + (
+                rec.etx if rec is not None else inf
+            )
+            # A best that got no worse still beats every unchanged
+            # candidate; one that got worse may not.
+            sweep = cost > best_cost
+            best_cost = cost
+        if sweep:
+            best, best_cost, current_cost = self._sweep(cutoff)
+        else:
+            # The new best is the old one or a changed candidate: merge
+            # the changed ones by (cost, rank), a strict total order, so
+            # the set's iteration order does not matter.
+            best_rank = self._best_rank
+            for nbr in changed:
+                cand = candidates.get(nbr)
+                if cand is None:
+                    continue
+                rec = table.get(nbr)
+                cost = cand.advertised_etx + (rec.etx if rec is not None else inf)
+                if cost < best_cost or (cost == best_cost and cand.rank < best_rank):
+                    best, best_cost, best_rank = nbr, cost, cand.rank
+            self._best, self._best_cost, self._best_rank = best, best_cost, best_rank
+            current_cost = None
+            if parent is not None:
+                # After every evaluation the parent is None or a live
+                # candidate, and only a sweep removes candidates.
+                cand = candidates[parent]
+                rec = table.get(parent)
+                current_cost = cand.advertised_etx + (
+                    rec.etx if rec is not None else inf
+                )
+        changed.clear()
 
         if current_cost is None:
             # Parent fell out of the candidate table (or went stale).
@@ -197,12 +244,52 @@ class RoutingTree:
             current_cost = best_cost
         self.path_etx = current_cost
 
+    def _sweep(self, cutoff: float) -> Tuple[Optional[int], float, Optional[float]]:
+        """Rank every candidate: drop those not heard since ``cutoff``,
+        refresh the caches, and return the best candidate, its cost and
+        the parent's cost (None when the parent is not a live
+        candidate)."""
+        candidates = self._candidates
+        parent = self.parent
+        stale = None
+        best: Optional[int] = None
+        best_cost = math.inf
+        current_cost: Optional[float] = None
+        floor = inf = math.inf
+        # Single pass: stale detection and the cost sweep share one loop.
+        table = self.linkest._table
+        for nbr, cand in candidates.items():
+            heard = cand.last_heard
+            if heard < cutoff:
+                if stale is None:
+                    stale = [nbr]
+                else:
+                    stale.append(nbr)
+                continue
+            if heard < floor:
+                floor = heard
+            rec = table.get(nbr)
+            cost = cand.advertised_etx + (rec.etx if rec is not None else inf)
+            if cost < best_cost:
+                best, best_cost = nbr, cost
+            if nbr == parent:
+                current_cost = cost
+
+        if stale:
+            for nbr in stale:
+                del candidates[nbr]
+        self._best, self._best_cost = best, best_cost
+        self._best_rank = candidates[best].rank if best is not None else -1
+        self._heard_floor = floor
+        return best, best_cost, current_cost
+
     def reset(self) -> None:
         """Forget all routing state (a cold reboot loses RAM; the node
         rejoins the tree from beacons like a freshly booted mote)."""
         self.parent = None
         self.path_etx = 0.0 if self.is_root else math.inf
         self._candidates.clear()
+        self._heard_floor = -math.inf
         self._descendants.clear()
         self.neighbor_parents.clear()
 
@@ -258,11 +345,10 @@ class RoutingTree:
         self._descendants.pop(node, None)
 
     # ------------------------------------------------------------------
-    # Neighbor list (from the link estimator, capped)
+    # Neighbor list (the link estimator's table)
     # ------------------------------------------------------------------
     def neighbor_list(self) -> List[int]:
-        ranked = self.linkest.best_neighbors(self.max_neighbors)
-        return [nbr for nbr, _quality in ranked]
+        return self.linkest.neighbors()
 
     def in_neighbor_list(self, node: int) -> bool:
-        return node in set(self.neighbor_list())
+        return self.linkest.knows(node)

@@ -66,10 +66,6 @@ class Workload(abc.ABC):
             )
         return self.sample(node_id, now)
 
-    def source_for_node(self, node_id: int) -> Callable[[int, float], int]:
-        """Adapter matching :data:`repro.core.node.DataSource`."""
-        return lambda _node, now: self.sample(node_id, now)
-
     def as_data_source(self) -> Callable[[int, float], int]:
         """One shared DataSource callable dispatching on node id."""
         return self.sample

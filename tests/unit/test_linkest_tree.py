@@ -4,7 +4,10 @@ import math
 
 from repro.sim.kernel import Simulator
 from repro.sim.linkest import LinkEstimator
+from repro.sim.mote import Mote
+from repro.sim.network import Network
 from repro.sim.routing_tree import BeaconPayload, RoutingTree
+from repro.sim.topology import random_geometric
 
 
 class TestLinkEstimator:
@@ -179,3 +182,63 @@ class TestDescendants:
         assert set(tree.neighbor_list()) == {0, 2, 3, 4}
         assert tree.in_neighbor_list(2)
         assert not tree.in_neighbor_list(99)
+
+
+#: Each node's parent, parent changes and parent candidates at the end of
+#: the pinned churning-tree run, ten nodes per line.
+# fmt: off
+PINNED_PARENTS = [
+    None, 4, 32, 23, 0, 7, 21, 2, 23, 22,
+    2, 23, 0, 22, 23, 25, 22, 11, 2, 32,
+    21, 2, 32, 4, 23, 36, 11, 4, 6, 22,
+    2, 20, 0, 25, 23, 32, 34, 2, 32, 32,
+]
+PINNED_PARENT_CHANGES = [
+    0, 116, 137, 13, 103, 64, 152, 157, 139, 147,
+    119, 166, 98, 137, 134, 135, 127, 108, 118, 37,
+    102, 177, 163, 116, 139, 122, 80, 167, 78, 136,
+    169, 149, 92, 89, 25, 134, 72, 87, 134, 169,
+]
+PINNED_CANDIDATES = [
+    0, 23, 17, 7, 16, 17, 27, 20, 17, 20,
+    16, 27, 13, 25, 20, 18, 18, 16, 17, 11,
+    18, 24, 28, 16, 19, 18, 13, 21, 16, 22,
+    23, 25, 11, 14, 8, 16, 13, 17, 16, 21,
+]
+# fmt: on
+
+
+class TestGoldenRouting:
+    def test_churning_tree_is_pinned(self):
+        """40 motes at mean audible degree 19.5 against a 6-entry link
+        table, beaconing every 2 s, with node 5 down from 30 s to 60 s.
+        The run makes 16,951 link-table inserts, 252 candidate timeouts,
+        4 silence expiries, 699 loop drops and 4,607 parent changes.
+        Every pinned value is an integer, so the pin holds on every
+        interpreter; a change to link estimation, parent selection or
+        their timeouts moves some of them."""
+        topo = random_geometric(40, seed=3, target_degree_fraction=0.5)
+        net = Network(topo, seed=5)
+        for i in range(topo.n):
+            net.add_mote(
+                Mote(
+                    i,
+                    net.sim,
+                    net.radio,
+                    is_root=(i == 0),
+                    beacon_interval=2.0,
+                    neighbor_silence_timeout=20.0,
+                    max_neighbors=6,
+                )
+            )
+        net.boot_all(within=2.0)
+        net.sim.schedule_at(30.0, net.fail_node, 5)
+        net.sim.schedule_at(60.0, net.revive_node, 5)
+        net.run(90.0)
+
+        motes = [net.motes[i] for i in range(topo.n)]
+        assert [m.tree.parent for m in motes] == PINNED_PARENTS
+        assert [m.tree.parent_changes for m in motes] == PINNED_PARENT_CHANGES
+        assert sum(PINNED_PARENT_CHANGES) == 4607
+        assert [len(m.tree._candidates) for m in motes] == PINNED_CANDIDATES
+        assert [len(m.linkest) for m in motes] == [6] * topo.n

@@ -215,7 +215,9 @@ class TestAccountingHooks:
         events = []
         topo = from_loss_matrix([[1.0, 0.9], [0.0, 1.0]])
         sim = Simulator(seed=17)
-        radio = Radio(sim, topo, on_transmit=lambda n, f: events.append((n, f.kind)))
+        radio = Radio(
+            sim, topo, on_transmit=lambda n, f, bits: events.append((n, f.kind))
+        )
         for i in range(2):
             radio.register(Listener(i))
         radio.unicast(data_frame(0, 1))
@@ -273,7 +275,9 @@ class TestDrawDiscipline:
         )
         sent = []
         sim = Simulator(seed=7)
-        radio = Radio(sim, topo, on_transmit=lambda n, f: sent.append((n, f.kind)))
+        radio = Radio(
+            sim, topo, on_transmit=lambda n, f, bits: sent.append((n, f.kind))
+        )
         for i in range(topo.n):
             radio.register(Listener(i))
         spy = StreamSpy(radio._stream)

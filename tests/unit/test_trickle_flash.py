@@ -238,12 +238,15 @@ class TestMessageCensus:
     def _frame(self, kind=FrameKind.DATA):
         return Frame(src=1, dst=2, kind=kind, payload=None)
 
+    def _transmit(self, census, node, kind=FrameKind.DATA):
+        census.record_transmit(node, kind, self._frame(kind).size_bits())
+
     def test_breakdown_categories(self):
         census = MessageCensus()
-        census.record_transmit(1, self._frame(FrameKind.DATA))
-        census.record_transmit(1, self._frame(FrameKind.SUMMARY))
-        census.record_transmit(2, self._frame(FrameKind.QUERY))
-        census.record_transmit(3, self._frame(FrameKind.REPLY))
+        self._transmit(census, 1, FrameKind.DATA)
+        self._transmit(census, 1, FrameKind.SUMMARY)
+        self._transmit(census, 2, FrameKind.QUERY)
+        self._transmit(census, 3, FrameKind.REPLY)
         breakdown = census.breakdown()
         assert breakdown == {
             "data": 1,
@@ -254,14 +257,14 @@ class TestMessageCensus:
 
     def test_beacons_and_acks_excluded_from_cost(self):
         census = MessageCensus()
-        census.record_transmit(1, self._frame(FrameKind.BEACON))
-        census.record_transmit(1, self._frame(FrameKind.ACK))
-        census.record_transmit(1, self._frame(FrameKind.DATA))
+        self._transmit(census, 1, FrameKind.BEACON)
+        self._transmit(census, 1, FrameKind.ACK)
+        self._transmit(census, 1, FrameKind.DATA)
         assert census.total_sent() == 1
 
     def test_per_node_counters(self):
         census = MessageCensus()
-        census.record_transmit(4, self._frame())
+        self._transmit(census, 4)
         census.record_delivery(4, 5, self._frame())
         assert census.node_sent(4) == 1
         assert census.node_received(5) == 1
@@ -269,8 +272,8 @@ class TestMessageCensus:
     def test_skew(self):
         census = MessageCensus()
         for _ in range(9):
-            census.record_transmit(0, self._frame())
-        census.record_transmit(1, self._frame())
+            self._transmit(census, 0)
+        self._transmit(census, 1)
         assert census.skew() == pytest.approx(9 / 5)
 
 
