@@ -15,13 +15,13 @@ offset  size    field
 5       1       ``version`` — :data:`~repro.service.api.PROTOCOL_VERSION`
                 the sender speaks.
 6       4       ``seq`` — big-endian uint32 request-correlation id
-                (0 for unsolicited frames: METRICS, CREDIT).
+                (0 for unsolicited frames, such as METRICS pushes).
 10      ...     ``payload`` — UTF-8 JSON, frame-type specific.
 ======  ======  =====================================================
 
 Frames are self-delimiting, so any number of them can ride one TCP
-stream in either direction, interleaved with server-push METRICS and
-CREDIT frames. :class:`FrameDecoder` is incremental and adversarially
+stream in either direction, interleaved with server-push METRICS
+frames. :class:`FrameDecoder` is incremental and adversarially
 defensive: partial writes simply wait for more bytes, while oversize
 length prefixes, unknown frame types, version skew and non-JSON payloads
 raise :class:`~repro.service.api.ProtocolError` (never anything else) —
@@ -29,10 +29,10 @@ a worker survives any byte stream a client can produce.
 
 Backpressure is credit-based per connection: the server's WELCOME grants
 ``credits`` — the maximum in-flight (unanswered) requests on the
-connection. Every RESPONSE/ERROR implicitly returns its request's
-credit; CREDIT frames adjust the window explicitly. A client that
-overruns its window is shed *at the socket* (an ERROR frame with code
-``shed``) before the request can balloon the admission queue.
+connection, fixed for the connection's life. Every RESPONSE/ERROR
+returns its request's credit. A client that overruns its window is shed
+*at the socket* (an ERROR frame with code ``shed``) before the request
+can balloon the admission queue.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class FrameType(enum.IntEnum):
     ERROR = 5  # server → client: one ServiceError
     STATS = 6  # client → server (empty) and server → client (payload)
     METRICS = 7  # server → client push: live per-shard scorecards
-    CREDIT = 8  # server → client: explicit credit-window adjustment
+    CREDIT = 8  # reserved: neither end sends or handles it
     PING = 9  # client → server keepalive
     PONG = 10  # server → client keepalive reply
 
@@ -289,12 +289,6 @@ def metrics_frame(
             "tenants": {k: dict(v) for k, v in (tenants or {}).items()},
         },
     )
-
-
-def credit_frame(credits: int) -> bytes:
-    """Explicit credit-window adjustment (the implicit per-response
-    credit return covers the steady state)."""
-    return encode_frame(FrameType.CREDIT, {"credits": int(credits)})
 
 
 def pong_frame(seq: int = 0, tenants: Optional[List[str]] = None) -> bytes:

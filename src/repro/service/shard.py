@@ -19,8 +19,10 @@ The parent ↔ worker protocol is deliberately lockstep (one command in
 flight per shard, over one :func:`multiprocessing.Pipe`): the parent
 pump task batches concurrently arriving requests per shard, ships one
 ``batch`` command, and awaits the answers — so worker replies can never
-interleave and the pipe needs no framing of its own. Shards are
-independent; concurrency comes from running one pump per shard.
+interleave and the pipe needs no framing of its own. The pump waits on
+the pipe through an event-loop reader, so the parent runs no threads.
+Shards are independent; concurrency comes from running one pump per
+shard.
 
 Workers announce ``ready`` after their deployments finish boot +
 stabilization; :attr:`ShardedGateway.ready` gates the server's HELLO
@@ -40,20 +42,21 @@ Each shard is driven by a supervisor task walking this state machine::
                                                        error, or nowhere
                                                        left to re-place)
 
-Worker death is detected three ways: pipe EOF mid-exchange, a ``fatal``
-reply, and a periodic liveness probe on ``process.is_alive()`` (which
-catches a worker dying while its pump is idle). On death the supervisor
-fails every in-flight and queued request with the *retryable*
-:class:`~repro.service.api.ShardRestartingError` (wire code ``retry``,
-honored by the clients' capped retry policy), respawns the worker with
-bounded exponential backoff (:class:`BackoffPolicy`), and re-creates its
-tenants from the stored spec payloads via the same deterministic seed
-ladder. When the respawn budget runs out, the dead shard's tenants are
-*re-placed*: surviving workers ``adopt`` them (booting fresh deployments
-from the same specs) and the routing table flips — the service degrades
-instead of dying. Per-shard ``restarts`` / ``replacements`` /
-``last_exit`` counters surface in ``ServiceStats.shards`` and the
-METRICS push.
+Worker death is detected by pipe EOF or a ``fatal`` reply while an
+exchange is in flight, and by the process's exit sentinel at any time:
+an event-loop reader on :attr:`multiprocessing.Process.sentinel` fires
+once the worker has exited, which also wakes an idle pump. On death the
+supervisor fails every in-flight and queued request with the
+*retryable* :class:`~repro.service.api.ShardRestartingError` (wire code
+``retry``, honored by the clients' capped retry policy), respawns the
+worker with bounded exponential backoff (:class:`BackoffPolicy`), and
+re-creates its tenants from the stored spec payloads via the same
+deterministic seed ladder. When the respawn budget runs out, the dead
+shard's tenants are *re-placed*: surviving workers ``adopt`` them
+(booting fresh deployments from the same specs) and the routing table
+flips — the service degrades instead of dying. Per-shard ``restarts`` /
+``replacements`` / ``last_exit`` counters surface in
+``ServiceStats.shards`` and the METRICS push.
 """
 
 from __future__ import annotations
@@ -78,14 +81,9 @@ from repro.service.api import (
     error_to_exception,
 )
 
-#: Start method for shard workers. ``spawn`` everywhere: identical
-#: behavior across platforms and safe regardless of parent threads
-#: (the asyncio server runs executor threads; forking those is UB).
+#: Start method for shard workers: ``spawn`` everywhere, for identical
+#: behavior across platforms.
 _START_METHOD = "spawn"
-
-#: How often (seconds) the liveness watcher polls ``process.is_alive()``
-#: — the detector for workers that die while their pump is idle.
-LIVENESS_INTERVAL = 0.25
 
 # Shard lifecycle states (see the module docstring's state machine).
 BOOTING = "booting"
@@ -95,8 +93,6 @@ REPLACING = "replacing"
 REPLACED = "replaced"
 FAILED = "failed"
 
-#: States in which a shard accepts new requests onto its queue.
-_SERVING_STATES = (READY,)
 #: Transient states: requests fail with the retryable ``retry`` code.
 _RETRYABLE_STATES = (RESTARTING, REPLACING)
 #: Terminal states: the shard will never serve again.
@@ -311,6 +307,25 @@ def _shard_worker_main(
 # ----------------------------------------------------------------------
 # Parent-side gateway
 # ----------------------------------------------------------------------
+class _WorkerDied(Exception):
+    """A lockstep exchange ended in worker death; the message is the
+    supervisor's reason."""
+
+
+async def _await_exit(
+    exited: "asyncio.Future", timeout: float, *escalations: Callable[[], None]
+) -> None:
+    """Wait up to ``timeout`` seconds for a worker's exit future; while
+    it is still pending, apply the next escalation (terminate, kill) and
+    wait again."""
+    await asyncio.wait([exited], timeout=timeout)
+    for escalate in escalations:
+        if exited.done():
+            return
+        escalate()
+        await asyncio.wait([exited], timeout=timeout)
+
+
 class _Shard:
     """Parent-side handle of one worker: process, pipe, request queue,
     and the supervision bookkeeping (state, restart counters)."""
@@ -319,6 +334,8 @@ class _Shard:
         self.name = name
         self.process = None
         self.conn = None
+        #: resolved by the exit-sentinel reader once the process exits.
+        self.exited: Optional["asyncio.Future"] = None
         self.tenants = list(tenants)
         self.queue: "asyncio.Queue" = asyncio.Queue()
         #: set once the *first* boot concludes (ready or terminal) —
@@ -355,7 +372,6 @@ class ShardedGateway:
         tenants: int = 1,
         workers: int = 1,
         base_seed: Optional[int] = None,
-        batch_delay: float = 0.0,
         backoff: Optional[BackoffPolicy] = None,
     ):
         if tenants < 1:
@@ -363,7 +379,6 @@ class ShardedGateway:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.spec = spec
-        self.batch_delay = batch_delay
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         seed0 = spec.seed if base_seed is None else base_seed
         names = [f"tenant{i}" for i in range(tenants)]
@@ -423,7 +438,9 @@ class ShardedGateway:
 
     def _spawn(self, shard: _Shard) -> None:
         """(Re)spawn one shard's worker process over a fresh pipe; its
-        tenants are re-created from the stored spec payloads."""
+        tenants are re-created from the stored spec payloads. A loop
+        reader on the process's exit sentinel resolves ``shard.exited``
+        and wakes an idle pump once the worker exits."""
         ctx = multiprocessing.get_context(_START_METHOD)
         parent_conn, child_conn = ctx.Pipe()
         payload = [(t, self._payloads[t]) for t in shard.tenants]
@@ -435,8 +452,25 @@ class ShardedGateway:
         )
         process.start()
         child_conn.close()
+        loop = asyncio.get_running_loop()
+        exited = loop.create_future()
+
+        def on_exit() -> None:
+            loop.remove_reader(process.sentinel)
+            # The sentinel is readable only once the process has exited,
+            # so join() returns at once and makes exitcode trustworthy.
+            process.join()
+            exited.set_result(process.exitcode)
+            # A worker outliving _reap must not wake its successor's pump.
+            if process is shard.process:
+                shard.queue.put_nowait(
+                    ("dead", f"worker exited (exitcode {process.exitcode})")
+                )
+
+        loop.add_reader(process.sentinel, on_exit)
         shard.process = process
         shard.conn = parent_conn
+        shard.exited = exited
 
     async def wait_ready(self, timeout: Optional[float] = None) -> None:
         """Block until every shard's boot concludes (or one fails).
@@ -455,9 +489,30 @@ class ShardedGateway:
             raise ServiceUnavailableError(self._boot_error)
 
     async def _recv(self, shard: _Shard):
-        return await asyncio.get_running_loop().run_in_executor(
-            None, shard.conn.recv
-        )
+        """Await the next worker message on a loop reader. Readability
+        means at least one byte; ``recv()`` then reads the rest, which a
+        live worker writes back to back and a dead one ends with EOF."""
+        loop = asyncio.get_running_loop()
+        fd = shard.conn.fileno()
+        readable = asyncio.Event()
+        loop.add_reader(fd, readable.set)
+        try:
+            await readable.wait()
+        finally:
+            loop.remove_reader(fd)
+        return shard.conn.recv()
+
+    async def _exchange(self, shard: _Shard, command: tuple):
+        """Ship one lockstep command and return the worker's reply;
+        raises :class:`_WorkerDied` on pipe failure or a ``fatal`` reply."""
+        try:
+            shard.conn.send(command)
+            reply = await self._recv(shard)
+        except (EOFError, OSError) as exc:
+            raise _WorkerDied(f"worker pipe failed: {exc}") from exc
+        if reply[0] == "fatal":
+            raise _WorkerDied(f"worker fatal: {reply[1]}")
+        return reply
 
     # -- supervision ---------------------------------------------------
     def _maybe_ready(self) -> None:
@@ -504,44 +559,12 @@ class ShardedGateway:
                 continue
             self._fail_entry(entry, self._death_exception(shard))
 
-    async def _watch(self, shard: _Shard) -> None:
-        """Liveness probe: catches a worker dying while the pump is idle
-        (no exchange in flight means no EOF to observe) by waking the
-        pump with a ``dead`` sentinel."""
-        process = shard.process
-        while True:
-            await self._sleep(LIVENESS_INTERVAL)
-            if not process.is_alive():
-                shard.queue.put_nowait(
-                    ("dead", f"worker exited (exitcode {process.exitcode})")
-                )
-                return
-
-    async def _run_worker(self, shard: _Shard):
-        """Drive one worker incarnation: pump plus liveness watcher.
-
-        Returns ``None`` on clean close, ``("boot_error", msg)`` when
-        the worker *reported* a boot exception (deterministic — not
-        respawned), or ``("died", msg)`` on process death.
-        """
-        watcher = asyncio.create_task(
-            self._watch(shard), name=f"watch-{shard.name}"
-        )
-        try:
-            return await self._pump(shard)
-        finally:
-            watcher.cancel()
-            try:
-                await watcher
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-
     async def _supervise(self, shard: _Shard) -> None:
         """One shard's supervisor: run the worker, and on death respawn
         with bounded backoff or re-place the tenants when the respawn
         budget is spent (see the module docstring's state machine)."""
         while True:
-            outcome = await self._run_worker(shard)
+            outcome = await self._pump(shard)
             if outcome is None or self._closed:
                 return
             kind, reason = outcome
@@ -559,29 +582,27 @@ class ShardedGateway:
                 return await self._drain_until_closed(shard)
             shard.state = RESTARTING
             self._fail_inflight(shard)
+            # Reap before draining: the exit reader's ``dead`` entry is
+            # queued by then, so it cannot reach the next incarnation.
+            await self._reap(shard)
             self._drain_queue(shard)
             delay = self.backoff.delay(shard.respawns_used)
             shard.respawns_used += 1
             shard.restarts += 1
-            await self._reap(shard)
             await self._sleep(delay)
             if self._closed:
                 return
             self._spawn(shard)
 
     async def _reap(self, shard: _Shard) -> None:
-        """Collect the dead worker (no zombies), record its exit code,
-        and retire its pipe."""
-        loop = asyncio.get_running_loop()
+        """Await the dead worker's exit (killing it if it lingers), record
+        its exit code, and retire its pipe."""
         process = shard.process
         if process is None:
             return
-        await loop.run_in_executor(None, process.join, 2.0)
-        if process.is_alive():
-            process.kill()
-            await loop.run_in_executor(None, process.join, 2.0)
-        # Only trustworthy after the join: reading it at EOF time races
-        # the kernel actually retiring the child (and reads 0/None).
+        await _await_exit(shard.exited, 2.0, process.kill)
+        # Only trustworthy after the exit reader's join: reading it at
+        # EOF time races the kernel retiring the child (and reads None).
         shard.last_exit = process.exitcode
         if shard.conn is not None:
             try:
@@ -600,8 +621,8 @@ class ShardedGateway:
         the surviving shards so the service degrades instead of dying."""
         shard.state = REPLACING
         self._fail_inflight(shard)
-        self._drain_queue(shard)
         await self._reap(shard)
+        self._drain_queue(shard)
         survivors = [
             s.name
             for s in self._shards.values()
@@ -697,9 +718,6 @@ class ShardedGateway:
             # The live list doubles as the in-flight record: whatever is
             # in it when the worker dies gets failed by the supervisor.
             shard.inflight = batch
-            if self.batch_delay > 0:
-                # Let concurrently arriving requests join this batch.
-                await asyncio.sleep(self.batch_delay)
             while not shard.queue.empty():
                 extra = shard.queue.get_nowait()
                 if extra is None:
@@ -717,16 +735,10 @@ class ShardedGateway:
                         (i, r.tenant, r.attr, r.lo, r.hi)
                         for i, (_kind, _future, r) in enumerate(queries)
                     ]
-                    shard.conn.send(("batch", requests))
-                    reply = await self._recv(shard)
-                    if reply[0] == "fatal":
-                        return ("died", f"worker fatal: {reply[1]}")
+                    reply = await self._exchange(shard, ("batch", requests))
                     self._settle_batch(shard, queries, reply)
                 if probes:
-                    shard.conn.send(("stats",))
-                    reply = await self._recv(shard)
-                    if reply[0] == "fatal":
-                        return ("died", f"worker fatal: {reply[1]}")
+                    reply = await self._exchange(shard, ("stats",))
                     _op, tenant_stats, shard_stats = reply
                     shard.tenant_stats = tenant_stats
                     shard.stats = shard_stats
@@ -735,10 +747,7 @@ class ShardedGateway:
                         if not future.done():
                             future.set_result((tenant_stats, shard_stats))
                 for _kind, future, payload in adoptions:
-                    shard.conn.send(("adopt", payload))
-                    reply = await self._recv(shard)
-                    if reply[0] == "fatal":
-                        return ("died", f"worker fatal: {reply[1]}")
+                    reply = await self._exchange(shard, ("adopt", payload))
                     if reply[0] == "adopt_error":
                         if not future.done():
                             future.set_exception(
@@ -753,8 +762,8 @@ class ShardedGateway:
                     if not future.done():
                         future.set_result(list(adopted))
                 shard.inflight = []
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                return ("died", f"worker pipe failed: {exc}")
+            except _WorkerDied as death:
+                return ("died", str(death))
         return None
 
     def _settle_batch(self, shard: _Shard, queries, reply) -> None:
@@ -810,17 +819,10 @@ class ShardedGateway:
             if self._shard_of.get(request.tenant) == shard_id:
                 break
         assert shard is not None
-        if shard.state in _RETRYABLE_STATES:
-            raise ShardRestartingError(
-                f"{shard_id} is {shard.state}: "
-                f"{shard.failed or 'worker died'}; retry shortly",
-                seq=request.seq,
-            )
         if shard.state != READY:
-            raise ServiceUnavailableError(
-                shard.failed or f"{shard_id} is {shard.state}",
-                seq=request.seq,
-            )
+            fault = self._death_exception(shard)
+            fault.seq = request.seq
+            raise fault
         future = asyncio.get_running_loop().create_future()
         shard.queue.put_nowait(("req", future, request))
         try:
@@ -907,7 +909,6 @@ class ShardedGateway:
         for task in supervisors:
             task.cancel()
         await asyncio.gather(*supervisors, return_exceptions=True)
-        loop = asyncio.get_running_loop()
         for shard in self._shards.values():
             try:
                 shard.conn.send(("close",))
@@ -917,16 +918,12 @@ class ShardedGateway:
             process = shard.process
             if process is None:
                 continue
-            await loop.run_in_executor(None, process.join, 5.0)
-            if process.is_alive():
-                process.terminate()
-                await loop.run_in_executor(None, process.join, 5.0)
-            if process.is_alive():
-                # A worker wedged in uninterruptible boot work can
-                # survive terminate(); SIGKILL is the last word — a
-                # closed gateway must never leave a live child behind.
-                process.kill()
-                await loop.run_in_executor(None, process.join, 5.0)
+            # A worker wedged in uninterruptible boot work can survive
+            # terminate(); SIGKILL is the last word — a closed gateway
+            # must never leave a live child behind.
+            await _await_exit(
+                shard.exited, 5.0, process.terminate, process.kill
+            )
             try:
                 shard.conn.close()
             except OSError:

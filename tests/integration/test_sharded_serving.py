@@ -16,10 +16,10 @@ The contract under test, from ISSUE 8:
 
 ISSUE 10 adds the supervision contract (:class:`TestShardSupervision`):
 a worker killed at any point — before ready, mid-batch, mid-stats-probe
-— is respawned and the service keeps answering; with the respawn budget
-exhausted its tenants are re-placed onto survivors; in every case no
-request hangs (they fail typed and retryable) and no worker process
-outlives its gateway.
+— or answering ``fatal`` is respawned and the service keeps answering;
+with the respawn budget exhausted its tenants are re-placed onto
+survivors; in every case no request hangs (they fail typed and
+retryable) and no worker process outlives its gateway.
 
 Every test boots real :class:`ShardedGateway` worker processes; the
 protocol-behavior tests use one worker hosting one tenant of
@@ -28,6 +28,7 @@ protocol-behavior tests use one worker hosting one tenant of
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.service.api import (
     MalformedRequestError,
     ProtocolVersionError,
     ServiceUnavailableError,
+    ShardRestartingError,
     ShedError,
 )
 from repro.service.client import AsyncScoopClient
@@ -391,18 +393,29 @@ class TestShardSupervision:
         """Kill a worker while concurrent client queries are on the
         wire, over a real socket: every in-flight and queued request is
         failed retryable (nothing hangs), the clients' retry policy
-        resends, and all of them ultimately succeed."""
+        resends, and all of them ultimately succeed. The serving parent
+        (gateway, server and client) starts no thread on the way."""
 
         async def program():
+            threads_before = set(threading.enumerate())
             gateway = ShardedGateway(
                 tiny_spec(),
                 tenants=2,
                 workers=2,
-                # batch_delay holds the lockstep batch open long enough
-                # that the kill below reliably lands mid-batch.
-                batch_delay=0.3,
                 backoff=BackoffPolicy(base_s=0.05, cap_s=0.5, budget=3),
             )
+            # Kill shard0 just before its first batch goes out, so the
+            # kill always lands mid-batch. (Killing just after the send
+            # races the worker's answer.)
+            exchange = gateway._exchange
+            kills = []
+
+            async def kill_before_first_batch(shard, command):
+                if shard.name == "shard0" and command[0] == "batch" and not kills:
+                    kills.append(gateway.chaos_kill_worker("shard0"))
+                return await exchange(shard, command)
+
+            gateway._exchange = kill_before_first_batch
             await gateway.start()
             server = await serve_framed(gateway)
             try:
@@ -413,20 +426,65 @@ class TestShardSupervision:
                         *(client.query(tenant="tenant0", lo=0, hi=80)
                           for _ in range(8))
                     )
-                    # Kill while the batch is still being assembled:
-                    # those 8 requests are in flight, none answered.
-                    await asyncio.sleep(0.1)
-                    killed = gateway.chaos_kill_worker("shard0")
-                    assert killed == "shard0"
                     answers = await asyncio.wait_for(half, timeout=120.0)
+                    assert kills == ["shard0"]
                     assert len(answers) == 8
                     assert all(a.tenant == "tenant0" for a in answers)
                     assert client.retries_used >= 1
                     stats = await client.stats()
                     assert stats.shards["shard0"]["restarts"] >= 1
                     assert stats.protocol["retries_signalled"] >= 1
+                    assert set(threading.enumerate()) <= threads_before
             finally:
                 await server.close()
+                await gateway.close()
+                assert_no_zombies(gateway)
+
+        asyncio.run(program())
+
+    def test_fatal_reply_restarts_once(self):
+        """A ``fatal`` reply is a death seen before the exit sentinel's:
+        the request fails retryable and the shard restarts exactly once
+        (the exit reader's wake-up must not reach the next incarnation),
+        then serves again."""
+
+        async def program():
+            gateway = ShardedGateway(
+                tiny_spec(),
+                tenants=2,
+                workers=2,
+                backoff=BackoffPolicy(base_s=0.05, cap_s=0.2, budget=3),
+            )
+            # shard0's first batch goes out as an unknown command: the
+            # worker replies ("fatal", "unknown shard command ...") and
+            # exits.
+            exchange = gateway._exchange
+            sabotaged = []
+
+            async def unknown_first_batch(shard, command):
+                if shard.name == "shard0" and command[0] == "batch" and not sabotaged:
+                    sabotaged.append(command)
+                    command = ("bogus",) + command[1:]
+                return await exchange(shard, command)
+
+            gateway._exchange = unknown_first_batch
+            await gateway.start()
+            try:
+                await gateway.wait_ready(timeout=60.0)
+                with pytest.raises(ShardRestartingError, match="fatal"):
+                    await gateway.answer(_request(gateway, "tenant0", seq=1))
+                await poll_until(
+                    lambda: gateway.shard_states()["shard0"] == "ready"
+                )
+                for seq in range(2, 7):
+                    answer = await gateway.answer(
+                        _request(gateway, "tenant0", seq=seq)
+                    )
+                    assert answer.ok and answer.shard == "shard0"
+                stats = await gateway.service_stats()
+                assert stats.shards["shard0"]["restarts"] == 1
+                assert gateway.shard_states()["shard0"] == "ready"
+            finally:
                 await gateway.close()
                 assert_no_zombies(gateway)
 
@@ -529,6 +587,15 @@ class TestShardSupervision:
         asyncio.run(program())
 
 
+#: ``answers_digest`` of ``serve smoke --tenants 2 --clients 2
+#: --requests 6 --scale 0.05`` at any worker count. The answers hold
+#: integers and floats rounded to 6 places, so the pin holds on every
+#: supported interpreter. A change that moves it is a behaviour change:
+#: re-pin from the command's ``--loadtest`` report and say so in
+#: CHANGES.md.
+SERVE_SMOKE_DIGEST = "6735dd0955584777178652ccd74461b7ffb8e6293692e5a6839c13031c281243"
+
+
 class TestServeCommand:
     """The ``serve --loadtest`` command the nightly serving job runs."""
 
@@ -545,7 +612,7 @@ class TestServeCommand:
             assert report["counts"]["failed"] == 0
             assert report["stats"]["protocol"]["protocol_errors"] == 0
             digests.append(report["answers_digest"])
-        assert digests[0] == digests[1]
+        assert digests == [SERVE_SMOKE_DIGEST, SERVE_SMOKE_DIGEST]
 
 
 def _request(gateway: ShardedGateway, tenant: str, seq: int):

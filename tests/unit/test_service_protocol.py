@@ -27,7 +27,6 @@ from repro.service.protocol import (
     MAX_FRAME_SIZE,
     FrameDecoder,
     FrameType,
-    credit_frame,
     decode_frames,
     encode_frame,
     error_frame,
@@ -195,7 +194,7 @@ class TestConstructors:
         assert frame.type == FrameType.ERROR and frame.seq == 5
         assert ServiceError.from_wire(frame.payload) == error
 
-    def test_stats_metrics_credit_pong(self):
+    def test_stats_metrics_pong(self):
         stats = ServiceStats(tenants={"t": {"x": 1.0}})
         frame = one_frame(stats_frame(stats, seq=2))
         assert frame.type == FrameType.STATS
@@ -210,7 +209,6 @@ class TestConstructors:
         assert frame.payload["tick"] == 4
         assert frame.payload["stats"] == {"queue_depth": 1.0}
 
-        assert one_frame(credit_frame(16)).payload == {"credits": 16}
         pong = one_frame(pong_frame(seq=9, tenants=["t0"]))
         assert pong.seq == 9 and pong.payload == {"tenants": ["t0"]}
 

@@ -2,7 +2,7 @@
 
 Everything here runs without worker processes: the backoff schedule is
 plain math, the re-placement plan is a pure function, and the supervisor
-loop is driven with a scripted ``_run_worker`` plus a fake clock (the
+loop is driven with a scripted ``_pump`` plus a fake clock (the
 injectable ``gateway._sleep``) — so the respawn/replace decisions and
 the queue-drain guarantees are pinned deterministically. The matching
 real-process matrix (actual SIGKILLs over real sockets) lives in
@@ -60,14 +60,19 @@ class FakeProcess:
         self.exitcode = exitcode
         self.killed = 0
 
-    def is_alive(self) -> bool:
-        return False
-
-    def join(self, timeout=None) -> None:
-        pass
-
     def kill(self) -> None:
         self.killed += 1
+
+
+def dead_shard(exitcode: int = -9) -> _Shard:
+    """shard0 whose fake worker has exited: its exit future is already
+    resolved, as the exit-sentinel reader leaves it. Needs a running
+    loop."""
+    shard = _Shard("shard0", ["tenant0"])
+    shard.process = FakeProcess(exitcode)
+    shard.exited = asyncio.get_running_loop().create_future()
+    shard.exited.set_result(exitcode)
+    return shard
 
 
 class TestBackoffPolicy:
@@ -125,8 +130,7 @@ class TestSupervisorLoop:
             gateway = _bare_gateway(
                 backoff=BackoffPolicy(base_s=0.25, cap_s=5.0, budget=3)
             )
-            shard = _Shard("shard0", ["tenant0"])
-            shard.process = FakeProcess(exitcode=-9)
+            shard = dead_shard(exitcode=-9)
             gateway._shards["shard0"] = shard
 
             outcomes = [("died", "kill 1"), ("died", "kill 2"), None]
@@ -139,7 +143,7 @@ class TestSupervisorLoop:
             async def fake_sleep(delay):
                 sleeps.append(delay)
 
-            gateway._run_worker = scripted_run
+            gateway._pump = scripted_run
             gateway._spawn = lambda s: spawns.append(s.name)
             gateway._sleep = fake_sleep
 
@@ -161,8 +165,7 @@ class TestSupervisorLoop:
             gateway = _bare_gateway(
                 backoff=BackoffPolicy(base_s=0.01, cap_s=0.01, budget=1)
             )
-            shard = _Shard("shard0", ["tenant0"])
-            shard.process = FakeProcess()
+            shard = dead_shard()
             gateway._shards["shard0"] = shard
 
             outcomes = [("died", "kill 1"), ("died", "kill 2")]
@@ -179,7 +182,7 @@ class TestSupervisorLoop:
             async def fake_sleep(delay):
                 pass
 
-            gateway._run_worker = scripted_run
+            gateway._pump = scripted_run
             gateway._replace = fake_replace
             gateway._sleep = fake_sleep
             gateway._spawn = lambda s: None
@@ -205,14 +208,13 @@ class TestSupervisorLoop:
 
         async def program():
             gateway = _bare_gateway()
-            shard = _Shard("shard0", ["tenant0"])
-            shard.process = FakeProcess(exitcode=1)
+            shard = dead_shard(exitcode=1)
             gateway._shards["shard0"] = shard
 
             async def scripted_run(s):
                 return ("boot_error", "ValueError: bad spec")
 
-            gateway._run_worker = scripted_run
+            gateway._pump = scripted_run
             gateway._spawn = lambda s: pytest.fail("must not respawn")
 
             supervise = asyncio.create_task(gateway._supervise(shard))
@@ -242,7 +244,7 @@ class TestQueueDraining:
             futures = [loop.create_future() for _ in range(3)]
             for future in futures:
                 shard.queue.put_nowait(("req", future, None))
-            # A liveness sentinel mixed in must be skipped, not failed.
+            # An exit reader's wake-up mixed in must be skipped, not failed.
             shard.queue.put_nowait(("dead", "exitcode -9"))
 
             gateway._drain_queue(shard)
