@@ -494,7 +494,7 @@ class ShardedGateway:
         live worker writes back to back and a dead one ends with EOF."""
         loop = asyncio.get_running_loop()
         fd = shard.conn.fileno()
-        readable = asyncio.Event()
+        readable = asyncio.Event()  # unlike a future, safe to set after a cancel
         loop.add_reader(fd, readable.set)
         try:
             await readable.wait()

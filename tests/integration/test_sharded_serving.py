@@ -589,8 +589,9 @@ class TestShardSupervision:
 
 #: ``answers_digest`` of ``serve smoke --tenants 2 --clients 2
 #: --requests 6 --scale 0.05`` at any worker count. The answers hold
-#: integers and floats rounded to 6 places, so the pin holds on every
-#: supported interpreter. A change that moves it is a behaviour change:
+#: integers and floats rounded to 6 places, with no builtin float
+#: ``sum()`` on their path, so the pin should not depend on the
+#: interpreter version. A change that moves it is a behaviour change:
 #: re-pin from the command's ``--loadtest`` report and say so in
 #: CHANGES.md.
 SERVE_SMOKE_DIGEST = "6735dd0955584777178652ccd74461b7ffb8e6293692e5a6839c13031c281243"
