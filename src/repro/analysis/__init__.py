@@ -13,16 +13,11 @@ BND01     declarative package API boundaries (``repro.service``)
 SCHEMA01  schema changes ship with their version bump + fingerprint
 ========  ============================================================
 
-Run it: ``python -m repro.analysis [paths] [--format text|github]
-[--baseline FILE] [--write-baseline]``. Suppress a deliberate finding
-inline with ``# repro: allow[RULE-ID] reason`` (reason mandatory).
+Run it: ``python -m repro.analysis [paths] [--format text|github]``.
+Suppress a deliberate finding inline with ``# repro: allow[RULE-ID]
+reason`` (reason mandatory).
 """
 
-from repro.analysis.baseline import (
-    filter_baselined,
-    load_baseline,
-    save_baseline,
-)
 from repro.analysis.boundary import (
     BOUNDARIES,
     SERVICE_BOUNDARY,
@@ -74,11 +69,8 @@ __all__ = [
     "WallClockRule",
     "compute_fingerprint",
     "default_rules",
-    "filter_baselined",
     "iter_python_files",
-    "load_baseline",
     "main",
     "run_analysis",
-    "save_baseline",
     "write_fingerprint",
 ]

@@ -1,7 +1,7 @@
 """``python -m repro.analysis`` — the invariant checker CLI.
 
-Exit status: 0 when no (non-baselined) findings, 1 when findings remain,
-2 on usage errors. ``--format github`` emits workflow error annotations
+Exit status: 0 when there are no findings, 1 when findings remain, 2 on
+usage errors. ``--format github`` emits workflow error annotations
 so findings land inline on the PR diff.
 """
 
@@ -12,11 +12,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import (
-    filter_baselined,
-    load_baseline,
-    save_baseline,
-)
 from repro.analysis.boundary import BOUNDARIES, ImportBoundaryRule
 from repro.analysis.core import REPO_ROOT, Finding, run_analysis
 from repro.analysis.determinism import (
@@ -75,16 +70,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="finding output format (github = workflow error annotations)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        help="baseline file: findings recorded there do not fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to --baseline and exit 0",
-    )
-    parser.add_argument(
         "--write-schema-fingerprint",
         action="store_true",
         help=(
@@ -98,9 +83,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="print the shipped rules and their scopes, then exit",
     )
     args = parser.parse_args(argv)
-
-    if args.write_baseline and args.baseline is None:
-        parser.error("--write-baseline requires --baseline FILE")
 
     if args.write_schema_fingerprint:
         write_fingerprint(REPO_ROOT)
@@ -132,15 +114,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         paths.append(path)
 
     findings = run_analysis(paths, rules)
-
-    if args.write_baseline:
-        save_baseline(args.baseline, findings)
-        print(f"baseline of {len(findings)} finding(s) -> {args.baseline}")
-        return 0
-
-    if args.baseline is not None and args.baseline.is_file():
-        findings = filter_baselined(findings, load_baseline(args.baseline))
-
     if findings:
         print(_render(findings, args.format))
         print(

@@ -56,19 +56,6 @@ class Finding:
     def location(self) -> str:
         return f"{self.path}:{self.line}"
 
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: line numbers drift with unrelated edits, so
-        baselines match on (rule, path, message) only."""
-        return (self.rule, self.path, self.message)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-        }
-
 
 class FileContext:
     """One file under analysis: source text, parsed AST, pragma table."""

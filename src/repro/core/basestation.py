@@ -408,13 +408,3 @@ class Basestation(ScoopNode):
         if result is not None:
             result.closed = True
             self.query_log.append(result)
-
-    # ------------------------------------------------------------------
-    # Summary-based answers (free of network cost)
-    # ------------------------------------------------------------------
-    def answer_max(self, since: float = 0.0, attr: int = 0) -> Optional[int]:
-        """MAX(attr) straight from summaries (Section 5.5 optimization)."""
-        return self.stats.max_value_seen(since, attr)
-
-    def answer_min(self, since: float = 0.0, attr: int = 0) -> Optional[int]:
-        return self.stats.min_value_seen(since, attr)

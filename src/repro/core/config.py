@@ -342,13 +342,6 @@ class ScoopConfig:
             )
         return specs[attr].domain
 
-    def attribute_id(self, name: str) -> int:
-        """Registry position of the attribute called ``name``."""
-        for position, spec in enumerate(self.attribute_specs):
-            if spec.name == name:
-                return position
-        raise ValueError(f"unknown attribute {name!r}")
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready mapping; inverse of :meth:`from_dict`."""
         out = dataclass_to_dict(self)

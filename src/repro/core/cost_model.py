@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -85,15 +85,6 @@ class NetworkModel:
         for child, (parent, _when) in stats.parents.items():
             for u, v in ((child, parent), (parent, child)):
                 adjacency[u].setdefault(v, hop_cost(DEFAULT_TREE_QUALITY))
-        return cls(adjacency)
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[Tuple[int, int, float]]) -> "NetworkModel":
-        """Build directly from (src, dst, delivery-quality) triples (tests)."""
-        adjacency: Adjacency = {}
-        for a, b, quality in edges:
-            adjacency.setdefault(a, {})[b] = hop_cost(quality)
-            adjacency.setdefault(b, {})
         return cls(adjacency)
 
     # ------------------------------------------------------------------

@@ -186,9 +186,6 @@ class DataMessage:
         # attribute field); non-zero attributes spend one byte on the id.
         return 5 + (1 if self.attr else 0) + READING_WIRE_BYTES * len(self.readings)
 
-    def values(self) -> List[int]:
-        return [v for v, _t, _p in self.readings]
-
 
 @dataclass(frozen=True)
 class QueryMessage:

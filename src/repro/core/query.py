@@ -88,12 +88,6 @@ class QueryResult:
         """Every targeted node replied (best-effort completeness signal)."""
         return self.nodes_targeted <= self.nodes_replied
 
-    @property
-    def reply_fraction(self) -> float:
-        if not self.nodes_targeted:
-            return 1.0
-        return len(self.nodes_targeted & self.nodes_replied) / len(self.nodes_targeted)
-
     def add_readings(self, readings: Sequence[WireReading]) -> None:
         """Merge readings, dropping duplicates from retransmissions."""
         seen = {(t, p) for _v, t, p in self.readings}

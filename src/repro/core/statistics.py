@@ -374,13 +374,3 @@ class BasestationStatistics:
             if block.attr == attr
         ]
         return max(candidates) if candidates else None
-
-    def min_value_seen(self, since: float = 0.0, attr: int = 0) -> Optional[int]:
-        candidates = [
-            block.min_value
-            for t, s in self.summary_history
-            if t >= since
-            for block in s.blocks()
-            if block.attr == attr
-        ]
-        return min(candidates) if candidates else None

@@ -118,13 +118,6 @@ class StorageIndex:
     def all_owners(self) -> frozenset:
         return frozenset(o for owner_set in self._owners for o in owner_set)
 
-    def values_owned_by(self, node: int) -> List[int]:
-        return [
-            self.domain.lo + i
-            for i, owner_set in enumerate(self._owners)
-            if node in owner_set
-        ]
-
     def owners_for_range(self, lo: int, hi: int) -> frozenset:
         """Every node owning any value in [lo, hi] ∩ domain."""
         lo = max(lo, self.domain.lo)
@@ -178,42 +171,6 @@ class StorageIndex:
             )
         return chunks
 
-    @classmethod
-    def from_chunks(
-        cls, domain: ValueDomain, chunks: Iterable[MappingChunk]
-    ) -> "StorageIndex":
-        """Reassemble an index from a complete chunk set.
-
-        Raises ``ValueError`` on missing/duplicate chunks, mixed sids, or
-        incomplete domain coverage — nodes must never act on a partial
-        index (Section 5.3).
-        """
-        chunk_list = sorted(chunks, key=lambda c: c.index)
-        if not chunk_list:
-            raise ValueError("no chunks")
-        sid = chunk_list[0].sid
-        total = chunk_list[0].total
-        attr = chunk_list[0].attr
-        index_sid = chunk_list[0].index_sid
-        if any(
-            c.sid != sid or c.total != total or c.attr != attr
-            for c in chunk_list
-        ):
-            raise ValueError("chunks from different indices")
-        if [c.index for c in chunk_list] != list(range(total)):
-            raise ValueError("missing or duplicate chunks")
-        owner_sets: List[List[int]] = [[] for _ in range(domain.size)]
-        for chunk in chunk_list:
-            for lo, hi, owner in chunk.entries:
-                if lo < domain.lo or hi > domain.hi:
-                    raise ValueError(f"range [{lo},{hi}] outside domain")
-                for v in range(lo, hi + 1):
-                    if owner not in owner_sets[v - domain.lo]:
-                        owner_sets[v - domain.lo].append(owner)
-        if any(not owners for owners in owner_sets):
-            raise ValueError("chunk set does not cover the whole domain")
-        return cls(index_sid, domain, [tuple(o) for o in owner_sets], attr=attr)
-
     # ------------------------------------------------------------------
     # Comparison
     # ------------------------------------------------------------------
@@ -227,10 +184,6 @@ class StorageIndex:
             if frozenset(a) == frozenset(b)
         )
         return same / self.domain.size
-
-    def is_send_to_base(self, base_id: int = 0) -> bool:
-        """True if this index degenerates into the send-to-base policy."""
-        return all(owner_set == (base_id,) for owner_set in self._owners)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -5,7 +5,6 @@ Usage:
                                     [--base-seed B] [--scale S]
                                     [--cache-dir DIR] [--no-cache] [--refresh]
                                     [--export] [--export-dir DIR]
-                                    [--profile [FILE]]
     python -m repro.experiments report [<scenario>|<export.json>]
                                     [--export-dir DIR]
     python -m repro.experiments plot [<scenario>|<export.json>]
@@ -105,17 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="export directory (default: benchmarks/results/campaigns, "
         "or REPRO_EXPORT_DIR)",
-    )
-    run.add_argument(
-        "--profile",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="profile the trial runs with cProfile and print the top 25 "
-        "functions by cumulative time; with FILE, also dump pstats binary "
-        "data there (for snakeviz/pstats). Profiles the parent process "
-        "only — use --jobs 1 for complete coverage.",
     )
 
     report = sub.add_parser(
@@ -294,18 +282,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.no_cache:
         cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
 
-    profiler = None
-    if args.profile is not None:
-        import cProfile
-
-        if args.jobs > 1:
-            print(
-                "warning: --profile covers the parent process only; "
-                "worker-process trials will not appear (use --jobs 1)",
-                file=sys.stderr,
-            )
-        profiler = cProfile.Profile()
-
     status = 0
     for name in names:
         try:
@@ -315,19 +291,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         started = time.perf_counter()
         try:
-            if profiler is not None:
-                profiler.enable()
-            try:
-                out = run_campaign(
-                    campaign,
-                    jobs=args.jobs,
-                    cache=cache,
-                    use_cache=not args.no_cache,
-                    refresh=args.refresh,
-                )
-            finally:
-                if profiler is not None:
-                    profiler.disable()
+            out = run_campaign(
+                campaign,
+                jobs=args.jobs,
+                cache=cache,
+                use_cache=not args.no_cache,
+                refresh=args.refresh,
+            )
         except Exception as exc:  # a failed trial fails the campaign
             print(f"error: campaign {name!r} failed: {exc}", file=sys.stderr)
             status = 1
@@ -353,28 +323,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             print(f"export: {path}")
         print()
-
-    if profiler is not None:
-        _print_profile(profiler, args.profile)
     return status
-
-
-def _print_profile(profiler, destination: str) -> None:
-    """Render the run's cProfile data: top 25 by cumulative time to stdout,
-    plus a binary pstats dump when ``destination`` names a file ('-' means
-    print only)."""
-    import pstats
-
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    # Dump before printing: the binary data survives even when stdout is
-    # a pipe that gets closed mid-print.
-    if destination != "-":
-        stats.dump_stats(destination)
-    print("profile (top 25 by cumulative time):")
-    stats.print_stats(25)
-    if destination != "-":
-        print(f"profile data written to {destination}")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -19,12 +19,12 @@ gives two checkable guarantees per query:
 
 The scorer runs on every simulated trial and rides the campaign export in
 ``TrialMetrics.oracle`` / ``TrialMetrics.attributes``; ``tests/oracle.py``
-wraps the same functions as a pytest harness.
+builds a pytest harness on the same predicate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.config import ScoopConfig
 from repro.core.query import Query, QueryResult
@@ -69,38 +69,6 @@ def _bucket_by_attr(tracker: DeliveryTracker) -> None:
     for r in tracker.readings:
         by_attr.setdefault(r.attr, []).append(r)
     tracker._oracle_by_attr = by_attr
-
-
-def produced_answer(tracker: DeliveryTracker, query: Query) -> Set[ReadingKey]:
-    """Every produced reading matching ``query`` — the precision
-    reference: nothing outside this set may ever be returned."""
-    return {
-        (r.value, r.produced_at, r.producer)
-        for r in _candidates(tracker, query)
-        if matches_query(r, query)
-    }
-
-
-def reachable_answer(
-    tracker: DeliveryTracker,
-    query: Query,
-    stored_by: Optional[float] = None,
-    at_time: Optional[float] = None,
-) -> Set[ReadingKey]:
-    """The recall denominator: matching readings a perfect executor could
-    actually have fetched — stored somewhere by ``stored_by`` (a reading
-    still sitting in a producer's batch buffer is unreachable) and, with
-    ``at_time``, not orphaned on a node that is dark then (E14)."""
-    out: Set[ReadingKey] = set()
-    for r in _candidates(tracker, query):
-        if not matches_query(r, query) or not r.stored:
-            continue
-        if stored_by is not None and r.stored_time > stored_by:
-            continue
-        if at_time is not None and tracker.node_down(r.stored_at, at_time):
-            continue
-        out.add((r.value, r.produced_at, r.producer))
-    return out
 
 
 def score_query(

@@ -32,7 +32,6 @@ same numbers as a table.
 
 from __future__ import annotations
 
-import base64
 import math
 import re
 from pathlib import Path
@@ -513,18 +512,6 @@ def completeness_labels(
     return out
 
 
-def completeness_series_svg(doc: Dict[str, object]) -> str:
-    """The E14 headline chart: retrieval completeness vs the swept
-    parameter (churn rate), one line per policy."""
-    labels = completeness_labels(doc)
-    if labels is None:
-        raise ValueError(
-            f"export {doc.get('name')!r} carries no survival metrics "
-            "(no simulated trial has a completeness breakdown)"
-        )
-    return series_svg(doc, labels=labels, metric="retrieval completeness")
-
-
 def service_labels(
     doc: Dict[str, object], metric: str
 ) -> Optional[List[Dict[str, object]]]:
@@ -637,10 +624,3 @@ def plot_campaign(
             _write_png(svg_text, path)
             written.append(path)
     return written
-
-
-def svg_to_data_uri(svg_text: str) -> str:
-    """The chart as a ``data:`` URI (handy for embedding in HTML/markdown
-    reports without writing files)."""
-    payload = base64.b64encode(svg_text.encode("utf-8")).decode("ascii")
-    return f"data:image/svg+xml;base64,{payload}"

@@ -673,12 +673,6 @@ def canonical_scenario_name(name: str) -> str:
     return SCENARIO_ALIASES.get(name, name)
 
 
-def scenario_description(name: str) -> str:
-    """One-line description of ``name`` (or an E/A alias), from the
-    builder's docstring."""
-    return SCENARIOS[canonical_scenario_name(name)].description
-
-
 def unknown_scenario_error(name: str) -> ValueError:
     """The uniform unknown-scenario error every entry point raises:
     close-match suggestions over names *and* E/A aliases, plus the

@@ -199,17 +199,6 @@ class FrameDecoder:
         )
 
 
-def decode_frames(data: bytes) -> List[Frame]:
-    """Decode a complete byte string into its frames (tests, tools)."""
-    decoder = FrameDecoder()
-    frames = decoder.feed(data)
-    if decoder.buffered:
-        raise ProtocolError(
-            f"{decoder.buffered} trailing bytes after the last complete frame"
-        )
-    return frames
-
-
 # ----------------------------------------------------------------------
 # Frame constructors (the payload schemas, in one place)
 # ----------------------------------------------------------------------

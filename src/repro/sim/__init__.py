@@ -16,11 +16,10 @@ from repro.sim.metrics import DeliveryTracker, MessageCensus
 from repro.sim.mote import Mote
 from repro.sim.network import Network
 from repro.sim.packets import BROADCAST, COST_KINDS, Frame, FrameKind
-from repro.sim.radio import Radio, RadioConfig, RadioStats
+from repro.sim.radio import Radio, RadioStats
 from repro.sim.routing_tree import BeaconPayload, RoutingTree
 from repro.sim.topology import (
     Topology,
-    from_loss_matrix,
     grid,
     indoor_testbed,
     line,
@@ -47,7 +46,6 @@ __all__ = [
     "Network",
     "NodeEnergy",
     "Radio",
-    "RadioConfig",
     "RadioStats",
     "RecentReadings",
     "RoutingTree",
@@ -57,7 +55,6 @@ __all__ = [
     "Timer",
     "Topology",
     "Trickle",
-    "from_loss_matrix",
     "grid",
     "indoor_testbed",
     "line",

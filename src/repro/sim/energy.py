@@ -1,4 +1,4 @@
-"""Energy model: radio vs flash costs and battery-lifetime estimates.
+"""Energy model: radio vs flash costs per node.
 
 Constants follow Section 2.1 of the paper:
 
@@ -12,10 +12,11 @@ notes that BASE "requires the root to do a great deal of reception (which is
 costly as the radio must be on at all times)", so received bits must carry a
 cost for the root-skew experiment (E7) to make sense.
 
-Lifetime estimates reproduce the paper's back-of-envelope comparison: "if a
-node running LOCAL can last for one month using a small battery, an average
-SCOOP node would last for about three months, although the battery on the
-root in SCOOP would have to be replaced every two weeks."
+Per-node totals feed the paper's back-of-envelope lifetime comparison
+(E7): "if a node running LOCAL can last for one month using a small
+battery, an average SCOOP node would last for about three months, although
+the battery on the root in SCOOP would have to be replaced every two
+weeks."
 """
 
 from __future__ import annotations
@@ -92,9 +93,6 @@ class EnergyMeter:
     def node_energy(self, node: int) -> NodeEnergy:
         return self._node(node)
 
-    def total_j(self) -> float:
-        return sum(e.total_j for e in self._nodes.values())
-
     def component_totals_j(self) -> Dict[str, float]:
         """Network-wide energy per component, in joules (the paper's radio
         vs flash cost split, Section 2.1)."""
@@ -116,11 +114,3 @@ class EnergyMeter:
         if not nodes:
             return 0.0
         return sum(self._nodes[n].total_j for n in nodes) / len(nodes)
-
-    def lifetime_ratio(self, node: int, reference_j: float) -> float:
-        """How many times longer than a reference consumer this node lasts
-        on the same battery (reference consumes ``reference_j``)."""
-        own = self._node(node).total_j
-        if own <= 0:
-            return float("inf")
-        return reference_j / own

@@ -121,13 +121,6 @@ class Simulator:
         heappush(self._heap, (time, self._seq, event))
         return event
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
-        return heap[0][0] if heap else None
-
     def step(self) -> bool:
         """Run the single next event. Returns False if the queue was empty."""
         heap = self._heap
@@ -157,20 +150,6 @@ class Simulator:
             self.events_executed += 1
             event.fn(*event.args)
         self.now = max(self.now, until)
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Drain the event queue completely (with a runaway guard)."""
-        executed = 0
-        while self.step():
-            executed += 1
-            if executed > max_events:
-                raise SimulationError(
-                    "run_until_idle exceeded max_events; runaway loop?"
-                )
-
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
 
 class Timer:

@@ -177,11 +177,6 @@ class LinkEstimator:
         record = self._table.get(neighbor)
         return record.etx if record is not None else float("inf")
 
-    def record(self, neighbor: int):
-        """The raw neighbor record (hot-path peers read cached fields
-        directly; ``None`` if unknown)."""
-        return self._table.get(neighbor)
-
     def neighbors(self) -> List[int]:
         return list(self._table.keys())
 

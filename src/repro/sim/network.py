@@ -1,62 +1,35 @@
 """Network assembly: kernel + radio + accounting + motes, ready to run.
 
 :class:`Network` wires together everything a scenario needs: the event
-kernel, the lossy radio (with census and energy hooks attached so every
-transmission is billed), and the application motes. Experiment runners
+kernel, the lossy radio (which bills every transmission to the network's
+census and energy meter), and the application motes. Experiment runners
 build one Network per trial, boot it, run the paper's 10-minute tree
 stabilization period, then run the measured workload phase.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.sim.energy import EnergyMeter
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import DeliveryTracker, MessageCensus
 from repro.sim.mote import Mote
-from repro.sim.packets import Frame
-from repro.sim.radio import Radio, RadioConfig
+from repro.sim.radio import Radio
 from repro.sim.topology import Topology
 
 
 class Network:
     """A fully wired simulated sensor network."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        seed: int = 0,
-        radio_config: Optional[RadioConfig] = None,
-    ):
+    def __init__(self, topology: Topology, seed: int = 0):
         self.topology = topology
         self.sim = Simulator(seed=seed)
         self.census = MessageCensus()
         self.energy = EnergyMeter()
         self.tracker = DeliveryTracker()
-        self.radio = Radio(
-            self.sim,
-            topology,
-            config=radio_config,
-            on_transmit=self._on_transmit,
-            on_deliveries=self._on_deliveries,
-        )
+        self.radio = Radio(self.sim, topology, self.census, self.energy)
         self.motes: Dict[int, Mote] = {}
-
-    # ------------------------------------------------------------------
-    # Accounting hooks
-    # ------------------------------------------------------------------
-    def _on_transmit(self, node: int, frame: Frame, bits: int) -> None:
-        self.census.record_transmit(node, frame.kind, bits)
-        self.energy.radio_tx(node, bits)
-
-    def _on_deliveries(
-        self, sender: int, receivers: list, frame: Frame, bits: int
-    ) -> None:
-        # Batched per transmission: one call for the whole reception
-        # fan-out (see Radio's on_deliveries hook).
-        self.census.record_deliveries(receivers, frame.kind, bits)
-        self.energy.radio_rx_batch(receivers, bits)
 
     # ------------------------------------------------------------------
     # Population and execution
@@ -92,9 +65,6 @@ class Network:
 
     def run(self, until: float) -> None:
         self.sim.run(until)
-
-    def run_for(self, duration: float) -> None:
-        self.sim.run(self.sim.now + duration)
 
     # ------------------------------------------------------------------
     # Diagnostics

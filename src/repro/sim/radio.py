@@ -62,7 +62,9 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Protocol, Set
 
 import numpy as np
 
+from repro.sim.energy import EnergyMeter
 from repro.sim.kernel import Simulator
+from repro.sim.metrics import MessageCensus
 from repro.sim.packets import BROADCAST, Frame, FrameKind
 from repro.sim.rngstream import BatchedUniformStream
 from repro.sim.topology import OUT_OF_RANGE, Topology
@@ -80,27 +82,24 @@ class RadioListener(Protocol):
         """Overheard a frame addressed to someone else."""
 
 
-@dataclass(slots=True)
-class RadioConfig:
-    """Physical/MAC layer parameters (defaults approximate a Mica2)."""
-
-    bitrate_bps: float = 38_600.0
-    #: CSMA random backoff window (seconds). ``backoff_min`` must exceed the
-    #: ACK turnaround + ACK airtime so acknowledgements are protected inside
-    #: the inter-frame gap, as in real CSMA-CA MACs.
-    backoff_min: float = 0.003
-    backoff_max: float = 0.020
-    #: Give up deferring and transmit anyway after this many busy sensings.
-    max_csma_attempts: int = 16
-    #: Link-layer retransmissions for unicast frames (total tries = 1 + this).
-    #: Loss on audible pairs runs 25-90% (paper Section 6), and a hop only
-    #: succeeds when frame AND ack get through, so persistence is needed:
-    #: at 0.5 delivery each way, 6 tries give ~82% per-hop success.
-    max_retries: int = 5
-    #: How long a sender waits for an ACK before retrying (seconds).
-    ack_timeout: float = 0.060
-    #: Receive-to-ACK turnaround (seconds); kept below backoff_min.
-    ack_turnaround: float = 0.0005
+# Physical/MAC layer parameters, approximating a Mica2.
+BITRATE_BPS = 38_600.0
+#: CSMA random backoff window (seconds). ``BACKOFF_MIN`` must exceed the
+#: ACK turnaround + ACK airtime so acknowledgements are protected inside
+#: the inter-frame gap, as in real CSMA-CA MACs.
+BACKOFF_MIN = 0.003
+BACKOFF_MAX = 0.020
+#: Give up deferring and transmit anyway after this many busy sensings.
+MAX_CSMA_ATTEMPTS = 16
+#: Link-layer retransmissions for unicast frames (total tries = 1 + this).
+#: Loss on audible pairs runs 25-90% (paper Section 6), and a hop only
+#: succeeds when frame AND ack get through, so persistence is needed:
+#: at 0.5 delivery each way, 6 tries give ~82% per-hop success.
+MAX_RETRIES = 5
+#: How long a sender waits for an ACK before retrying (seconds).
+ACK_TIMEOUT = 0.060
+#: Receive-to-ACK turnaround (seconds); kept below BACKOFF_MIN.
+ACK_TURNAROUND = 0.0005
 
 
 @dataclass(slots=True)
@@ -163,7 +162,6 @@ class Radio:
     __slots__ = (
         "sim",
         "topology",
-        "config",
         "stats",
         "_stream",
         "_listeners",
@@ -173,8 +171,8 @@ class Radio:
         "_busy_sending",
         "_pending_acks",
         "_failed",
-        "_on_transmit",
-        "_on_deliveries",
+        "_census",
+        "_energy",
         "_audible_ids",
         "_loss_rows",
         "_audible_sets",
@@ -184,13 +182,11 @@ class Radio:
         self,
         sim: Simulator,
         topology: Topology,
-        config: Optional[RadioConfig] = None,
-        on_transmit: Optional[Callable[[int, Frame, int], None]] = None,
-        on_deliveries: Optional[Callable[[int, List[int], Frame, int], None]] = None,
+        census: MessageCensus,
+        energy: EnergyMeter,
     ):
         self.sim = sim
         self.topology = topology
-        self.config = config or RadioConfig()
         self.stats = RadioStats()
         self._stream = BatchedUniformStream(sim.seed)
         self._listeners: Dict[int, RadioListener] = {}
@@ -209,11 +205,10 @@ class Radio:
         #: neither transmit, receive, ACK, nor run send-completion
         #: callbacks until revived.
         self._failed: Set[int] = set()
-        #: census/energy hooks: (sender, frame, bits) per attempt, and
-        #: (src, receivers, frame, bits) once per transmission that
-        #: reached anyone.
-        self._on_transmit = on_transmit
-        self._on_deliveries = on_deliveries
+        #: billed for every attempt, and once per transmission for its
+        #: whole reception fan-out
+        self._census = census
+        self._energy = energy
         self._build_neighbor_tables()
 
     def _build_neighbor_tables(self) -> None:
@@ -283,7 +278,7 @@ class Radio:
         """
         if frame.dst == BROADCAST:
             raise ValueError("unicast() requires a concrete destination")
-        self._enqueue(frame.src, _SendEntry(frame, done, 1 + self.config.max_retries))
+        self._enqueue(frame.src, _SendEntry(frame, done, 1 + MAX_RETRIES))
 
     # ------------------------------------------------------------------
     # Channel access (CSMA)
@@ -306,7 +301,7 @@ class Radio:
         # timers aligning) must not start at the same instant — carrier
         # sense cannot see a transmission that hasn't started yet.
         self.sim.schedule(
-            self._stream.uniform(0.0002, self.config.backoff_min * 2),
+            self._stream.uniform(0.0002, BACKOFF_MIN * 2),
             self._try_send,
             node,
             entry,
@@ -327,11 +322,10 @@ class Radio:
         if node in self._failed:
             return  # the node died while this attempt was scheduled
         busy_until = self._channel_busy_until(node)
-        cfg = self.config
-        if busy_until > self.sim.now and entry.csma_attempts < cfg.max_csma_attempts:
+        if busy_until > self.sim.now and entry.csma_attempts < MAX_CSMA_ATTEMPTS:
             entry.csma_attempts += 1
             self.stats.csma_deferrals += 1
-            backoff = self._stream.uniform(cfg.backoff_min, cfg.backoff_max)
+            backoff = self._stream.uniform(BACKOFF_MIN, BACKOFF_MAX)
             self.sim.schedule(
                 (busy_until - self.sim.now) + backoff, self._try_send, node, entry
             )
@@ -350,7 +344,7 @@ class Radio:
         transmission that can corrupt it, or that it can corrupt, at a
         receiver (see the module docstring)."""
         bits = frame.size_bits()
-        airtime = bits / self.config.bitrate_bps
+        airtime = bits / BITRATE_BPS
         now = self.sim.now
         tx = _Transmission(src, frame, bits, now + airtime)
         audible_sets = self._audible_sets
@@ -366,8 +360,8 @@ class Radio:
                 if shared or src in other_reach:
                     other.overlaps.append(tx)
         self._air.append(tx)
-        if self._on_transmit is not None:
-            self._on_transmit(src, frame, bits)
+        self._census.record_transmit(src, frame.kind, bits)
+        self._energy.radio_tx(src, bits)
         self.sim.schedule(airtime, self._finish_transmission, tx, entry)
 
     def _finish_transmission(
@@ -394,13 +388,11 @@ class Radio:
 
         live = self._live
         stats = self.stats
-        on_deliveries = self._on_deliveries
-        delivered: Optional[List[int]] = [] if on_deliveries is not None else None
+        delivered: List[int] = []
         dst = frame.dst
         is_broadcast = dst == BROADCAST
         is_ack = frame.kind is FrameKind.ACK
         delivered_to_dst = False
-        n_delivered = 0
         n_collisions = 0
         n_losses = 0
         for idx, receiver in enumerate(receivers):
@@ -419,9 +411,7 @@ class Radio:
                 n_losses += 1
                 continue
 
-            n_delivered += 1
-            if delivered is not None:
-                delivered.append(receiver)
+            delivered.append(receiver)
             if is_broadcast:
                 listener.on_receive(frame)
             elif dst == receiver:
@@ -433,13 +423,14 @@ class Radio:
                     listener.on_receive(frame)
             else:
                 listener.on_snoop(frame)
-        stats.frames_delivered += n_delivered
+        stats.frames_delivered += len(delivered)
         if n_collisions:
             stats.collisions += n_collisions
         if n_losses:
             stats.bernoulli_losses += n_losses
         if delivered:
-            on_deliveries(src, delivered, frame, tx.bits)
+            self._census.record_deliveries(delivered, frame.kind, tx.bits)
+            self._energy.radio_rx_batch(delivered, tx.bits)
 
         if is_ack:
             return  # ACK frames are fire-and-forget and bypass the queues
@@ -453,7 +444,7 @@ class Radio:
             # Wait for the ACK (which may itself be lost -> retry).
             pending = _PendingUnicast(entry)
             pending.ack_handle = self.sim.schedule(
-                self.config.ack_timeout,
+                ACK_TIMEOUT,
                 self._ack_timeout,
                 src,
                 entry,
@@ -475,9 +466,7 @@ class Radio:
         )
         self.stats.acks_sent += 1
         # ACKs are sent at MAC level with a fixed turnaround and skip CSMA.
-        self.sim.schedule(
-            self.config.ack_turnaround, self._transmit, from_node, ack, None
-        )
+        self.sim.schedule(ACK_TURNAROUND, self._transmit, from_node, ack, None)
 
     def _handle_ack_arrival(self, receiver: int, ack_frame: Frame) -> None:
         payload: _AckPayload = ack_frame.payload
@@ -503,10 +492,9 @@ class Radio:
             entry.retry_no += 1
             # Exponential random backoff: colliding senders that timed out
             # together must desynchronise or they will collide forever.
-            cfg = self.config
-            window = cfg.backoff_max * (2**entry.retry_no)
+            window = BACKOFF_MAX * (2**entry.retry_no)
             self.sim.schedule(
-                self._stream.uniform(cfg.backoff_min, window),
+                self._stream.uniform(BACKOFF_MIN, window),
                 self._try_send,
                 sender,
                 entry,

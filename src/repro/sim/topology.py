@@ -108,18 +108,9 @@ class Topology:
         """Nodes that can hear transmissions from ``i``."""
         return np.flatnonzero(self.loss[i] < OUT_OF_RANGE).tolist()
 
-    def in_neighbors(self, j: int) -> List[int]:
-        """Nodes whose transmissions ``j`` can hear."""
-        return np.flatnonzero(self.loss[:, j] < OUT_OF_RANGE).tolist()
-
     def delivery(self, i: int, j: int) -> float:
         """Per-frame delivery probability from ``i`` to ``j``."""
         return 1.0 - float(self.loss[i, j])
-
-    def mean_degree_fraction(self) -> float:
-        """Average fraction of the network each node can transmit to."""
-        total = int(np.count_nonzero(self.loss < OUT_OF_RANGE))
-        return total / (self.n * (self.n - 1))
 
     # ------------------------------------------------------------------
     # Ground-truth ETX (used by analytical baselines and tests only)
@@ -433,8 +424,3 @@ def degrade(topo: Topology, extra_loss: float) -> Topology:
         positions=topo.positions,
         name=f"{topo.name}+loss{extra_loss:g}",
     )
-
-
-def from_loss_matrix(loss: Sequence[Sequence[float]], name: str = "custom") -> Topology:
-    """Build a topology from an explicit directed loss matrix."""
-    return Topology(n=len(loss), loss=loss, name=name)

@@ -3,10 +3,10 @@
 from typing import Optional
 
 from repro.core.config import ValueDomain
-from repro.workloads.base import CallableWorkload, Workload
+from repro.workloads.base import Workload
 from repro.workloads.multi import MultiAttributeWorkload
 from repro.workloads.queries import QueryGenerator, QueryPlanConfig
-from repro.workloads.real_trace import CorrelatedLightWorkload, IntelLabTraceWorkload
+from repro.workloads.real_trace import CorrelatedLightWorkload
 from repro.workloads.synthetic import (
     EqualWorkload,
     GaussianWorkload,
@@ -41,11 +41,9 @@ def make_workload(
 
 
 __all__ = [
-    "CallableWorkload",
     "CorrelatedLightWorkload",
     "EqualWorkload",
     "GaussianWorkload",
-    "IntelLabTraceWorkload",
     "MultiAttributeWorkload",
     "QueryGenerator",
     "QueryPlanConfig",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.config import ValueDomain
 
@@ -84,28 +84,3 @@ class Workload(abc.ABC):
         material = repr((self.seed, self.name) + tuple(key)).encode()
         digest = hashlib.blake2b(material, digest_size=8).digest()
         return random.Random(int.from_bytes(digest, "big"))
-
-    def expected_values(self, node_id: int, times: Sequence[float]) -> List[int]:
-        """The exact value stream a node would produce at ``times`` —
-        usable by analytical models without touching node state."""
-        return [self.sample(node_id, t) for t in times]
-
-
-class CallableWorkload(Workload):
-    """Wrap a plain function ``(node_id, now) -> value`` as a Workload."""
-
-    name = "callable"
-
-    def __init__(
-        self,
-        fn: Callable[[int, float], int],
-        domain: ValueDomain,
-        n_nodes: int,
-        name: str = "callable",
-    ):
-        super().__init__(domain, n_nodes, seed=0)
-        self._fn = fn
-        self.name = name
-
-    def sample(self, node_id: int, now: float) -> int:
-        return self.domain.clamp(self._fn(node_id, now))

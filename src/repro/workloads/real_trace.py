@@ -21,16 +21,12 @@ The generator sums a shared building signal (slow diurnal ramp + smooth
 random walk), a per-node offset (fixed shading/position), and small sensor
 noise, then quantises to the domain. All components are deterministic
 functions of ``(seed, node, time)``.
-
-:class:`IntelLabTraceWorkload` loads the actual published trace when a file
-is available, for users who have it.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.config import ValueDomain
 from repro.workloads.base import Workload
@@ -127,61 +123,3 @@ class CorrelatedLightWorkload(Workload):
         )
         return self.domain.clamp(round(value))
 
-
-class IntelLabTraceWorkload(Workload):
-    """Replays the real Intel Lab trace from a local file.
-
-    Expects the published ``data.txt`` format: whitespace-separated columns
-    ``date time epoch moteid temperature humidity light voltage``. Light
-    readings are rescaled into the configured domain. Each simulated node
-    is assigned one mote's readings, replayed in order — "Each time a node
-    in our experiments needs to produce a value, it reads the next number
-    from this trace" — wrapping around at the end.
-    """
-
-    name = "real-file"
-
-    def __init__(
-        self,
-        path: Path,
-        domain: ValueDomain,
-        n_nodes: int,
-        light_column: int = 6,
-        mote_column: int = 3,
-        max_rows: int = 500_000,
-    ):
-        super().__init__(domain, n_nodes, seed=0)
-        self._series: Dict[int, List[int]] = {}
-        self._cursor: Dict[int, int] = {}
-        raw: Dict[int, List[float]] = {}
-        with open(path) as handle:
-            for line_no, line in enumerate(handle):
-                if line_no >= max_rows:
-                    break
-                parts = line.split()
-                if len(parts) <= max(light_column, mote_column):
-                    continue
-                try:
-                    mote = int(parts[mote_column])
-                    light = float(parts[light_column])
-                except ValueError:
-                    continue
-                raw.setdefault(mote, []).append(light)
-        if not raw:
-            raise ValueError(f"no usable rows in trace file {path}")
-        lights = [v for series in raw.values() for v in series]
-        lo, hi = min(lights), max(lights)
-        scale = (domain.hi - domain.lo) / (hi - lo) if hi > lo else 0.0
-        motes = sorted(raw)
-        for node in range(n_nodes):
-            source = raw[motes[node % len(motes)]]
-            self._series[node] = [
-                domain.clamp(round(domain.lo + (v - lo) * scale)) for v in source
-            ]
-            self._cursor[node] = 0
-
-    def sample(self, node_id: int, now: float) -> int:
-        series = self._series[node_id]
-        value = series[self._cursor[node_id] % len(series)]
-        self._cursor[node_id] += 1
-        return value

@@ -1,14 +1,33 @@
 """Shared fixtures and helpers for the test suite."""
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.core.basestation import Basestation
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.core.node import ScoopNode
+from repro.service.api import ProtocolError
+from repro.service.protocol import Frame, FrameDecoder
 from repro.sim.network import Network
 from repro.sim.topology import Topology, perfect
+
+
+def from_loss_matrix(loss: Sequence[Sequence[float]]) -> Topology:
+    """A topology from an explicit directed loss matrix."""
+    return Topology(n=len(loss), loss=loss)
+
+
+def decode_frames(data: bytes) -> List[Frame]:
+    """Decode a complete byte string into its frames; bytes left over
+    after the last complete frame raise :class:`ProtocolError`."""
+    decoder = FrameDecoder()
+    frames = decoder.feed(data)
+    if decoder.buffered:
+        raise ProtocolError(
+            f"{decoder.buffered} trailing bytes after the last complete frame"
+        )
+    return frames
 
 
 def build_scoop_network(

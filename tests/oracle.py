@@ -23,8 +23,8 @@ from repro.core.query import QueryResult
 from repro.experiments.oracle import (
     ReadingKey,
     _bucket_by_attr,
-    produced_answer,
-    reachable_answer,
+    _candidates,
+    matches_query,
     score_trial,
 )
 from repro.sim.metrics import DeliveryTracker
@@ -41,17 +41,27 @@ class QueryOracle:
     # -- exact answers ---------------------------------------------------
     def produced(self, query) -> Set[ReadingKey]:
         """Every produced reading matching ``query`` (the precision
-        reference)."""
-        return produced_answer(self.tracker, query)
+        reference): nothing outside this set may ever be returned."""
+        return {
+            (r.value, r.produced_at, r.producer)
+            for r in _candidates(self.tracker, query)
+            if matches_query(r, query)
+        }
 
     def reachable(self, query) -> Set[ReadingKey]:
         """Matching readings a perfect executor could have fetched when
         the query went out (the recall denominator): stored somewhere by
-        issue time, on a node alive then."""
+        issue time (a reading still in a producer's batch buffer is
+        unreachable), on a node alive then (E14)."""
         issued = query.time_range[1]
-        return reachable_answer(
-            self.tracker, query, stored_by=issued, at_time=issued
-        )
+        return {
+            (r.value, r.produced_at, r.producer)
+            for r in _candidates(self.tracker, query)
+            if matches_query(r, query)
+            and r.stored
+            and r.stored_time <= issued
+            and not self.tracker.node_down(r.stored_at, issued)
+        }
 
     # -- assertions ------------------------------------------------------
     def assert_subset(self, result: QueryResult) -> None:

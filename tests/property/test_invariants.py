@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.core.histogram import Histogram
-from repro.core.storage_index import StorageIndex
+from repro.core.storage_index import StorageIndex, indexes_from_chunks
 from repro.sim.kernel import Simulator
 
 
@@ -111,7 +111,7 @@ def test_chunking_roundtrip_exact(data, domain_size, max_entries):
     domain = ValueDomain(0, domain_size - 1)
     owners = data.draw(owners_strategy(domain_size))
     index = StorageIndex.single_owner(3, domain, owners)
-    rebuilt = StorageIndex.from_chunks(domain, index.to_chunks(max_entries))
+    rebuilt = indexes_from_chunks({0: domain}, index.to_chunks(max_entries))[0]
     assert rebuilt == index
 
 

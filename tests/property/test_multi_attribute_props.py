@@ -99,7 +99,6 @@ def test_registry_views_consistent(spec):
     assert config.n_attributes == len(config.attribute_specs)
     for attr in config.attribute_ids:
         assert config.domain_of(attr) == config.attribute_specs[attr].domain
-        assert config.attribute_id(config.attribute_specs[attr].name) == attr
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,9 @@ from repro.service.protocol import (
     MAX_FRAME_SIZE,
     FrameDecoder,
     FrameType,
-    decode_frames,
     encode_frame,
 )
+from tests.conftest import decode_frames
 
 # JSON-object payloads: keep scalars wire-safe (ints within I64, text
 # without surrogates) — the protocol is JSON-over-frames, not pickle.

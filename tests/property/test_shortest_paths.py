@@ -13,7 +13,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.topology import OUT_OF_RANGE, dijkstra, from_loss_matrix
+from repro.sim.topology import OUT_OF_RANGE, dijkstra
+from tests.conftest import from_loss_matrix
 
 
 def bellman_ford(adjacency, source):

@@ -2,9 +2,9 @@
 
 Fixture-driven: each rule gets inline source snippets that must fire
 (with line-accurate findings) and near-miss snippets that must not.
-Framework tests cover pragma suppression, baseline round-trips, output
-formats and scoping; the integration class at the bottom runs the real
-CLI over the real tree and requires it clean — the same gate CI applies.
+Framework tests cover pragma suppression, output formats and scoping;
+the integration class at the bottom runs the real CLI over the real tree
+and requires it clean — the same gate CI applies.
 """
 
 import json
@@ -25,11 +25,8 @@ from repro.analysis import (
     WallClockRule,
     compute_fingerprint,
     default_rules,
-    filter_baselined,
-    load_baseline,
     main,
     run_analysis,
-    save_baseline,
 )
 from repro.analysis.cli import _render
 from repro.analysis.schema import SchemaVersionRule, write_fingerprint
@@ -472,34 +469,6 @@ class TestPragmas:
         assert run_analysis([path], rules=[det1, det2], root=tmp_path) == []
 
 
-class TestBaseline:
-    def two_findings(self):
-        return [
-            Finding(path="a.py", line=3, rule="DET01", message="m1"),
-            Finding(path="b.py", line=9, rule="PERF01", message="m2"),
-        ]
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, self.two_findings())
-        assert load_baseline(path) == sorted(self.two_findings())
-
-    def test_filter_matches_on_rule_path_message_not_line(self, tmp_path):
-        baseline = self.two_findings()
-        drifted = [
-            Finding(path="a.py", line=30, rule="DET01", message="m1"),
-            Finding(path="a.py", line=4, rule="DET01", message="new one"),
-        ]
-        fresh = filter_baselined(drifted, baseline)
-        assert [f.message for f in fresh] == ["new one"]
-
-    def test_rejects_foreign_json(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text(json.dumps({"version": 99}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
 class TestEngineAndFormats:
     def test_github_format_annotations(self):
         findings = [Finding(path="a.py", line=3, rule="DET01", message="msg")]
@@ -540,19 +509,6 @@ class TestCheckerOnHead:
     def test_committed_fingerprint_is_current(self):
         committed = json.loads(FINGERPRINT_PATH.read_text())
         assert committed == compute_fingerprint(REPO)
-
-    def test_write_baseline_then_filtered_run(self, tmp_path, capsys):
-        offender = tmp_path / "hot.py"
-        offender.write_text("import time\nt = time.time()\n")
-        baseline = tmp_path / "baseline.json"
-        # A scoped CLI run on the offender alone would pass (out of
-        # scope), so drive the engine the way the CLI does instead.
-        rule = WallClockRule(scope=("hot.py",))
-        findings = run_analysis([offender], rules=[rule], root=tmp_path)
-        assert len(findings) == 1
-        save_baseline(baseline, findings)
-        again = run_analysis([offender], rules=[rule], root=tmp_path)
-        assert filter_baselined(again, load_baseline(baseline)) == []
 
     def test_cli_unknown_path_is_usage_error(self, capsys):
         assert main(["definitely/not/a/path"]) == 2

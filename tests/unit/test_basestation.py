@@ -199,15 +199,3 @@ class TestQueryExecution:
         values = [v for v, _t, _p in result.readings]
         assert 33 in values and 34 not in values
 
-
-class TestSummaryAnswering:
-    def test_max_min_answers(self):
-        net, base, nodes = booted_network()
-        feed_summary(base, 1, [10, 80], net.sim.now)
-        feed_summary(base, 2, [5, 60], net.sim.now)
-        assert base.answer_max() == 80
-        assert base.answer_min() == 5
-
-    def test_no_summaries_none(self):
-        net, base, nodes = booted_network()
-        assert base.answer_max() is None

@@ -110,7 +110,7 @@ class TestBasicPlacement:
         stats = BasestationStatistics(config)
         model = NetworkModel.from_statistics(stats)
         result = build_storage_index(1, stats, model, config, now=10.0)
-        assert result.index.is_send_to_base(0)
+        assert result.index.all_owners() == frozenset({0})
 
     def test_chosen_index_not_worse_than_alternatives(self):
         config = make_config()

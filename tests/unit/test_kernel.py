@@ -99,21 +99,6 @@ class TestCancellation:
         handle.cancel()
         assert fired == ["x"]
 
-    def test_pending_events_excludes_cancelled(self):
-        sim = Simulator()
-        keep = sim.schedule(1.0, lambda: None)
-        drop = sim.schedule(2.0, lambda: None)
-        drop.cancel()
-        assert sim.pending_events() == 1
-        assert not keep.cancelled
-
-    def test_peek_time_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek_time() == 2.0
-
 
 class TestDeterminism:
     def test_same_seed_same_random_stream(self):
@@ -125,16 +110,6 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         a, b = Simulator(seed=1), Simulator(seed=2)
         assert a.rng.random() != b.rng.random()
-
-    def test_run_until_idle_guard(self):
-        sim = Simulator()
-
-        def rearm():
-            sim.schedule(1.0, rearm)
-
-        sim.schedule(1.0, rearm)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(max_events=100)
 
 
 class TestTimer:

@@ -73,10 +73,6 @@ class TestFrames:
 
 
 class TestPayloads:
-    def test_data_message_values(self):
-        msg = DataMessage(readings=[(5, 1.0, 2), (7, 2.0, 2)], owner=1, sid=3)
-        assert msg.values() == [5, 7]
-
     def test_mapping_chunk_bounds(self):
         MappingChunk(sid=1, index=0, total=1, entries=())
         with pytest.raises(ValueError):
@@ -249,15 +245,14 @@ class TestQueryResult:
         result.add_readings([(3, 1.0, 1)])
         assert len(result.readings) == 1
 
-    def test_reply_fraction(self):
+    def test_complete_once_every_target_replied(self):
         result = self._result()
-        assert result.reply_fraction == 0.0
+        assert not result.complete
         result.nodes_replied.add(1)
-        assert result.reply_fraction == pytest.approx(0.5)
+        assert not result.complete
         result.nodes_replied.add(2)
         assert result.complete
 
     def test_no_targets_complete(self):
         result = QueryResult(query=Query(time_range=(0.0, 1.0)))
         assert result.complete
-        assert result.reply_fraction == 1.0

@@ -13,15 +13,13 @@ from repro.experiments.export import EXPORT_KIND, EXPORT_SCHEMA_VERSION
 from repro.experiments.plotting import (
     breakdown_svg,
     completeness_labels,
-    completeness_series_svg,
     parse_series,
     plot_campaign,
     png_supported,
     policy_color,
     series_svg,
-    svg_to_data_uri,
 )
-from repro.experiments.scenarios import SCENARIOS, scenario_description
+from repro.experiments.scenarios import SCENARIOS, canonical_scenario_name
 
 
 def label_entry(label, mean, ci=0.0, breakdown=None):
@@ -213,11 +211,10 @@ class TestCompletenessChart:
 
     def test_no_survival_data_is_none(self):
         assert completeness_labels(SWEEP_DOC) is None
-        with pytest.raises(ValueError, match="survival"):
-            completeness_series_svg(SWEEP_DOC)
 
-    def test_renders_series_chart_with_metric_title(self):
-        svg = completeness_series_svg(CHURN_DOC)
+    def test_renders_series_chart_with_metric_title(self, tmp_path):
+        plot_campaign(CHURN_DOC, tmp_path, stem="churn")
+        svg = (tmp_path / "churn-completeness.svg").read_text()
         svg_root(svg)
         assert "retrieval completeness" in svg
         assert "churn" in svg
@@ -262,10 +259,6 @@ class TestPlotCampaign:
         else:
             with pytest.raises(RuntimeError, match="cairosvg"):
                 plot_campaign(BAR_DOC, tmp_path, formats=("png",))
-
-    def test_data_uri_round_trip(self):
-        uri = svg_to_data_uri("<svg/>")
-        assert uri.startswith("data:image/svg+xml;base64,")
 
 
 def write_export(tmp_path, doc):
@@ -344,8 +337,8 @@ class TestScenarioRegistry:
 
     def test_every_scenario_has_description_and_new_aliases(self):
         for name in ("topology_profiles", "loss_sweep", "scaling_xl"):
-            assert scenario_description(name)
-        assert scenario_description("E13") == scenario_description("scaling_xl")
+            assert SCENARIOS[name].description
+        assert canonical_scenario_name("E13") == "scaling_xl"
 
     def test_campaign_from_alias_canonicalizes_its_name(self):
         # A campaign run as "E13" exports as "scaling_xl-<stamp>.json",

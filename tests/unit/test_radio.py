@@ -5,10 +5,13 @@ from collections import Counter
 
 import pytest
 
+from repro.sim.energy import RADIO_NJ_PER_BIT, EnergyMeter
 from repro.sim.kernel import Simulator
+from repro.sim.metrics import MessageCensus
 from repro.sim.packets import BROADCAST, Frame, FrameKind
-from repro.sim.radio import Radio, RadioConfig, RadioStats, _SendEntry
-from repro.sim.topology import from_loss_matrix, grid, line, perfect
+from repro.sim.radio import BITRATE_BPS, MAX_RETRIES, Radio, RadioStats, _SendEntry
+from repro.sim.topology import grid, line, perfect
+from tests.conftest import from_loss_matrix
 
 
 class Listener:
@@ -26,9 +29,13 @@ class Listener:
         self.snooped.append(frame)
 
 
-def build(topology, seed=0, config=None):
+def new_radio(sim, topology, census=None, energy=None):
+    return Radio(sim, topology, census or MessageCensus(), energy or EnergyMeter())
+
+
+def build(topology, seed=0, census=None, energy=None):
     sim = Simulator(seed=seed)
-    radio = Radio(sim, topology, config=config)
+    radio = new_radio(sim, topology, census, energy)
     listeners = [Listener(i) for i in range(topology.n)]
     for listener in listeners:
         radio.register(listener)
@@ -96,14 +103,13 @@ class TestDelivery:
         assert len(listeners[1].received) >= 1
 
     def test_max_retries_bounds_attempts(self):
-        config = RadioConfig(max_retries=2)
         topo = from_loss_matrix([[1.0, 0.97], [0.97, 1.0]])
-        sim, radio, listeners = build(topo, seed=5, config=config)
+        sim, radio, listeners = build(topo, seed=5)
         outcome = []
         radio.unicast(data_frame(0, 1), done=outcome.append)
         sim.run(10.0)
         data_sends = radio.stats.frames_sent - radio.stats.acks_sent
-        assert data_sends <= 3  # 1 try + 2 retries
+        assert data_sends <= 1 + MAX_RETRIES
 
 
 class TestQueueing:
@@ -116,13 +122,13 @@ class TestQueueing:
 
     def test_unregistered_sender_rejected(self):
         sim = Simulator()
-        radio = Radio(sim, perfect(2))
+        radio = new_radio(sim, perfect(2))
         with pytest.raises(ValueError):
             radio.broadcast(data_frame(0, BROADCAST))
 
     def test_duplicate_registration_rejected(self):
         sim = Simulator()
-        radio = Radio(sim, perfect(2))
+        radio = new_radio(sim, perfect(2))
         radio.register(Listener(0))
         with pytest.raises(ValueError):
             radio.register(Listener(0))
@@ -143,7 +149,7 @@ def start_at(sim, radio, time, src):
     bypassing CSMA's random backoff; returns the frame's airtime."""
     frame = data_frame(src, BROADCAST, payload_bytes=29)
     sim.schedule_at(time, radio._start_transmission, src, _SendEntry(frame, None, 1))
-    return frame.size_bits() / radio.config.bitrate_bps
+    return frame.size_bits() / BITRATE_BPS
 
 
 class TestCollisions:
@@ -212,32 +218,24 @@ class TestCollisions:
 
 class TestAccountingHooks:
     def test_on_transmit_counts_every_attempt(self):
-        events = []
+        census, energy = MessageCensus(), EnergyMeter()
         topo = from_loss_matrix([[1.0, 0.9], [0.0, 1.0]])
-        sim = Simulator(seed=17)
-        radio = Radio(
-            sim, topo, on_transmit=lambda n, f, bits: events.append((n, f.kind))
-        )
-        for i in range(2):
-            radio.register(Listener(i))
+        sim, radio, _ = build(topo, seed=17, census=census, energy=energy)
         radio.unicast(data_frame(0, 1))
         sim.run(5.0)
-        data_attempts = [e for e in events if e[1] is FrameKind.DATA]
-        assert len(data_attempts) >= 1
+        assert census.sent[0][FrameKind.DATA] >= 1
+        tx_nj = energy.node_energy(0).radio_tx_nj
+        assert tx_nj == census.sent_bits[0] * RADIO_NJ_PER_BIT
 
     def test_on_delivery_reports_receiver(self):
-        deliveries = []
-
-        def on_deliveries(src, receivers, frame, bits):
-            deliveries.extend((src, r) for r in receivers)
-
-        sim = Simulator()
-        radio = Radio(sim, perfect(3), on_deliveries=on_deliveries)
-        for i in range(3):
-            radio.register(Listener(i))
+        census, energy = MessageCensus(), EnergyMeter()
+        sim, radio, _ = build(perfect(3), census=census, energy=energy)
         radio.broadcast(data_frame(0, BROADCAST))
         sim.run(1.0)
-        assert (0, 1) in deliveries and (0, 2) in deliveries
+        for receiver in (1, 2):
+            assert census.received[receiver][FrameKind.DATA] == 1
+            rx_nj = energy.node_energy(receiver).radio_rx_nj
+            assert rx_nj == census.received_bits[receiver] * RADIO_NJ_PER_BIT
 
 
 class StreamSpy:
@@ -273,13 +271,8 @@ class TestDrawDiscipline:
                 [off, off, off, off, off],
             ]
         )
-        sent = []
-        sim = Simulator(seed=7)
-        radio = Radio(
-            sim, topo, on_transmit=lambda n, f, bits: sent.append((n, f.kind))
-        )
-        for i in range(topo.n):
-            radio.register(Listener(i))
+        census = MessageCensus()
+        sim, radio, _ = build(topo, seed=7, census=census)
         spy = StreamSpy(radio._stream)
         radio._stream = spy
         radio.fail_node(3)  # one of node 0's receivers is dead
@@ -291,10 +284,11 @@ class TestDrawDiscipline:
         sim.run(sim.now + 1.0)
 
         assert radio.stats.collisions >= 1
-        assert {kind for _node, kind in sent} == {FrameKind.DATA, FrameKind.ACK}
-        assert Counter(spy.takes) == Counter(
-            len(radio._audible_ids[node]) for node, _kind in sent
-        )
+        assert set(census.sent_by_kind()) == {FrameKind.DATA, FrameKind.ACK}
+        expected = Counter()
+        for node, by_kind in census.sent.items():
+            expected[len(radio._audible_ids[node])] += sum(by_kind.values())
+        assert Counter(spy.takes) == expected
 
 
 #: Frames each node of the pinned 6x6 grid heard (received + snooped),

@@ -1,6 +1,5 @@
 """Unit tests for the experiment runner, scenarios, reporting and the
-remaining substrate plumbing (mote dispatch, network assembly, trace
-loader)."""
+remaining substrate plumbing (mote dispatch, network assembly)."""
 
 import dataclasses
 
@@ -27,7 +26,6 @@ from repro.sim.mote import Mote
 from repro.sim.network import Network
 from repro.sim.packets import Frame, FrameKind
 from repro.sim.topology import perfect
-from repro.workloads.real_trace import IntelLabTraceWorkload
 
 
 class TestExperimentSpec:
@@ -215,40 +213,3 @@ class TestMoteDispatch:
         motes[1].forward(frame, dst=2, done=outcome.append)
         assert outcome == [False]
 
-
-class TestIntelLabLoader:
-    def test_loads_and_rescales(self, tmp_path):
-        trace = tmp_path / "data.txt"
-        rows = []
-        for epoch in range(20):
-            for mote in (1, 2):
-                light = 100.0 * mote + epoch
-                rows.append(
-                    f"2004-03-01 00:{epoch:02d}:00 {epoch} {mote} "
-                    f"20.0 40.0 {light} 2.6"
-                )
-        trace.write_text("\n".join(rows))
-        domain = ValueDomain(0, 149)
-        wl = IntelLabTraceWorkload(trace, domain, n_nodes=4)
-        first = wl.sample(0, 0.0)
-        second = wl.sample(0, 15.0)
-        assert first in domain and second in domain
-        assert second != first or True  # consecutive trace rows
-        # node 1 replays mote 2's (brighter) series: higher values
-        assert wl.sample(1, 0.0) > wl.sample(2, 0.0) or wl.sample(1, 0.0) >= 0
-
-    def test_malformed_rows_skipped(self, tmp_path):
-        trace = tmp_path / "data.txt"
-        trace.write_text(
-            "garbage line\n"
-            "2004-03-01 00:00:00 1 1 20.0 40.0 500.0 2.6\n"
-            "short row\n"
-        )
-        wl = IntelLabTraceWorkload(trace, ValueDomain(0, 100), n_nodes=2)
-        assert wl.sample(0, 0.0) in ValueDomain(0, 100)
-
-    def test_empty_file_rejected(self, tmp_path):
-        trace = tmp_path / "data.txt"
-        trace.write_text("no usable rows here\n")
-        with pytest.raises(ValueError):
-            IntelLabTraceWorkload(trace, ValueDomain(0, 100), n_nodes=2)

@@ -27,7 +27,6 @@ from repro.service.protocol import (
     MAX_FRAME_SIZE,
     FrameDecoder,
     FrameType,
-    decode_frames,
     encode_frame,
     error_frame,
     hello_frame,
@@ -40,6 +39,7 @@ from repro.service.protocol import (
     stats_request_frame,
     welcome_frame,
 )
+from tests.conftest import decode_frames
 
 
 def one_frame(data: bytes):

@@ -4,10 +4,20 @@ import pytest
 
 from repro.core.config import ValueDomain
 from repro.core.messages import MAX_ENTRIES_PER_CHUNK
-from repro.core.storage_index import STORE_LOCAL, RangeEntry, StorageIndex
+from repro.core.storage_index import (
+    STORE_LOCAL,
+    RangeEntry,
+    StorageIndex,
+    indexes_from_chunks,
+)
 
 
 DOMAIN = ValueDomain(0, 9)
+
+
+def rebuild(chunks):
+    """Reassemble single-attribute chunks through the decoder nodes run."""
+    return indexes_from_chunks({0: DOMAIN}, chunks)[0]
 
 
 def simple_index(sid=1):
@@ -26,12 +36,6 @@ class TestLookup:
         with pytest.raises(ValueError):
             simple_index().owner_of(10)
 
-    def test_values_owned_by(self):
-        index = simple_index()
-        assert index.values_owned_by(2) == [3, 4]
-        assert index.values_owned_by(1) == [0, 1, 2, 9]
-        assert index.values_owned_by(99) == []
-
     def test_owners_for_range(self):
         index = simple_index()
         assert index.owners_for_range(3, 6) == frozenset({2, 3})
@@ -42,8 +46,8 @@ class TestLookup:
 
     def test_uniform_is_send_to_base(self):
         index = StorageIndex.uniform(1, DOMAIN, 0)
-        assert index.is_send_to_base(0)
-        assert not simple_index().is_send_to_base(0)
+        assert index.all_owners() == frozenset({0})
+        assert simple_index().all_owners() != frozenset({0})
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -85,16 +89,14 @@ class TestCompaction:
 class TestChunking:
     def test_roundtrip(self):
         index = simple_index(sid=7)
-        chunks = index.to_chunks()
-        rebuilt = StorageIndex.from_chunks(DOMAIN, chunks)
-        assert rebuilt == index
+        assert rebuild(index.to_chunks()) == index
 
     def test_chunk_size_limit(self):
         owners = list(range(1, 11))  # 10 distinct ranges
         index = StorageIndex.single_owner(3, DOMAIN, owners)
         chunks = index.to_chunks(max_entries=3)
         assert all(len(c.entries) <= 3 for c in chunks)
-        assert StorageIndex.from_chunks(DOMAIN, chunks) == index
+        assert rebuild(chunks) == index
 
     def test_default_chunk_capacity(self):
         index = simple_index()
@@ -105,25 +107,23 @@ class TestChunking:
         chunks = StorageIndex.single_owner(1, DOMAIN, list(range(1, 11))).to_chunks(
             max_entries=2
         )
-        with pytest.raises(ValueError):
-            StorageIndex.from_chunks(DOMAIN, chunks[:-1])
+        with pytest.raises(ValueError, match="missing"):
+            rebuild(chunks[:-1])
 
     def test_mixed_sids_rejected(self):
-        a = simple_index(sid=1).to_chunks()
-        b = simple_index(sid=2).to_chunks()
-        with pytest.raises(ValueError):
-            StorageIndex.from_chunks(DOMAIN, [b[0]] + a[1:]) if len(a) > 1 else (
-                _ for _ in ()
-            ).throw(ValueError())
+        a = simple_index(sid=1).to_chunks(max_entries=2)
+        b = simple_index(sid=2).to_chunks(max_entries=2)
+        with pytest.raises(ValueError, match="different epochs"):
+            rebuild([b[0]] + a[1:])
 
     def test_empty_chunks_rejected(self):
-        with pytest.raises(ValueError):
-            StorageIndex.from_chunks(DOMAIN, [])
+        with pytest.raises(ValueError, match="no chunks"):
+            rebuild([])
 
     def test_owner_sets_roundtrip(self):
         owners = [(1, 2)] * 5 + [(3,)] * 5
         index = StorageIndex(4, DOMAIN, owners)
-        rebuilt = StorageIndex.from_chunks(DOMAIN, index.to_chunks())
+        rebuilt = rebuild(index.to_chunks())
         for v in DOMAIN:
             assert set(rebuilt.owners_of(v)) == set(index.owners_of(v))
 

@@ -217,13 +217,6 @@ class TestEnergyMeter:
         assert node.radio_tx_nj == pytest.approx(96 * RADIO_NJ_PER_BIT)
         assert node.radio_tx_nj > 20 * node.flash_write_nj
 
-    def test_lifetime_ratio(self):
-        meter = EnergyMeter()
-        meter.radio_tx(1, 1000)
-        meter.radio_tx(2, 3000)
-        ref = meter.node_energy(2).total_j
-        assert meter.lifetime_ratio(1, ref) == pytest.approx(3.0)
-
     def test_mean_excludes(self):
         meter = EnergyMeter()
         meter.radio_tx(0, 10_000)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import ValueDomain
 from repro.workloads import make_workload
-from repro.workloads.base import CallableWorkload
 from repro.workloads.queries import QueryGenerator, QueryPlanConfig
 from repro.workloads.real_trace import CorrelatedLightWorkload
 from repro.workloads.synthetic import (
@@ -46,7 +45,7 @@ class TestSynthetic:
         a = RandomWorkload(DOMAIN, 10, seed=3)
         b = RandomWorkload(DOMAIN, 10, seed=3)
         times = [float(t) for t in range(20)]
-        assert a.expected_values(4, times) == b.expected_values(4, times)
+        assert [a.sample(4, t) for t in times] == [b.sample(4, t) for t in times]
 
     def test_random_varies(self):
         wl = RandomWorkload(DOMAIN, 10, seed=3)
@@ -116,11 +115,6 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_workload("nope", DOMAIN, 10)
-
-    def test_callable_wrapper(self):
-        wl = CallableWorkload(lambda n, t: n * 10, DOMAIN, 5, name="tens")
-        assert wl.sample(3, 0.0) == 30
-        assert wl.sample(99, 0.0) == 100  # clamped
 
 
 class TestQueryGenerator:
