@@ -122,4 +122,3 @@ class CorrelatedLightWorkload(Workload):
             + rng.gauss(0.0, self.noise)
         )
         return self.domain.clamp(round(value))
-

@@ -16,10 +16,10 @@ Built on :mod:`repro.experiments.oracle`, the same scorer that stamps
 ``TrialMetrics.oracle`` onto every campaign export.
 """
 
-from typing import Iterable, List, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.core.config import ScoopConfig
-from repro.core.query import QueryResult
+from repro.core.query import Query, QueryResult
 from repro.experiments.oracle import (
     ReadingKey,
     _bucket_by_attr,
@@ -28,6 +28,38 @@ from repro.experiments.oracle import (
     score_trial,
 )
 from repro.sim.metrics import DeliveryTracker
+
+
+def produced_answer(tracker: DeliveryTracker, query: Query) -> Set[ReadingKey]:
+    """Every produced reading matching ``query`` — the precision
+    reference: nothing outside this set may ever be returned."""
+    return {
+        (r.value, r.produced_at, r.producer)
+        for r in _candidates(tracker, query)
+        if matches_query(r, query)
+    }
+
+
+def reachable_answer(
+    tracker: DeliveryTracker,
+    query: Query,
+    stored_by: Optional[float] = None,
+    at_time: Optional[float] = None,
+) -> Set[ReadingKey]:
+    """The recall denominator: matching readings a perfect executor could
+    actually have fetched — stored somewhere by ``stored_by`` (a reading
+    still sitting in a producer's batch buffer is unreachable) and, with
+    ``at_time``, not orphaned on a node that is dark then (E14)."""
+    out: Set[ReadingKey] = set()
+    for r in _candidates(tracker, query):
+        if not matches_query(r, query) or not r.stored:
+            continue
+        if stored_by is not None and r.stored_time > stored_by:
+            continue
+        if at_time is not None and tracker.node_down(r.stored_at, at_time):
+            continue
+        out.add((r.value, r.produced_at, r.producer))
+    return out
 
 
 class QueryOracle:
@@ -41,27 +73,17 @@ class QueryOracle:
     # -- exact answers ---------------------------------------------------
     def produced(self, query) -> Set[ReadingKey]:
         """Every produced reading matching ``query`` (the precision
-        reference): nothing outside this set may ever be returned."""
-        return {
-            (r.value, r.produced_at, r.producer)
-            for r in _candidates(self.tracker, query)
-            if matches_query(r, query)
-        }
+        reference)."""
+        return produced_answer(self.tracker, query)
 
     def reachable(self, query) -> Set[ReadingKey]:
         """Matching readings a perfect executor could have fetched when
         the query went out (the recall denominator): stored somewhere by
-        issue time (a reading still in a producer's batch buffer is
-        unreachable), on a node alive then (E14)."""
+        issue time, on a node alive then."""
         issued = query.time_range[1]
-        return {
-            (r.value, r.produced_at, r.producer)
-            for r in _candidates(self.tracker, query)
-            if matches_query(r, query)
-            and r.stored
-            and r.stored_time <= issued
-            and not self.tracker.node_down(r.stored_at, issued)
-        }
+        return reachable_answer(
+            self.tracker, query, stored_by=issued, at_time=issued
+        )
 
     # -- assertions ------------------------------------------------------
     def assert_subset(self, result: QueryResult) -> None:

@@ -198,4 +198,3 @@ class TestQueryExecution:
         )
         values = [v for v, _t, _p in result.readings]
         assert 33 in values and 34 not in values
-

@@ -212,4 +212,3 @@ class TestMoteDispatch:
         )
         motes[1].forward(frame, dst=2, done=outcome.append)
         assert outcome == [False]
-
