@@ -17,7 +17,7 @@ from repro.core.config import ScoopConfig, ValueDomain
 from repro.core.cost_model import NetworkModel
 from repro.core.histogram import Histogram
 from repro.core.indexing import build_storage_index
-from repro.core.messages import SummaryMessage
+from repro.core.messages import AttributeSummary, SummaryMessage
 from repro.core.statistics import BasestationStatistics
 
 
@@ -37,15 +37,20 @@ def synthetic_statistics(n_nodes: int, domain: ValueDomain, seed: int = 7):
         ]
         summary = SummaryMessage(
             origin=node,
-            histogram=Histogram.from_values(values, config.n_bins),
-            min_value=min(values),
-            max_value=max(values),
-            sum_values=sum(values),
             readings_since_last=7,
             neighbors=tuple(
                 (rng.randrange(n_nodes), rng.uniform(0.4, 0.95)) for _ in range(12)
             ),
-            last_sid=-1,
+            blocks=(
+                AttributeSummary(
+                    attr=0,
+                    histogram=Histogram.from_values(values, config.n_bins),
+                    min_value=min(values),
+                    max_value=max(values),
+                    sum_values=sum(values),
+                    last_sid=-1,
+                ),
+            ),
         )
         stats.ingest_summary(summary, now=float(node))
         stats.observe_packet_header(node, max(0, node - 1), now=float(node))

@@ -29,9 +29,9 @@ HOT_VALUE = 8  # produced by node 8, two hops from the line's end
 
 
 def owner_distance(base, value: int) -> str:
-    if base.current_index is None:
+    if base.index_for(0) is None:
         return "no index yet"
-    owner = base.current_index.owner_of(value)
+    owner = base.index_for(0).owner_of(value)
     return f"node {owner} (hops from base ~{owner})"
 
 
@@ -84,7 +84,7 @@ def main() -> None:
     dep.run_until(stop_at + 60.0)
     print(f"phase 2 (query storm):   value {HOT_VALUE} stored at "
           f"{owner_distance(base, HOT_VALUE)}")
-    owner_under_storm = base.current_index.owner_of(HOT_VALUE)
+    owner_under_storm = base.index_for(0).owner_of(HOT_VALUE)
 
     # Phase 3: silence again. Query statistics average over the whole
     # history (the paper's estimator has long memory), so the band drifts
@@ -95,7 +95,7 @@ def main() -> None:
           "(drifts home slowly: the query-rate estimate decays with 1/t)")
 
     print()
-    print(f"index versions disseminated: {len(base.index_history)}")
+    print(f"index versions disseminated: {len(base.index_histories[0])}")
     print(f"remaps suppressed as unchanged: {base.remaps_suppressed}")
     assert owner_under_storm < 8, (
         "expected the queried band to migrate toward the basestation"

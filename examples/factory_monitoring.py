@@ -74,7 +74,7 @@ def main() -> None:
             network.sim,
             network.radio,
             config,
-            data_source=workload.as_data_source(),
+            source=workload.sample_attr,
             tracker=network.tracker,
             energy=network.energy,
         )
@@ -135,8 +135,9 @@ def main() -> None:
         "index pulls them toward the basestation (property P2) — alerts are "
         "then answered from the base's own flash at zero radio cost:"
     )
-    if base.current_index is not None:
-        for entry in base.current_index.compact():
+    index = base.index_for(0)
+    if index is not None:
+        for entry in index.compact():
             print(f"  classes {entry.lo:>2}-{entry.hi:<2} -> node {entry.owners[0]}")
 
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Set
+from typing import Dict, Mapping, Sequence, Set
 
 from repro.core.basestation import Basestation
 from repro.core.config import ScoopConfig
 from repro.core.node import ScoopNode
-from repro.core.query import Query
 from repro.core.storage_index import StorageIndex
 from repro.sim.topology import Topology
 from repro.workloads.base import Workload
@@ -40,7 +39,7 @@ _HASH_MULTIPLIER = 2_654_435_761
 
 #: Salt stride separating per-attribute hash functions (E15): attribute
 #: a's placement uses ``salt + a * _ATTR_SALT_STRIDE``, so attribute 0
-#: keeps the legacy single-attribute mapping byte-for-byte.
+#: keeps the paper's single-attribute mapping byte-for-byte.
 _ATTR_SALT_STRIDE = 1_000_003
 
 
@@ -154,12 +153,9 @@ class AnalyticalHashModel:
         rng = random.Random(seed)
         generator = QueryGenerator(
             query_plan,
-            config.domain,
+            [config.domain_of(a) for a in config.attribute_ids],
             self.sensors,
             rng,
-            attribute_domains=[
-                config.domain_of(a) for a in config.attribute_ids
-            ],
         )
         query_cost = 0.0
         n_queries = int(duration / config.query_interval)
@@ -180,56 +176,26 @@ class AnalyticalHashModel:
         return HashCostEstimate(data=data_cost, query_reply=query_cost)
 
 
-def _as_index_map(
-    hash_index: Optional[StorageIndex],
-    hash_indexes: Optional[Mapping[int, StorageIndex]],
-) -> Dict[int, StorageIndex]:
-    if (hash_index is None) == (hash_indexes is None):
-        raise ValueError("pass exactly one of hash_index / hash_indexes")
-    if hash_index is not None:
-        return {hash_index.attr: hash_index}
-    return dict(hash_indexes)
-
-
 class HashNode(ScoopNode):
     """Simulated HASH sensor: static pre-installed indexes, no statistics."""
 
-    def __init__(
-        self,
-        *args,
-        hash_index: Optional[StorageIndex] = None,
-        hash_indexes: Optional[Mapping[int, StorageIndex]] = None,
-        **kwargs,
-    ):
+    def __init__(self, *args, hash_indexes: Mapping[int, StorageIndex], **kwargs):
         super().__init__(*args, **kwargs)
-        self._indexes = _as_index_map(hash_index, hash_indexes)
+        self._indexes = dict(hash_indexes)
 
     def on_boot(self) -> None:
         pass  # nothing to disseminate: the index is static
 
-    def start_sampling(self) -> None:
-        self._require_sources()
-        if self.sampling:
-            return
-        self.sampling = True
-        # Sample timer only: HASH collects no statistics.
-        self._sample_timer.start(
-            delay=self.sim.rng.uniform(0.0, self.config.sample_interval)
-        )
+    def _start_summaries(self) -> None:
+        pass  # HASH collects no statistics
 
 
 class HashBasestation(Basestation):
     """Simulated HASH basestation: plans queries off the static indexes."""
 
-    def __init__(
-        self,
-        *args,
-        hash_index: Optional[StorageIndex] = None,
-        hash_indexes: Optional[Mapping[int, StorageIndex]] = None,
-        **kwargs,
-    ):
+    def __init__(self, *args, hash_indexes: Mapping[int, StorageIndex], **kwargs):
         super().__init__(*args, **kwargs)
-        self._indexes = _as_index_map(hash_index, hash_indexes)
+        self._indexes = dict(hash_indexes)
         for attr, index in self._indexes.items():
             self.index_histories[attr].append((0.0, index))
 

@@ -14,7 +14,7 @@ come purely from the storage policy, as in the paper's comparison.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Optional, Set
 
 from repro.core.basestation import Basestation
 from repro.core.node import ScoopNode
@@ -28,30 +28,11 @@ class LocalNode(ScoopNode):
         # No mapping dissemination under LOCAL.
         pass
 
-    def start_sampling(self) -> None:
-        self._require_sources()
-        if self.sampling:
-            return
-        self.sampling = True
-        # Sample timer only: LOCAL sends no summaries.
-        self._sample_timer.start(
-            delay=self.sim.rng.uniform(0.0, self.config.sample_interval)
-        )
+    def _start_summaries(self) -> None:
+        pass  # LOCAL sends no summaries
 
-    def _sample(self) -> None:
-        if not self.sampling or (
-            self.data_source is None and self.multi_source is None
-        ):
-            return
-        now = self.sim.now
-        for attr in self.config.attribute_ids:
-            value = self.config.domain_of(attr).clamp(self._read_sensor(attr, now))
-            self._recent_by_attr[attr].add(now, value)
-            if self.tracker is not None:
-                self.tracker.reading_produced(
-                    self.node_id, value, now, intended_owner=self.node_id, attr=attr
-                )
-            self._store_reading((value, now, self.node_id), attr)
+    def _choose_owner(self, value: int, attr: int = 0) -> Optional[int]:
+        return self.node_id
 
 
 class LocalBasestation(Basestation):

@@ -11,10 +11,10 @@ reception hotspot the paper measures in its skew experiment.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Optional, Set
 
 from repro.core.basestation import Basestation
-from repro.core.messages import DataMessage
+from repro.core.messages import DataMessage, WireReading
 from repro.core.node import ScoopNode
 from repro.core.query import Query
 
@@ -25,34 +25,15 @@ class SendToBaseNode(ScoopNode):
     def on_boot(self) -> None:
         pass  # no mapping dissemination under BASE
 
-    def start_sampling(self) -> None:
-        self._require_sources()
-        if self.sampling:
-            return
-        self.sampling = True
-        # Sample timer only: BASE sends no summaries.
-        self._sample_timer.start(
-            delay=self.sim.rng.uniform(0.0, self.config.sample_interval)
-        )
+    def _start_summaries(self) -> None:
+        pass  # BASE sends no summaries
 
-    def _sample(self) -> None:
-        if not self.sampling or (
-            self.data_source is None and self.multi_source is None
-        ):
-            return
-        now = self.sim.now
-        base = self.config.basestation_id
-        for attr in self.config.attribute_ids:
-            value = self.config.domain_of(attr).clamp(self._read_sensor(attr, now))
-            self._recent_by_attr[attr].add(now, value)
-            if self.tracker is not None:
-                self.tracker.reading_produced(
-                    self.node_id, value, now, intended_owner=base, attr=attr
-                )
-            message = DataMessage(
-                readings=[(value, now, self.node_id)], owner=base, sid=0, attr=attr
-            )
-            self._route_by_rules(message)
+    def _choose_owner(self, value: int, attr: int = 0) -> Optional[int]:
+        return self.config.basestation_id
+
+    def _place(self, reading: WireReading, owner: Optional[int], attr: int) -> None:
+        message = DataMessage(readings=[reading], owner=owner, sid=0, attr=attr)
+        self._route_by_rules(message)
 
 
 class SendToBaseBasestation(Basestation):

@@ -53,7 +53,6 @@ class Basestation(ScoopNode):
             sim=sim,
             radio=radio,
             config=config,
-            data_source=None,
             tracker=tracker,
             energy=energy,
             is_root=True,
@@ -64,12 +63,10 @@ class Basestation(ScoopNode):
         #: the dissemination epoch ("shared epoch, per-attribute ids").
         self._sid_counter = 0
         #: per-attribute (created_at, index) histories of every index
-        #: ever disseminated; attribute 0's list is also the legacy
-        #: ``index_history``.
+        #: ever disseminated.
         self.index_histories: Dict[int, List[Tuple[float, StorageIndex]]] = {
             attr: [] for attr in config.attribute_ids
         }
-        self.last_build: Optional[IndexBuildResult] = None
         self.remaps_run = 0
         self.remaps_suppressed = 0
         #: Accumulated cost-model work over every remap of the trial
@@ -81,11 +78,6 @@ class Basestation(ScoopNode):
         )
         self._open_queries: Dict[int, QueryResult] = {}
         self.query_log: List[QueryResult] = []
-
-    @property
-    def index_history(self) -> List[Tuple[float, StorageIndex]]:
-        """Attribute 0's dissemination history (the legacy view)."""
-        return self.index_histories[0]
 
     @property
     def index_epoch(self) -> int:
@@ -100,14 +92,6 @@ class Basestation(ScoopNode):
     def start_scoop(self) -> None:
         """Start periodic index recomputation (call when sampling starts)."""
         self._remap_timer.start(delay=self.config.remap_interval)
-
-    def force_remap(self) -> None:
-        """Run one remap cycle immediately, outside the periodic timer.
-
-        The serving layer's explicit invalidation hook: a forced remap
-        bumps :attr:`index_epoch` (when indexes are accepted), expiring
-        every epoch-keyed cached answer."""
-        self._remap()
 
     # ------------------------------------------------------------------
     # Statistics ingestion
@@ -149,8 +133,6 @@ class Basestation(ScoopNode):
                     previous=self.index_for(attr),
                     attr=attr,
                 )
-                if attr == 0:
-                    self.last_build = result
                 self._bump(f"a{attr}.index_builds")
                 candidate = result.index
                 if result.chose_store_local:
@@ -183,13 +165,9 @@ class Basestation(ScoopNode):
                 self._indexes[attr] = stamped
                 self.index_histories[attr].append((now, stamped))
                 self._bump(f"a{attr}.indices_disseminated")
-            if self.config.n_attributes == 1:
-                # legacy wire format: epoch == the single index's sid
-                chunks = self._indexes[0].to_chunks()
-            else:
-                # every attribute's current mapping rides one Trickle
-                # wave — gossip cost per epoch is shared across k (E15)
-                chunks = chunk_index_set(self._sid_counter, self._indexes)
+            # every attribute's current mapping rides one Trickle wave —
+            # gossip cost per epoch is shared across k (E15)
+            chunks = chunk_index_set(self._sid_counter, self._indexes)
             self.disseminator.seed(self._sid_counter, chunks)
         finally:
             self._absorb_planner_stats(model)

@@ -2,10 +2,10 @@
 
 Five message families (Sections 5.2-5.5 of the paper):
 
-* :class:`SummaryMessage` — node -> basestation statistics: a coarse
-  histogram over recent data, the lowest/highest/sum of recent values, the
-  node's best-connected neighbors sorted by link quality, and the ID of the
-  last complete storage index the node holds;
+* :class:`SummaryMessage` — node -> basestation statistics: the node's
+  best-connected neighbors sorted by link quality, and per attribute a
+  coarse histogram over recent data, the lowest/highest/sum of recent
+  values and the ID of the last complete storage index the node holds;
 * :class:`MappingChunk` — one piece of a storage index, a list of
   ``(value-range, owner)`` entries, disseminated by Trickle;
 * :class:`DataMessage` — readings routed to their owner, carrying the
@@ -16,7 +16,10 @@ Five message families (Sections 5.2-5.5 of the paper):
 * :class:`ReplyMessage` — matching tuples routed back up the tree.
 
 Wire sizes are estimates of a compact C layout and cap at the TinyOS
-payload; they drive airtime and the energy model.
+payload; they drive airtime and the energy model. One wire rule keeps a
+one-attribute deployment on the paper's layout: attribute 0's summary
+block and the chunks of a one-attribute mapping epoch carry no attribute
+id (nor, for chunks, a per-attribute index id).
 """
 
 from __future__ import annotations
@@ -56,12 +59,12 @@ MAX_ENTRIES_PER_CHUNK = 5
 
 @dataclass(frozen=True)
 class AttributeSummary:
-    """Per-attribute statistics block inside a summary message (E15).
+    """One attribute's statistics block inside a summary message.
 
-    A multi-attribute node packs one block per attribute beyond the first
-    into its periodic summary instead of sending k separate messages —
-    the block costs bytes, not packets, which is what keeps Scoop's
-    maintenance cost sublinear in the attribute count.
+    A node packs one block per registered attribute into its periodic
+    summary instead of sending k separate messages — a block costs bytes,
+    not packets, which is what keeps Scoop's maintenance cost sublinear
+    in the attribute count (E15).
     """
 
     attr: int
@@ -80,47 +83,23 @@ class AttributeSummary:
 
 @dataclass(frozen=True)
 class SummaryMessage:
-    """Periodic per-node statistics report (Section 5.2).
-
-    The scalar fields describe attribute 0 (the paper's single
-    attribute); multi-attribute deployments append one
-    :class:`AttributeSummary` block per further attribute in ``extra``.
-    """
+    """Periodic per-node statistics report (Section 5.2)."""
 
     origin: int
-    histogram: Optional[Histogram]
-    min_value: int
-    max_value: int
-    sum_values: int
     #: number of readings taken since the previous summary (lets the
     #: basestation estimate this node's data rate; attributes are sampled
     #: together, so one count covers every attribute).
     readings_since_last: int
     #: best-connected neighbors as (node, quality), sorted by quality desc.
     neighbors: Tuple[Tuple[int, float], ...]
-    #: ID of the last complete storage index this node received
-    #: (attribute 0's index in multi-attribute deployments).
-    last_sid: int
-    #: per-attribute blocks for attributes >= 1 (empty = legacy format).
-    extra: Tuple[AttributeSummary, ...] = ()
-
-    def blocks(self) -> Tuple[AttributeSummary, ...]:
-        """Uniform per-attribute view: attribute 0's scalar fields as a
-        block, then ``extra`` verbatim."""
-        head = AttributeSummary(
-            attr=0,
-            histogram=self.histogram,
-            min_value=self.min_value,
-            max_value=self.max_value,
-            sum_values=self.sum_values,
-            last_sid=self.last_sid,
-        )
-        return (head,) + self.extra
+    #: one block per registered attribute, attribute 0 first.
+    blocks: Tuple[AttributeSummary, ...]
 
     def wire_bytes(self) -> int:
-        hist = self.histogram.wire_bytes() if self.histogram else 0
-        base = hist + 8 + 2 * len(self.neighbors) + 2
-        return base + sum(block.wire_bytes() for block in self.extra)
+        # attribute 0's block omits its attribute-id byte (the wire rule
+        # in the module docstring)
+        blocks = sum(block.wire_bytes() for block in self.blocks)
+        return 2 * len(self.neighbors) + blocks - 1
 
 
 @dataclass(frozen=True)
@@ -128,11 +107,11 @@ class MappingChunk:
     """One Trickle-disseminated piece of a storage index (Section 5.3).
 
     ``sid`` is the *dissemination epoch* — the version the Trickle state
-    machine tracks. In the legacy single-attribute format the epoch and
-    the storage-index id coincide; multi-attribute epochs (E15) bundle
-    one chunk run per attribute into a single dissemination wave, so each
-    chunk also names its attribute and that attribute's own index id
-    (``attr_sid`` — "shared epoch, per-attribute index ids").
+    machine tracks. A multi-attribute epoch (E15) bundles one chunk run
+    per attribute into a single dissemination wave, so each of its
+    chunks also names its attribute and that attribute's own index id
+    (``attr_sid`` — "shared epoch, per-attribute index ids"). A
+    one-attribute epoch's chunks omit both: the epoch is the index id.
     """
 
     sid: int
@@ -143,7 +122,7 @@ class MappingChunk:
     #: attribute this chunk's entries map (one attribute per chunk).
     attr: int = 0
     #: the attribute's storage-index id; -1 = same as the epoch ``sid``
-    #: (the legacy single-attribute wire format).
+    #: (an untagged chunk of a one-attribute epoch).
     attr_sid: int = -1
 
     def __post_init__(self) -> None:
@@ -156,8 +135,8 @@ class MappingChunk:
         return self.sid if self.attr_sid < 0 else self.attr_sid
 
     def wire_bytes(self) -> int:
-        # the multi-attribute format spends 3 extra bytes on the
-        # attribute id and its index id; the legacy format omits both.
+        # a tagged chunk spends 3 extra bytes on the attribute id and
+        # its index id; an untagged one omits both.
         tagged = 3 if (self.attr or self.attr_sid >= 0) else 0
         return 4 + tagged + MAPPING_ENTRY_BYTES * len(self.entries)
 
@@ -206,7 +185,7 @@ class QueryMessage:
     #: configured capacity (``ScoopConfig.query_bitmap_bytes``): 16 bytes
     #: for the paper's 128-node implementation, 32 at 256 nodes.
     bitmap_bytes: int = DEFAULT_BITMAP_BYTES
-    #: attribute the query targets (0 = the legacy single attribute).
+    #: attribute the query targets.
     attr: int = 0
 
     def __post_init__(self) -> None:
@@ -217,7 +196,7 @@ class QueryMessage:
 
     def wire_bytes(self) -> int:
         # node bitmap + qid + time range + value range (+ filter bitmap,
-        # same width) (+ attribute id beyond the legacy attribute 0)
+        # same width) (+ attribute id for attributes other than 0)
         return (
             self.bitmap_bytes
             + 2

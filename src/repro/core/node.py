@@ -55,11 +55,8 @@ from repro.sim.packets import Frame, FrameKind
 from repro.sim.radio import Radio
 from repro.sim.trickle import Advertisement, ChunkDisseminator
 
-#: A reading producer: (node_id, now) -> raw value.
-DataSource = Callable[[int, float], int]
-
-#: A multi-attribute reading producer: (node_id, now, attr) -> raw value.
-MultiDataSource = Callable[[int, float, int], int]
+#: A reading producer: (node_id, now, attr) -> raw value.
+DataSource = Callable[[int, float, int], int]
 
 
 class _AttrBatch:
@@ -83,12 +80,10 @@ class ScoopNode(Mote):
     # attributes; these descriptors just keep the hot reads off it).
     __slots__ = (
         "config",
-        "data_source",
-        "multi_source",
+        "source",
         "tracker",
         "flash",
         "_recent_by_attr",
-        "recent",
         "_indexes",
         "disseminator",
         "_sample_timer",
@@ -107,11 +102,10 @@ class ScoopNode(Mote):
         sim: Simulator,
         radio: Radio,
         config: ScoopConfig,
-        data_source: Optional[DataSource] = None,
+        source: Optional[DataSource] = None,
         tracker: Optional[DeliveryTracker] = None,
         energy=None,
         is_root: bool = False,
-        multi_source: Optional[MultiDataSource] = None,
     ):
         super().__init__(
             node_id,
@@ -123,23 +117,19 @@ class ScoopNode(Mote):
             max_neighbors=config.max_neighbors,
         )
         self.config = config
-        self.data_source = data_source
-        self.multi_source = multi_source
+        self.source = source
         self.tracker = tracker
         self.flash = Flash(
             capacity_readings=config.flash_capacity, meter=energy, node_id=node_id
         )
-        #: per-attribute recent-readings rings; attribute 0's ring is also
-        #: exposed as the legacy ``recent``.
+        #: per-attribute recent-readings rings (summary histograms).
         self._recent_by_attr: Dict[int, RecentReadings] = {
             attr: RecentReadings(config.recent_readings_size)
             for attr in config.attribute_ids
         }
-        self.recent = self._recent_by_attr[0]
 
         #: last *complete* storage index per attribute (missing entry ->
-        #: store that attribute locally, Section 5.3). Attribute 0's slot
-        #: is also reachable through the legacy ``current_index`` property.
+        #: store that attribute locally, Section 5.3).
         self._indexes: Dict[int, StorageIndex] = {}
         self.disseminator: ChunkDisseminator[MappingChunk] = ChunkDisseminator(
             sim,
@@ -186,26 +176,22 @@ class ScoopNode(Mote):
     def on_boot(self) -> None:
         self.disseminator.start()
 
-    def _require_sources(self) -> None:
-        """Fail fast at start_sampling (not mid-simulation) when the node
-        cannot read every registered attribute."""
-        if self.data_source is None and self.multi_source is None:
-            raise RuntimeError(f"node {self.node_id} has no data source")
-        if self.config.n_attributes > 1 and self.multi_source is None:
-            raise RuntimeError(
-                f"node {self.node_id}: a {self.config.n_attributes}-attribute "
-                "deployment needs a multi-attribute data source"
-            )
-
     def start_sampling(self) -> None:
         """Begin the measured workload (after tree stabilization)."""
-        self._require_sources()
+        if self.source is None:
+            # fail fast here, not mid-simulation
+            raise RuntimeError(f"node {self.node_id} has no data source")
         if self.sampling:
             return
         self.sampling = True
         self._sample_timer.start(
             delay=self.sim.rng.uniform(0.0, self.config.sample_interval)
         )
+        self._start_summaries()
+
+    def _start_summaries(self) -> None:
+        """Start the periodic summary timer; policies that collect no
+        statistics override this with a no-op."""
         self._summary_timer.start(
             delay=self.sim.rng.uniform(
                 self.config.summary_interval * 0.25, self.config.summary_interval
@@ -237,7 +223,6 @@ class ScoopNode(Mote):
             attr: RecentReadings(self.config.recent_readings_size)
             for attr in self.config.attribute_ids
         }
-        self.recent = self._recent_by_attr[0]
         self.readings_since_summary = 0
         self.disseminator.stop()
         self._queries_heard.clear()
@@ -261,19 +246,6 @@ class ScoopNode(Mote):
     # ------------------------------------------------------------------
     # Storage indexes (per attribute)
     # ------------------------------------------------------------------
-    @property
-    def current_index(self) -> Optional[StorageIndex]:
-        """Attribute 0's last complete index (the legacy single-attribute
-        view; per-attribute lookup is :meth:`index_for`)."""
-        return self._indexes.get(0)
-
-    @current_index.setter
-    def current_index(self, index: Optional[StorageIndex]) -> None:
-        if index is None:
-            self._indexes.pop(0, None)
-        else:
-            self._indexes[0] = index
-
     def index_for(self, attr: int) -> Optional[StorageIndex]:
         return self._indexes.get(attr)
 
@@ -284,10 +256,6 @@ class ScoopNode(Mote):
         if current is None or index.sid > current.sid:
             self._indexes[index.attr] = index
             self.on_new_index(index)
-
-    @property
-    def sid(self) -> int:
-        return self.sid_for(0)
 
     def sid_for(self, attr: int) -> int:
         index = self._indexes.get(attr)
@@ -316,25 +284,16 @@ class ScoopNode(Mote):
             return max(in_reach, key=self.linkest.quality)
         return owners[0]
 
-    def _read_sensor(self, attr: int, now: float) -> int:
-        if self.multi_source is not None:
-            return self.multi_source(self.node_id, now, attr)
-        if attr != 0:
-            raise RuntimeError(
-                f"node {self.node_id} has no multi-attribute data source"
-            )
-        return self.data_source(self.node_id, now)
-
     def _sample(self) -> None:
-        if not self.sampling or (
-            self.data_source is None and self.multi_source is None
-        ):
+        if not self.sampling:
             return
         now = self.sim.now
         # One reading of every registered attribute per sample tick (the
         # mote reads its whole sensor board at once).
         for attr in self.config.attribute_ids:
-            value = self.config.domain_of(attr).clamp(self._read_sensor(attr, now))
+            value = self.config.domain_of(attr).clamp(
+                self.source(self.node_id, now, attr)
+            )
             self._recent_by_attr[attr].add(now, value)
             if attr == 0:
                 self.readings_since_summary += 1
@@ -343,11 +302,15 @@ class ScoopNode(Mote):
                 self.tracker.reading_produced(
                     self.node_id, value, now, intended_owner=owner, attr=attr
                 )
-            if owner is None or owner == self.node_id:
-                # No index yet (store locally, Section 5.3) or we own it.
-                self._store_reading((value, now, self.node_id), attr)
-                continue
-            self._add_to_batch((value, now, self.node_id), owner, attr)
+            self._place((value, now, self.node_id), owner, attr)
+
+    def _place(self, reading: WireReading, owner: Optional[int], attr: int) -> None:
+        """Store or batch one fresh reading for its chosen owner."""
+        if owner is None or owner == self.node_id:
+            # No index yet (store locally, Section 5.3) or we own it.
+            self._store_reading(reading, attr)
+        else:
+            self._add_to_batch(reading, owner, attr)
 
     def _add_to_batch(self, reading: WireReading, owner: int, attr: int = 0) -> None:
         batch = self._batches[attr]
@@ -519,7 +482,7 @@ class ScoopNode(Mote):
     # ------------------------------------------------------------------
     # Summaries
     # ------------------------------------------------------------------
-    def _attr_summary_block(self, attr: int) -> "AttributeSummary":
+    def _attr_summary_block(self, attr: int) -> AttributeSummary:
         values = self._recent_by_attr[attr].values()
         histogram = (
             Histogram.from_values(values, self.config.n_bins) if values else None
@@ -534,23 +497,15 @@ class ScoopNode(Mote):
         )
 
     def _build_summary(self) -> SummaryMessage:
-        head = self._attr_summary_block(0)
         return SummaryMessage(
             origin=self.node_id,
-            histogram=head.histogram,
-            min_value=head.min_value,
-            max_value=head.max_value,
-            sum_values=head.sum_values,
             readings_since_last=self.readings_since_summary,
             neighbors=tuple(self.linkest.best_neighbors(self.config.summary_neighbors)),
-            last_sid=head.last_sid,
-            # one block per further attribute rides in the same packet —
-            # bytes, not messages, which keeps Scoop's maintenance cost
+            # one block per attribute rides in the same packet — bytes,
+            # not messages, which keeps Scoop's maintenance cost
             # sublinear in the attribute count (E15).
-            extra=tuple(
-                self._attr_summary_block(attr)
-                for attr in self.config.attribute_ids
-                if attr != 0
+            blocks=tuple(
+                self._attr_summary_block(attr) for attr in self.config.attribute_ids
             ),
         )
 

@@ -17,8 +17,8 @@ Section 5.2 of the paper describes what the basestation learns and keeps:
   which attributes and what value ranges get queried", yielding
   ``P(user queries v)`` and the query rate used by the indexing algorithm;
 * **which storage index each node is using**, from the ``last_sid`` field
-  of summaries — needed to decide which indices may be active when planning
-  a historical query.
+  of each attribute's summary block — needed to decide which indices may
+  be active when planning a historical query.
 """
 
 from __future__ import annotations
@@ -38,13 +38,9 @@ class NodeRecord:
     """The basestation's current knowledge about one node."""
 
     node: int
-    last_summary: Optional[SummaryMessage] = None
     last_summary_time: float = -1.0
-    summaries_received: int = 0
     #: EWMA of readings per second.
     data_rate: float = 0.0
-    #: (report_time, sid) history — which index the node said it was using.
-    sid_history: List[Tuple[float, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -104,7 +100,6 @@ class BasestationStatistics:
 
     def __init__(self, config: ScoopConfig):
         self.config = config
-        self.domain = config.domain
         self.records: Dict[int, NodeRecord] = {}
         #: every summary ever received, in arrival order (never discarded).
         self.summary_history: List[Tuple[float, SummaryMessage]] = []
@@ -119,20 +114,15 @@ class BasestationStatistics:
         #: nodes silent for ``node_staleness_intervals`` summary
         #: intervals (the paper's node-death recovery, Section 6).
         self.last_heard: Dict[int, float] = {}
-        #: per-attribute query statistics; attribute 0's instance is also
-        #: exposed as the legacy ``queries`` attribute.
+        #: per-attribute query statistics.
         self._queries_by_attr: Dict[int, QueryStatistics] = {
             attr: QueryStatistics(config.domain_of(attr))
             for attr in config.attribute_ids
         }
-        self.queries = self._queries_by_attr[0]
-        #: per-attribute per-node block records; attribute 0 is mirrored
-        #: into the legacy ``records`` (same summary objects), so the
-        #: single-attribute API keeps working unchanged.
+        #: per-attribute per-node summary-block records.
         self._attr_records: Dict[int, Dict[int, AttrNodeRecord]] = {
             attr: {} for attr in config.attribute_ids
         }
-        self.summaries_lost_guess = 0
 
     @property
     def staleness_window(self) -> float:
@@ -174,15 +164,10 @@ class BasestationStatistics:
                 if summary.readings_since_last
                 else 1.0 / self.config.sample_interval
             )
-        record.last_summary = summary
         record.last_summary_time = now
         self.last_heard[summary.origin] = now
-        record.summaries_received += 1
-        record.sid_history.append((now, summary.last_sid))
         self.summary_history.append((now, summary))
-        # Per-attribute blocks (attribute 0's block mirrors the legacy
-        # scalar fields; further attributes ride in ``summary.extra``).
-        for block in summary.blocks():
+        for block in summary.blocks:
             per_node = self._attr_records.get(block.attr)
             if per_node is None:
                 continue  # block for an attribute this config doesn't know
@@ -220,7 +205,7 @@ class BasestationStatistics:
         self.queries_for(attr).record(value_range, now)
 
     def queries_for(self, attr: int) -> QueryStatistics:
-        """The named attribute's query statistics (0 = legacy stream)."""
+        """The named attribute's query statistics."""
         try:
             return self._queries_by_attr[attr]
         except KeyError:
@@ -370,7 +355,7 @@ class BasestationStatistics:
             block.max_value
             for t, s in self.summary_history
             if t >= since
-            for block in s.blocks()
+            for block in s.blocks
             if block.attr == attr
         ]
         return max(candidates) if candidates else None

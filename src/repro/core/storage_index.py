@@ -71,7 +71,7 @@ class StorageIndex:
                 raise ValueError("every value needs at least one owner")
         self.sid = sid
         self.domain = domain
-        #: attribute this index maps (0 = the legacy single attribute).
+        #: attribute this index maps.
         self.attr = attr
         self._owners: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(o) for o in owners
@@ -153,24 +153,6 @@ class StorageIndex:
                 rows.append((entry.lo, entry.hi, owner))
         return rows
 
-    def to_chunks(self, max_entries: int = MAX_ENTRIES_PER_CHUNK) -> List[MappingChunk]:
-        """Split the compacted index into dissemination chunks.
-
-        Owner sets are flattened into one wire entry per (range, owner)
-        pair, the same 5-byte row as the single-owner format. This is the
-        legacy single-index chunking (epoch == index id); multi-attribute
-        epochs are assembled by :func:`chunk_index_set`.
-        """
-        rows = self._wire_rows()
-        total = max(1, (len(rows) + max_entries - 1) // max_entries)
-        chunks = []
-        for k in range(total):
-            chunk_rows = tuple(rows[k * max_entries : (k + 1) * max_entries])
-            chunks.append(
-                MappingChunk(sid=self.sid, index=k, total=total, entries=chunk_rows)
-            )
-        return chunks
-
     # ------------------------------------------------------------------
     # Comparison
     # ------------------------------------------------------------------
@@ -206,7 +188,7 @@ class StorageIndex:
 
 
 # ----------------------------------------------------------------------
-# Shared-epoch chunking (E15): one Trickle wave carries every attribute
+# Chunking: one Trickle wave carries every attribute's index (E15)
 # ----------------------------------------------------------------------
 
 def chunk_index_set(
@@ -219,13 +201,16 @@ def chunk_index_set(
     Every remap disseminates the complete current mapping — all
     attributes, changed or not — under a single Trickle version
     (``epoch``), so the gossip cost of k attributes is one wave, not k.
-    Chunks never span attributes (a chunk carries one ``attr`` tag and
-    that attribute's own index id), and chunk indices number the whole
-    epoch consecutively so the disseminator's completeness bitmap works
-    unchanged.
+    Owner sets are flattened into one 5-byte wire row per (range, owner)
+    pair. Chunks never span attributes, and chunk indices number the
+    whole epoch consecutively so the disseminator's completeness bitmap
+    works unchanged. A multi-attribute epoch tags each chunk with its
+    attribute and that attribute's own index id; a one-attribute epoch
+    sends the paper's untagged chunks, whose epoch is the index id.
     """
+    tagged = len(indexes) > 1
     rows_by_attr = [
-        (attr, indexes[attr]._wire_rows(), indexes[attr].sid)
+        (attr, indexes[attr]._wire_rows(), indexes[attr].sid if tagged else -1)
         for attr in sorted(indexes)
     ]
     counts = [

@@ -9,7 +9,6 @@ Usage:
                                     [--export-dir DIR]
     python -m repro.experiments plot [<scenario>|<export.json>]
                                     [--export-dir DIR] [--output DIR]
-                                    [--format svg|png|svg,png]
     python -m repro.experiments serve <scenario> [--tenants N] [--workers W]
                                     [--port P] [--host H] [--duration S]
                                     [--scale S] [--base-seed B]
@@ -119,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plot = sub.add_parser(
         "plot",
-        help="render Figure-3/4/5-style charts (SVG/PNG) from a campaign export",
+        help="render Figure-3/4/5-style SVG charts from a campaign export",
     )
     plot.add_argument(
         "target",
@@ -134,12 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="out_dir",
         default=None,
         help="image output directory (default: <export dir>/plots)",
-    )
-    plot.add_argument(
-        "--format",
-        default="svg",
-        help="comma-separated image formats: svg (always available) "
-        "and/or png (needs the optional cairosvg)",
     )
 
     serve = sub.add_parser(
@@ -360,10 +353,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         out_dir = Path(args.out_dir)
     else:
         out_dir = path.parent / "plots"
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
     try:
-        written = plot_campaign(doc, out_dir, stem=path.stem, formats=formats)
-    except (ValueError, RuntimeError) as exc:
+        written = plot_campaign(doc, out_dir, stem=path.stem)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for image in written:

@@ -16,10 +16,7 @@ completeness vs the swept parameter, aggregated across seeds from the
 per-trial survival breakdowns.
 
 The renderer is pure Python emitting SVG text, so it works everywhere
-the simulator does. PNG output rasterizes the SVG through ``cairosvg``
-when that optional dependency is installed; without it, ``plot`` still
-produces the SVGs and says which renders were skipped
-(:func:`png_supported`).
+the simulator does.
 
 Colors follow the entity, never the series' position in a particular
 chart: every Figure-3 category and every policy has a fixed palette
@@ -555,48 +552,18 @@ SERVICE_CHARTS: Tuple[Tuple[str, str, str], ...] = (
 # ----------------------------------------------------------------------
 
 
-def png_supported() -> bool:
-    """PNG needs the optional ``cairosvg`` rasterizer; SVG never does."""
-    try:
-        import cairosvg  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-def _write_png(svg_text: str, path: Path) -> None:
-    import cairosvg
-
-    cairosvg.svg2png(bytestring=svg_text.encode("utf-8"), write_to=str(path))
-
-
 def plot_campaign(
-    doc: Dict[str, object],
-    out_dir: Path,
-    stem: Optional[str] = None,
-    formats: Sequence[str] = ("svg",),
+    doc: Dict[str, object], out_dir: Path, stem: Optional[str] = None
 ) -> List[Path]:
-    """Render every chart that applies to ``doc``; returns files written.
+    """Render every chart that applies to ``doc`` as SVG; returns files
+    written.
 
     Always renders the Figure-3 breakdown chart; sweep campaigns (labels
     like ``n=64/scoop``) additionally get the Figure-4/5 series chart,
     plus the retrieval-completeness series when the trials carry
     survival metrics (E14) and the latency/cache-hit/shed series when
     they carry serving scorecards (E16).
-    ``formats`` may include ``svg`` and ``png`` (PNG requires the
-    optional ``cairosvg``; unavailable formats raise ``RuntimeError``).
     """
-    if not formats:
-        raise ValueError("no plot formats given; svg and/or png")
-    unknown = [f for f in formats if f not in ("svg", "png")]
-    if unknown:
-        raise ValueError(f"unknown plot format(s) {unknown}; svg and png only")
-    if "png" in formats and not png_supported():
-        raise RuntimeError(
-            "png output needs the optional cairosvg package; "
-            "install it or use --format svg"
-        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = stem if stem else str(doc.get("name", "campaign"))
@@ -613,14 +580,9 @@ def plot_campaign(
                 charts.append((suffix, series_svg(doc, labels, axis)))
     written: List[Path] = []
     for kind, svg_text in charts:
-        if "svg" in formats:
-            path = out_dir / f"{base}-{kind}.svg"
-            # SVG without an XML declaration is UTF-8 by definition; the
-            # titles contain non-ASCII, so never trust the locale default.
-            path.write_text(svg_text, encoding="utf-8")
-            written.append(path)
-        if "png" in formats:
-            path = out_dir / f"{base}-{kind}.png"
-            _write_png(svg_text, path)
-            written.append(path)
+        path = out_dir / f"{base}-{kind}.svg"
+        # SVG without an XML declaration is UTF-8 by definition; the
+        # titles contain non-ASCII, so never trust the locale default.
+        path.write_text(svg_text, encoding="utf-8")
+        written.append(path)
     return written

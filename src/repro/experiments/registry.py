@@ -98,20 +98,12 @@ def _common(spec: "ExperimentSpec", net: "Network") -> Dict[str, object]:
     return dict(config=spec.scoop, tracker=net.tracker, energy=net.energy)
 
 
-def _sources(workload) -> Dict[str, object]:
-    """Per-node sensor hookup: the legacy single-attribute source plus
-    the (attribute-aware) multi source every workload exposes."""
-    return dict(
-        data_source=workload.as_data_source(), multi_source=workload.sample_attr
-    )
-
-
 @register_policy("scoop")
 def _build_scoop(spec, net, workload):
     common = _common(spec, net)
     base = Basestation(net.sim, net.radio, **common)
     nodes = [
-        ScoopNode(i, net.sim, net.radio, **_sources(workload), **common)
+        ScoopNode(i, net.sim, net.radio, source=workload.sample_attr, **common)
         for i in spec.scoop.sensor_ids
     ]
     return base, nodes
@@ -122,7 +114,7 @@ def _build_local(spec, net, workload):
     common = _common(spec, net)
     base = LocalBasestation(net.sim, net.radio, **common)
     nodes = [
-        LocalNode(i, net.sim, net.radio, **_sources(workload), **common)
+        LocalNode(i, net.sim, net.radio, source=workload.sample_attr, **common)
         for i in spec.scoop.sensor_ids
     ]
     return base, nodes
@@ -133,7 +125,7 @@ def _build_send_to_base(spec, net, workload):
     common = _common(spec, net)
     base = SendToBaseBasestation(net.sim, net.radio, **common)
     nodes = [
-        SendToBaseNode(i, net.sim, net.radio, **_sources(workload), **common)
+        SendToBaseNode(i, net.sim, net.radio, source=workload.sample_attr, **common)
         for i in spec.scoop.sensor_ids
     ]
     return base, nodes
@@ -150,7 +142,7 @@ def _build_hash(spec, net, workload):
             net.sim,
             net.radio,
             hash_indexes=indexes,
-            **_sources(workload),
+            source=workload.sample_attr,
             **common,
         )
         for i in spec.scoop.sensor_ids

@@ -498,7 +498,7 @@ def _collect(
         queries_issued=queries_issued,
         remaps_run=getattr(base, "remaps_run", 0),
         remaps_suppressed=getattr(base, "remaps_suppressed", 0),
-        indices_disseminated=len(base.index_history),
+        indices_disseminated=len(base.index_histories[0]),
         mean_nodes_targeted=(sum(targeted) / len(targeted)) if targeted else 0.0,
         metrics=metrics,
     )

@@ -175,10 +175,9 @@ class Deployment:
         self.base.start_scoop()
         self._generator = QueryGenerator(
             self.spec.query_plan,
-            config.domain,
+            [config.domain_of(a) for a in config.attribute_ids],
             list(config.sensor_ids),
             rng=self.net.sim.rng,
-            attribute_domains=[config.domain_of(a) for a in config.attribute_ids],
         )
         self._phase = "live"
 
@@ -264,11 +263,6 @@ class Deployment:
         if wait and not result.closed:
             self.net.run(now + config.query_reply_window)
         return result
-
-    def force_remap(self) -> None:
-        """Run one index remap cycle immediately, outside the periodic
-        timer — the serving layer's explicit invalidation hook."""
-        self.base.force_remap()
 
     # ------------------------------------------------------------------
     # Teardown

@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import random
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import ValueDomain
 
@@ -65,10 +65,6 @@ class Workload(abc.ABC):
                 f"attribute {attr} requested"
             )
         return self.sample(node_id, now)
-
-    def as_data_source(self) -> Callable[[int, float], int]:
-        """One shared DataSource callable dispatching on node id."""
-        return self.sample
 
     # ------------------------------------------------------------------
     # Determinism helper

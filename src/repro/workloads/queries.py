@@ -5,17 +5,15 @@ query once every 15 seconds over 1-5% of the attribute's value domain (the
 query width)." Figure 4 varies the *percentage of nodes queried* instead,
 which maps to the paper's node-list query form (Section 5.5).
 
-Generators are deterministic given their RNG, and draw query centers either
-uniformly or biased toward recently produced values (a user looking for
-what the network is currently seeing) — the default matches the paper's
-uniform behaviour.
+Generators are deterministic given their RNG and draw query centers
+uniformly over the queried attribute's domain, as the paper does.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 from repro.core.config import (
     ValueDomain,
@@ -37,11 +35,12 @@ class QueryPlanConfig:
     node_frac: float = 0.10
     #: how far back in time queries look, in seconds.
     time_window: float = 240.0
-    #: bias query centers toward values recently produced (0 = uniform).
+    #: must stay 0: query centers are uniform. Kept so spec keys and
+    #: cached results do not move.
     popularity_bias: float = 0.0
     #: attributes the stream cycles over (E15): queries round-robin
     #: attribute ids 0..n_attributes-1, so every attribute sees the same
-    #: per-attribute query rate. 1 = the legacy single-attribute stream.
+    #: per-attribute query rate. 1 = the paper's single-attribute stream.
     n_attributes: int = 1
 
     def __post_init__(self) -> None:
@@ -51,6 +50,11 @@ class QueryPlanConfig:
             raise ValueError("node_frac must be in (0, 1]")
         if self.n_attributes < 1:
             raise ValueError("n_attributes must be >= 1")
+        if self.popularity_bias != 0:
+            raise ValueError(
+                f"popularity_bias must be 0, got {self.popularity_bias}: no "
+                "query stream knows recently produced values to bias toward"
+            )
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; inverse of :meth:`from_dict`.
@@ -69,34 +73,25 @@ class QueryPlanConfig:
 class QueryGenerator:
     """Draws queries per a :class:`QueryPlanConfig`.
 
-    ``attribute_domains`` supplies the per-attribute domains of a
-    multi-attribute deployment (E15); without it the single ``domain``
-    serves every attribute the plan names. Attribute selection is a
-    deterministic round-robin over the plan's ``n_attributes``, so a
-    k-attribute stream queries each attribute at the same rate and the
-    value-range draw consumes identical RNG stream positions regardless
-    of which attribute a query lands on.
+    ``attribute_domains`` lists the deployment's per-attribute domains
+    (attribute 0 first). Attribute selection is a deterministic
+    round-robin over the plan's ``n_attributes``, so a k-attribute stream
+    queries each attribute at the same rate and the value-range draw
+    consumes identical RNG stream positions regardless of which attribute
+    a query lands on.
     """
 
     def __init__(
         self,
         plan: QueryPlanConfig,
-        domain: ValueDomain,
+        attribute_domains: Sequence[ValueDomain],
         sensor_ids: Sequence[int],
         rng: random.Random,
-        recent_value_hint: Optional[Callable[[], Optional[int]]] = None,
-        attribute_domains: Optional[Sequence[ValueDomain]] = None,
     ):
         self.plan = plan
-        self.domain = domain
+        self.attribute_domains = list(attribute_domains)
         self.sensor_ids = list(sensor_ids)
         self.rng = rng
-        self._recent_value_hint = recent_value_hint
-        self.attribute_domains = (
-            list(attribute_domains)
-            if attribute_domains is not None
-            else [domain] * plan.n_attributes
-        )
         if len(self.attribute_domains) < plan.n_attributes:
             raise ValueError(
                 f"plan names {plan.n_attributes} attributes but only "
@@ -104,18 +99,11 @@ class QueryGenerator:
             )
         self._issued = 0
 
-    def _pick_center(self, domain: ValueDomain) -> int:
-        if self.plan.popularity_bias > 0 and self._recent_value_hint is not None:
-            hint = self._recent_value_hint()
-            if hint is not None and self.rng.random() < self.plan.popularity_bias:
-                return domain.clamp(hint)
-        return self.rng.randint(domain.lo, domain.hi)
-
     def value_range(self, attr: int = 0) -> Tuple[int, int]:
         domain = self.attribute_domains[attr]
         lo_frac, hi_frac = self.plan.width_frac
         width = max(1, round(self.rng.uniform(lo_frac, hi_frac) * domain.size))
-        center = self._pick_center(domain)
+        center = self.rng.randint(domain.lo, domain.hi)
         lo = max(domain.lo, center - width // 2)
         hi = min(domain.hi, lo + width - 1)
         lo = max(domain.lo, hi - width + 1)

@@ -34,8 +34,7 @@ def build_scoop_network(
     topology: Topology,
     config: Optional[ScoopConfig] = None,
     seed: int = 1,
-    data_source=None,
-    multi_source=None,
+    source=None,
 ) -> Tuple[Network, Basestation, List[ScoopNode]]:
     """A fully wired Scoop network over ``topology`` (node 0 = base)."""
     config = config or ScoopConfig(n_nodes=topology.n, domain=ValueDomain(0, 100))
@@ -49,8 +48,7 @@ def build_scoop_network(
             net.sim,
             net.radio,
             config,
-            data_source=data_source,
-            multi_source=multi_source,
+            source=source,
             tracker=net.tracker,
             energy=net.energy,
         )

@@ -72,10 +72,9 @@ def _legacy_run(spec):
 
     generator = QueryGenerator(
         spec.query_plan,
-        config.domain,
+        [config.domain_of(a) for a in config.attribute_ids],
         list(config.sensor_ids),
         rng=net.sim.rng,
-        attribute_domains=[config.domain_of(a) for a in config.attribute_ids],
     )
     queries_issued = 0
 
@@ -184,17 +183,6 @@ class TestExternalQueries:
             raise AssertionError("expected ValueError")
         except ValueError as exc:
             assert "attribute id 7" in str(exc)
-
-    def test_force_remap_bumps_index_epoch(self):
-        spec = e16_smoke_spec(seed=4)
-        dep = Deployment.create(spec)
-        dep.boot()
-        dep.stabilize()
-        # Let enough statistics accumulate that a remap accepts an index.
-        dep.advance(2 * spec.scoop.summary_interval)
-        before = dep.index_epoch
-        dep.force_remap()
-        assert dep.index_epoch > before
 
 
 class TestServiceTrialDeterminism:

@@ -18,7 +18,7 @@ DOMAIN = ValueDomain(0, 100)
 
 def run_scoop(topo, config, workload, run_for=300.0, seed=1, query_every=None):
     net, base, nodes = build_scoop_network(
-        topo, config=config, seed=seed, data_source=workload.as_data_source()
+        topo, config=config, seed=seed, source=workload.sample_attr
     )
     net.boot_all(within=config.beacon_interval)
     net.run(config.stabilization)
@@ -68,10 +68,10 @@ class TestScoopLifecycle:
     def test_index_disseminates_to_all_nodes(self, fast_config):
         workload = UniqueWorkload(DOMAIN, 8)
         net, base, nodes, _ = run_scoop(perfect(8), fast_config, workload)
-        assert base.current_index is not None
+        assert base.index_for(0) is not None
         for node in nodes:
-            assert node.current_index is not None
-            assert node.current_index.sid >= 1
+            assert node.index_for(0) is not None
+            assert node.index_for(0).sid >= 1
 
     def test_unique_workload_stores_at_producers(self, fast_config):
         workload = UniqueWorkload(DOMAIN, 8)
@@ -149,8 +149,8 @@ class TestLossyNetwork:
         )
         # The paper's regimes, with slack for the harsher channel.
         assert net.tracker.storage_success_rate() > 0.7
-        assert base.current_index is not None
-        disseminated = sum(1 for n in nodes if n.current_index is not None)
+        assert base.index_for(0) is not None
+        disseminated = sum(1 for n in nodes if n.index_for(0) is not None)
         assert disseminated >= len(nodes) * 0.6
 
     def test_adaptation_to_query_rate_spike(self):
@@ -169,7 +169,7 @@ class TestLossyNetwork:
         topo = line(8)
         workload = UniqueWorkload(DOMAIN, 8)  # node 7 produces value 7
         net, base, nodes = build_scoop_network(
-            topo, config=config, data_source=workload.as_data_source()
+            topo, config=config, source=workload.sample_attr
         )
         net.boot_all(within=5.0)
         net.run(config.stabilization)
@@ -178,7 +178,7 @@ class TestLossyNetwork:
         base.start_scoop()
         net.run(config.stabilization + 120.0)
         owner_before = (
-            base.current_index.owner_of(7) if base.current_index else None
+            base.index_for(0).owner_of(7) if base.index_for(0) else None
         )
         # Hammer value 7 with queries (far more often than data is made).
         def spam():
@@ -190,8 +190,8 @@ class TestLossyNetwork:
             net.sim.schedule(2.0, spam)
         net.sim.schedule(1.0, spam)
         net.run(config.stabilization + 600.0)
-        assert base.current_index is not None
-        owner_after = base.current_index.owner_of(7)
+        assert base.index_for(0) is not None
+        owner_after = base.index_for(0).owner_of(7)
         # Node 7 is the far end of the line; the owner must have moved
         # strictly closer to the base (or to the base itself).
         assert owner_after < 7
@@ -221,7 +221,7 @@ class TestBaselineComparison:
                 net2.sim,
                 net2.radio,
                 fast_config,
-                data_source=workload.as_data_source(),
+                source=workload.sample_attr,
                 tracker=net2.tracker,
             )
             for i in fast_config.sensor_ids

@@ -63,7 +63,7 @@ def run_two_attr_scoop(seed=1, n_nodes=8, query_every=10.0):
         perfect(n_nodes),
         config=config,
         seed=seed,
-        multi_source=workload.sample_attr,
+        source=workload.sample_attr,
     )
     net.boot_all(within=config.beacon_interval)
     net.run(config.stabilization)

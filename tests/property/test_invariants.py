@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.core.histogram import Histogram
-from repro.core.storage_index import StorageIndex, indexes_from_chunks
+from repro.core.storage_index import (
+    StorageIndex,
+    chunk_index_set,
+    indexes_from_chunks,
+)
 from repro.sim.kernel import Simulator
 
 
@@ -111,7 +115,8 @@ def test_chunking_roundtrip_exact(data, domain_size, max_entries):
     domain = ValueDomain(0, domain_size - 1)
     owners = data.draw(owners_strategy(domain_size))
     index = StorageIndex.single_owner(3, domain, owners)
-    rebuilt = indexes_from_chunks({0: domain}, index.to_chunks(max_entries))[0]
+    chunks = chunk_index_set(3, {0: index}, max_entries)
+    rebuilt = indexes_from_chunks({0: domain}, chunks)[0]
     assert rebuilt == index
 
 
@@ -242,7 +247,7 @@ def test_index_choice_beats_uniform_alternatives(seed, n_nodes):
 
     from repro.core.cost_model import NetworkModel
     from repro.core.indexing import build_storage_index, evaluate_index_cost
-    from repro.core.messages import SummaryMessage
+    from repro.core.messages import AttributeSummary, SummaryMessage
     from repro.core.statistics import BasestationStatistics
 
     rng = random.Random(seed)
@@ -257,13 +262,18 @@ def test_index_choice_beats_uniform_alternatives(seed, n_nodes):
         stats.ingest_summary(
             SummaryMessage(
                 origin=node,
-                histogram=Histogram.from_values(values, 5),
-                min_value=min(values),
-                max_value=max(values),
-                sum_values=sum(values),
                 readings_since_last=5,
                 neighbors=((max(0, node - 1), rng.uniform(0.5, 0.95)),),
-                last_sid=-1,
+                blocks=(
+                    AttributeSummary(
+                        attr=0,
+                        histogram=Histogram.from_values(values, 5),
+                        min_value=min(values),
+                        max_value=max(values),
+                        sum_values=sum(values),
+                        last_sid=-1,
+                    ),
+                ),
             ),
             now=10.0 + node,
         )

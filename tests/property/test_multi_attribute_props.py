@@ -126,6 +126,9 @@ def test_epoch_chunking_round_trips_any_owner_layout(data, registry):
             sid=attr + 1, domain=spec.domain, owner_by_value=owners, attr=attr
         )
     epoch = data.draw(st.integers(len(registry) + 1, 500))
+    if len(registry) == 1:
+        # a one-attribute epoch is its index's id (untagged chunks)
+        indexes[0] = indexes[0].with_sid(epoch)
     chunks = chunk_index_set(epoch, indexes)
     domains_map = {a: s.domain for a, s in enumerate(registry)}
     rebuilt = indexes_from_chunks(domains_map, chunks)
@@ -172,10 +175,9 @@ def test_generated_queries_always_in_their_attributes_domain(
     plan = QueryPlanConfig(n_attributes=len(registry))
     generator = QueryGenerator(
         plan,
-        registry[0].domain,
+        [spec.domain for spec in registry],
         sensor_ids=[1, 2, 3],
         rng=random.Random(seed),
-        attribute_domains=[spec.domain for spec in registry],
     )
     for position in range(n_queries):
         query = generator.next_query(now=1000.0 + position)

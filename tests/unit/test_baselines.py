@@ -24,7 +24,7 @@ def build_policy_network(node_cls, base_cls, n=5, config=None, source=None):
     net = Network(topo, seed=1)
     base = base_cls(net.sim, net.radio, config, tracker=net.tracker)
     nodes = [
-        node_cls(i, net.sim, net.radio, config, data_source=source, tracker=net.tracker)
+        node_cls(i, net.sim, net.radio, config, source=source, tracker=net.tracker)
         for i in config.sensor_ids
     ]
     net.add_mote(base)
@@ -38,7 +38,7 @@ def build_policy_network(node_cls, base_cls, n=5, config=None, source=None):
 class TestLocal:
     def test_readings_stay_at_producer(self):
         net, base, nodes = build_policy_network(
-            LocalNode, LocalBasestation, source=lambda n, t: 42
+            LocalNode, LocalBasestation, source=lambda n, t, a: 42
         )
         for node in nodes:
             node.start_sampling()
@@ -51,7 +51,7 @@ class TestLocal:
         from repro.sim.packets import FrameKind
 
         net, base, nodes = build_policy_network(
-            LocalNode, LocalBasestation, source=lambda n, t: 42
+            LocalNode, LocalBasestation, source=lambda n, t, a: 42
         )
         for node in nodes:
             node.start_sampling()
@@ -73,7 +73,7 @@ class TestLocal:
 
     def test_query_retrieves_local_data(self):
         net, base, nodes = build_policy_network(
-            LocalNode, LocalBasestation, source=lambda n, t: n * 10
+            LocalNode, LocalBasestation, source=lambda n, t, a: n * 10
         )
         for node in nodes:
             node.start_sampling()
@@ -89,7 +89,7 @@ class TestLocal:
 class TestSendToBase:
     def test_all_data_lands_at_base(self):
         net, base, nodes = build_policy_network(
-            SendToBaseNode, SendToBaseBasestation, source=lambda n, t: n
+            SendToBaseNode, SendToBaseBasestation, source=lambda n, t, a: n
         )
         for node in nodes:
             node.start_sampling()
@@ -102,7 +102,7 @@ class TestSendToBase:
         from repro.sim.packets import FrameKind
 
         net, base, nodes = build_policy_network(
-            SendToBaseNode, SendToBaseBasestation, source=lambda n, t: n
+            SendToBaseNode, SendToBaseBasestation, source=lambda n, t, a: n
         )
         for node in nodes:
             node.start_sampling()
@@ -117,11 +117,11 @@ class TestSendToBase:
 
     def test_unbatched_one_message_per_reading(self):
         net, base, nodes = build_policy_network(
-            SendToBaseNode, SendToBaseBasestation, source=lambda n, t: 7
+            SendToBaseNode, SendToBaseBasestation, source=lambda n, t, a: 7
         )
         node = nodes[0]
         node.sampling = True
-        node.data_source = lambda n, t: 7
+        node.source = lambda n, t, a: 7
         node._sample()
         net.run(net.sim.now + 2.0)
         readings = base.flash.all_readings()

@@ -3,7 +3,7 @@
 
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.core.histogram import Histogram
-from repro.core.messages import ReplyMessage, SummaryMessage
+from repro.core.messages import AttributeSummary, ReplyMessage, SummaryMessage
 from repro.core.query import Query
 from repro.core.storage_index import STORE_LOCAL, StorageIndex
 from repro.sim.packets import Frame, FrameKind
@@ -23,15 +23,19 @@ def booted_network(config=None, n=6):
 
 
 def feed_summary(base, origin, values, now, sid=-1, neighbors=((0, 0.9),)):
-    summary = SummaryMessage(
-        origin=origin,
+    block = AttributeSummary(
+        attr=0,
         histogram=Histogram.from_values(values, 10),
         min_value=min(values),
         max_value=max(values),
         sum_values=sum(values),
+        last_sid=sid,
+    )
+    summary = SummaryMessage(
+        origin=origin,
         readings_since_last=len(values),
         neighbors=tuple(neighbors),
-        last_sid=sid,
+        blocks=(block,),
     )
     base.stats.ingest_summary(summary, now)
 
@@ -42,12 +46,12 @@ class TestRemapping:
         for origin in (1, 2, 3):
             feed_summary(base, origin, [origin * 10] * 5, net.sim.now)
         base._remap()
-        assert base.current_index is not None
-        assert len(base.index_history) == 1
+        assert base.index_for(0) is not None
+        assert len(base.index_histories[0]) == 1
         net.run(net.sim.now + 30.0)
         # Trickle delivers the full index to every node.
         delivered = sum(
-            1 for node in nodes if node.current_index is not None
+            1 for node in nodes if node.index_for(0) is not None
         )
         assert delivered >= len(nodes) - 1
 
@@ -56,11 +60,11 @@ class TestRemapping:
         for origin in (1, 2, 3):
             feed_summary(base, origin, [origin * 10] * 5, net.sim.now)
         base._remap()
-        first_sid = base.current_index.sid
+        first_sid = base.index_for(0).sid
         base._remap()  # identical statistics -> near-identical index
         assert base.remaps_suppressed == 1
-        assert base.current_index.sid == first_sid
-        assert len(base.index_history) == 1
+        assert base.index_for(0).sid == first_sid
+        assert len(base.index_histories[0]) == 1
 
     def test_changed_statistics_new_index(self):
         net, base, nodes = booted_network()
@@ -70,7 +74,7 @@ class TestRemapping:
         feed_summary(base, 1, [90] * 5, net.sim.now + 100)
         feed_summary(base, 2, [10] * 5, net.sim.now + 100)
         base._remap()
-        assert len(base.index_history) >= 1
+        assert len(base.index_histories[0]) >= 1
 
     def test_store_local_fallback_disseminates_sentinel(self):
         config = ScoopConfig(n_nodes=6, domain=DOMAIN, allow_store_local_fallback=True)
@@ -79,8 +83,7 @@ class TestRemapping:
             feed_summary(base, origin, [50] * 5, net.sim.now)
         # no queries recorded -> store-local is free, shipping is not
         base._remap()
-        if base.last_build.chose_store_local:
-            assert STORE_LOCAL in base.current_index.owners_for_range(0, 100)
+        assert base.index_for(0).all_owners() == {STORE_LOCAL}
 
 
 class TestQueryPlanning:
@@ -94,8 +97,8 @@ class TestQueryPlanning:
         index = StorageIndex.single_owner(
             1, DOMAIN, [2] * 50 + [3] * 51
         )
-        base.current_index = index
-        base.index_history.append((net.sim.now, index))
+        base.install_index(index)
+        base.index_histories[0].append((net.sim.now, index))
         q = Query(time_range=(net.sim.now, net.sim.now + 1), value_range=(10, 20))
         assert base.plan_query(q) == {2}
         q2 = Query(time_range=(net.sim.now, net.sim.now + 1), value_range=(40, 60))
@@ -117,8 +120,8 @@ class TestQueryPlanning:
     def test_base_never_targets_itself(self):
         net, base, nodes = booted_network()
         index = StorageIndex.uniform(1, DOMAIN, 0)
-        base.current_index = index
-        base.index_history.append((net.sim.now, index))
+        base.install_index(index)
+        base.index_histories[0].append((net.sim.now, index))
         q = Query(time_range=(net.sim.now, net.sim.now + 1), value_range=(0, 100))
         assert base.plan_query(q) == set()
 
@@ -126,9 +129,9 @@ class TestQueryPlanning:
         net, base, nodes = booted_network()
         old = StorageIndex.single_owner(1, DOMAIN, [2] * DOMAIN.size)
         new = StorageIndex.single_owner(2, DOMAIN, [3] * DOMAIN.size)
-        base.index_history.append((10.0, old))
-        base.index_history.append((500.0, new))
-        base.current_index = new
+        base.index_histories[0].append((10.0, old))
+        base.index_histories[0].append((500.0, new))
+        base.install_index(new)
         # Query about the old era targets the old owner.
         q = Query(time_range=(20.0, 100.0), value_range=(5, 6))
         assert 2 in base.plan_query(q)
@@ -144,8 +147,8 @@ class TestQueryExecution:
 
         base.flash.store(StoredReading(origin=4, value=33, timestamp=50.0))
         index = StorageIndex.uniform(1, DOMAIN, 0)
-        base.current_index = index
-        base.index_history.append((0.0, index))
+        base.install_index(index)
+        base.index_histories[0].append((0.0, index))
         result = base.issue_query(
             Query(time_range=(0.0, 100.0), value_range=(30, 40))
         )
@@ -156,8 +159,8 @@ class TestQueryExecution:
     def test_reply_ingestion_updates_result(self):
         net, base, nodes = booted_network()
         index = StorageIndex.single_owner(1, DOMAIN, [2] * DOMAIN.size)
-        base.current_index = index
-        base.index_history.append((net.sim.now, index))
+        base.install_index(index)
+        base.index_histories[0].append((net.sim.now, index))
         result = base.issue_query(
             Query(time_range=(0.0, net.sim.now + 10), value_range=(5, 6))
         )
@@ -172,8 +175,8 @@ class TestQueryExecution:
     def test_reply_after_window_ignored(self):
         net, base, nodes = booted_network()
         index = StorageIndex.single_owner(1, DOMAIN, [2] * DOMAIN.size)
-        base.current_index = index
-        base.index_history.append((net.sim.now, index))
+        base.install_index(index)
+        base.index_histories[0].append((net.sim.now, index))
         result = base.issue_query(
             Query(time_range=(0.0, net.sim.now + 10), value_range=(5, 6))
         )

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from repro.core.config import ScoopConfig, ValueDomain
-from repro.core.messages import SummaryMessage
+from repro.core.messages import AttributeSummary, SummaryMessage
 from repro.core.statistics import BasestationStatistics
 from repro.experiments.runner import ExperimentSpec, build_failure_schedule
 from repro.sim.failure import FailureEvent, FailureInjector, FailureSchedule
@@ -139,7 +139,7 @@ class TestDeadNode:
         victim = nodes[1]
         victim.flash.store(StoredReading(origin=victim.node_id, value=5, timestamp=9.0))
         victim.tree.note_uplink(4, via_child=4)
-        victim.recent.add(9.0, 5)
+        victim._recent_by_attr[0].add(9.0, 5)
         victim.readings_since_summary = 4
         net.fail_node(victim.node_id)
         net.run(40.0)
@@ -149,8 +149,8 @@ class TestDeadNode:
         assert victim.tree.parent is None
         assert victim.tree.descendants() == []
         assert len(victim.linkest) == 0
-        assert victim.current_index is None
-        assert len(victim.recent) == 0
+        assert victim.index_for(0) is None
+        assert len(victim._recent_by_attr[0]) == 0
         assert victim.readings_since_summary == 0
         assert len(victim.flash) == 1
         # It rejoins the tree from fresh beacons.
@@ -226,15 +226,16 @@ class TestStalenessEviction:
         from repro.core.histogram import Histogram
 
         values = [5, 6, 7]
-        return SummaryMessage(
-            origin=origin,
+        block = AttributeSummary(
+            attr=0,
             histogram=Histogram.from_values(values, 3),
             min_value=5,
             max_value=7,
             sum_values=18,
-            readings_since_last=3,
-            neighbors=(),
             last_sid=-1,
+        )
+        return SummaryMessage(
+            origin=origin, readings_since_last=3, neighbors=(), blocks=(block,)
         )
 
     def test_silent_nodes_leave_the_filtered_views(self):

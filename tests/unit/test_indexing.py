@@ -15,7 +15,7 @@ from repro.core.indexing import (
     evaluate_index_cost,
     evaluate_store_local_cost,
 )
-from repro.core.messages import SummaryMessage
+from repro.core.messages import AttributeSummary, SummaryMessage
 from repro.core.statistics import BasestationStatistics
 
 DOMAIN = ValueDomain(0, 19)
@@ -28,15 +28,19 @@ def make_config(**kw):
 
 
 def summary(origin, values, neighbors, sid=-1, readings=10):
-    return SummaryMessage(
-        origin=origin,
+    block = AttributeSummary(
+        attr=0,
         histogram=Histogram.from_values(values, 10),
         min_value=min(values),
         max_value=max(values),
         sum_values=sum(values),
+        last_sid=sid,
+    )
+    return SummaryMessage(
+        origin=origin,
         readings_since_last=readings,
         neighbors=tuple(neighbors),
-        last_sid=sid,
+        blocks=(block,),
     )
 
 

@@ -99,33 +99,25 @@ class TestWireFormats:
 
     def test_summary_blocks_cost_bytes_not_messages(self):
         hist = Histogram.from_values([1, 2, 3], 4)
+        assert hist.wire_bytes() == 8
+        head = AttributeSummary(
+            attr=0, histogram=hist, min_value=1, max_value=3, sum_values=6, last_sid=1
+        )
         block = AttributeSummary(
             attr=1, histogram=hist, min_value=1, max_value=3, sum_values=6, last_sid=2
         )
+        neighbors = ((1, 0.9), (2, 0.5))
         base = SummaryMessage(
-            origin=3,
-            histogram=hist,
-            min_value=1,
-            max_value=3,
-            sum_values=6,
-            readings_since_last=3,
-            neighbors=(),
-            last_sid=1,
+            origin=3, readings_since_last=3, neighbors=neighbors, blocks=(head,)
         )
         multi = SummaryMessage(
-            origin=3,
-            histogram=hist,
-            min_value=1,
-            max_value=3,
-            sum_values=6,
-            readings_since_last=3,
-            neighbors=(),
-            last_sid=1,
-            extra=(block,),
+            origin=3, readings_since_last=3, neighbors=neighbors, blocks=(head, block)
         )
+        # the paper's layout: histogram + min/max/sum + sid + 2 bytes per
+        # neighbour; attribute 0's block carries no attribute id
+        assert base.wire_bytes() == 8 + 10 + 2 * 2
+        assert block.wire_bytes() == 1 + 8 + 10
         assert multi.wire_bytes() == base.wire_bytes() + block.wire_bytes()
-        assert [b.attr for b in multi.blocks()] == [0, 1]
-        assert multi.blocks()[0].last_sid == 1
 
 
 class TestSharedEpochChunks:
@@ -138,6 +130,8 @@ class TestSharedEpochChunks:
     def test_epoch_round_trip_preserves_attr_sids(self):
         chunks = chunk_index_set(11, self._indexes())
         assert all(c.sid == 11 for c in chunks)
+        # tagged chunks: 4-byte header + attribute id and index id + rows
+        assert [c.wire_bytes() for c in chunks] == [7 + 5 * 1, 7 + 5 * 2]
         rebuilt = indexes_from_chunks({0: D0, 1: D1}, chunks)
         assert rebuilt[0] == self._indexes()[0]
         assert rebuilt[1] == self._indexes()[1]
@@ -160,24 +154,30 @@ class TestSharedEpochChunks:
             indexes_from_chunks({0: D0}, chunks)
 
     def test_legacy_single_index_chunks_untouched(self):
-        index = StorageIndex.single_owner(5, D0, [3] * D0.size)
-        rebuilt = indexes_from_chunks({0: D0}, index.to_chunks())[0]
+        """A one-attribute epoch sends the paper's untagged chunks."""
+        index = StorageIndex.single_owner(5, D0, [3] * 10 + [4] * 11)
+        chunks = chunk_index_set(5, {0: index})
+        rebuilt = indexes_from_chunks({0: D0}, chunks)[0]
         assert rebuilt == index
-        assert all(c.attr == 0 and c.attr_sid == -1 for c in index.to_chunks())
+        assert all(c.attr == 0 and c.attr_sid == -1 for c in chunks)
+        assert [c.wire_bytes() for c in chunks] == [4 + 5 * 2]
 
 
 def summary_with_blocks(origin, last_sid=-1, extra=()):
     values = [5, 6, 7]
-    return SummaryMessage(
-        origin=origin,
+    head = AttributeSummary(
+        attr=0,
         histogram=Histogram.from_values(values, 5),
         min_value=min(values),
         max_value=max(values),
         sum_values=sum(values),
+        last_sid=last_sid,
+    )
+    return SummaryMessage(
+        origin=origin,
         readings_since_last=3,
         neighbors=(),
-        last_sid=last_sid,
-        extra=tuple(extra),
+        blocks=(head,) + tuple(extra),
     )
 
 
@@ -207,7 +207,6 @@ class TestPerAttributeStatistics:
         stats.record_query((11, 31), now=2.0, attr=1)
         assert stats.queries_for(0).total_queries == 1
         assert stats.queries_for(1).total_queries == 2
-        assert stats.queries is stats.queries_for(0)
         with pytest.raises(ValueError):
             stats.queries_for(2)
 
@@ -235,9 +234,7 @@ class TestQueryValidation:
         import random
 
         plan = QueryPlanConfig(n_attributes=2)
-        generator = QueryGenerator(
-            plan, D0, [1, 2, 3], random.Random(7), attribute_domains=[D0, D1]
-        )
+        generator = QueryGenerator(plan, [D0, D1], [1, 2, 3], random.Random(7))
         queries = [generator.next_query(100.0) for _ in range(6)]
         assert [q.attr for q in queries] == [0, 1, 0, 1, 0, 1]
         for q in queries:
@@ -250,9 +247,7 @@ class TestQueryValidation:
 
         plan = QueryPlanConfig(n_attributes=3)
         with pytest.raises(ValueError, match="domains"):
-            QueryGenerator(
-                plan, D0, [1], random.Random(1), attribute_domains=[D0, D1]
-            )
+            QueryGenerator(plan, [D0, D1], [1], random.Random(1))
 
 
 class TestMultiAttributeWorkload:

@@ -4,11 +4,13 @@ These run tiny fully-connected lossless networks so protocol behaviour is
 deterministic and assertions can be exact.
 """
 
+import pytest
 
-from repro.core.config import ScoopConfig, ValueDomain
+from repro.core.config import AttributeSpec, ScoopConfig, ValueDomain
 from repro.core.messages import DataMessage, QueryMessage
 from repro.core.storage_index import STORE_LOCAL, StorageIndex
 from repro.sim.topology import perfect
+from repro.workloads.synthetic import UniqueWorkload
 from tests.conftest import build_scoop_network
 
 DOMAIN = ValueDomain(0, 100)
@@ -17,11 +19,11 @@ DOMAIN = ValueDomain(0, 100)
 def install_index(net, base, nodes, owner_by_value, sid=1):
     """Install a storage index directly on every node (bypass Trickle)."""
     index = StorageIndex.single_owner(sid, DOMAIN, owner_by_value)
-    base.current_index = index
-    base.index_history.append((net.sim.now, index))
+    base.install_index(index)
+    base.index_histories[0].append((net.sim.now, index))
     base._sid_counter = sid
     for node in nodes:
-        node.current_index = index
+        node.install_index(index)
     return index
 
 
@@ -39,7 +41,7 @@ class TestLocalStorageBeforeIndex:
     def test_stores_locally_without_index(self):
         net, base, nodes = stabilised()
         node = nodes[0]
-        node.data_source = lambda n, t: 42
+        node.source = lambda n, t, a: 42
         node.sampling = True
         node._sample()
         assert len(node.flash) == 1
@@ -48,11 +50,33 @@ class TestLocalStorageBeforeIndex:
     def test_tracker_records_unowned(self):
         net, base, nodes = stabilised()
         node = nodes[0]
-        node.data_source = lambda n, t: 13
+        node.source = lambda n, t, a: 13
         node.sampling = True
         node._sample()
         assert net.tracker.readings[-1].intended_owner is None
         assert net.tracker.storage_success_rate() == 1.0
+
+
+class TestDataSource:
+    def test_start_sampling_without_source_fails_fast(self):
+        net, base, nodes = stabilised()
+        with pytest.raises(RuntimeError, match="no data source"):
+            nodes[0].start_sampling()
+
+    def test_single_attribute_workload_fails_on_a_second_attribute(self):
+        attributes = (
+            AttributeSpec("a", DOMAIN),
+            AttributeSpec("b", ValueDomain(0, 10)),
+        )
+        config = ScoopConfig(
+            n_nodes=6, domain=DOMAIN, attributes=attributes, beacon_interval=5.0
+        )
+        net, base, nodes = stabilised(config=config)
+        node = nodes[0]
+        node.source = UniqueWorkload(DOMAIN, 6).sample_attr
+        node.sampling = True
+        with pytest.raises(ValueError, match="single-attribute"):
+            node._sample()
 
 
 class TestRoutingRules:
@@ -60,7 +84,7 @@ class TestRoutingRules:
         net, base, nodes = stabilised()
         install_index(net, base, nodes, [1] * DOMAIN.size)
         node = nodes[0]  # node id 1 owns everything
-        node.data_source = lambda n, t: 50
+        node.source = lambda n, t, a: 50
         node.sampling = True
         node._sample()
         assert len(node.flash) == 1
@@ -87,7 +111,7 @@ class TestRoutingRules:
         install_index(net, base, nodes, [2] * DOMAIN.size, sid=1)
         # Node 5 has a NEWER index mapping everything to node 5.
         newer = StorageIndex.single_owner(2, DOMAIN, [5] * DOMAIN.size)
-        nodes[4].current_index = newer  # node id 5
+        nodes[4].install_index(newer)  # node id 5
         # Producer (node 1, old index) thinks owner is 2; ships via radio.
         nodes[0].route_data(DataMessage(readings=[(9, 0.0, 1)], owner=5, sid=0))
         net.run(net.sim.now + 3.0)
@@ -114,7 +138,7 @@ class TestRoutingRules:
         net, base, nodes = build_scoop_network(topo, config=config)
         node = nodes[0]
         node.booted = True  # booted but no tree yet
-        node.current_index = StorageIndex.single_owner(1, DOMAIN, [99] * DOMAIN.size)
+        node.install_index(StorageIndex.single_owner(1, DOMAIN, [99] * DOMAIN.size))
         node.route_data(DataMessage(readings=[(5, 0.0, 1)], owner=99, sid=1))
         assert len(node.flash) == 1
 
@@ -153,7 +177,7 @@ class TestBatching:
         net, base, nodes = stabilised(config=small_config)
         install_index(net, base, nodes, [3] * DOMAIN.size)
         producer = nodes[0]
-        producer.data_source = lambda n, t: 5
+        producer.source = lambda n, t, a: 5
         producer.sampling = True
         producer._add_to_batch((5, net.sim.now, 1), 3)
         producer.stop_sampling()
@@ -164,19 +188,19 @@ class TestOwnerChoice:
     def test_store_local_sentinel_means_self(self):
         net, base, nodes = stabilised()
         index = StorageIndex.uniform(1, DOMAIN, STORE_LOCAL)
-        nodes[0].current_index = index
+        nodes[0].install_index(index)
         assert nodes[0]._choose_owner(50) == 1
 
     def test_prefers_self_in_owner_set(self):
         net, base, nodes = stabilised()
         index = StorageIndex(1, DOMAIN, [(1, 4)] * DOMAIN.size)
-        nodes[0].current_index = index  # node id 1
+        nodes[0].install_index(index)  # node id 1
         assert nodes[0]._choose_owner(10) == 1
 
     def test_prefers_reachable_owner(self):
         net, base, nodes = stabilised()
         index = StorageIndex(1, DOMAIN, [(4, 5)] * DOMAIN.size)
-        nodes[1].current_index = index  # node id 2, hears everyone
+        nodes[1].install_index(index)  # node id 2, hears everyone
         assert nodes[1]._choose_owner(10) in (4, 5)
 
 
@@ -185,24 +209,26 @@ class TestSummaries:
         net, base, nodes = stabilised()
         node = nodes[0]
         for i, v in enumerate((10, 20, 30)):
-            node.recent.add(float(i), v)
+            node._recent_by_attr[0].add(float(i), v)
         node.readings_since_summary = 3
         summary = node._build_summary()
-        assert summary.min_value == 10
-        assert summary.max_value == 30
-        assert summary.sum_values == 60
+        (block,) = summary.blocks
+        assert (block.attr, block.last_sid) == (0, -1)
+        assert block.min_value == 10
+        assert block.max_value == 30
+        assert block.sum_values == 60
         assert summary.readings_since_last == 3
-        assert summary.histogram is not None
+        assert block.histogram is not None
 
     def test_empty_summary_has_no_histogram(self):
         net, base, nodes = stabilised()
         summary = nodes[0]._build_summary()
-        assert summary.histogram is None
+        assert summary.blocks[0].histogram is None
 
     def test_summary_reaches_base(self):
         net, base, nodes = stabilised()
         node = nodes[0]
-        node.recent.add(0.0, 55)
+        node._recent_by_attr[0].add(0.0, 55)
         node._send_summary()
         net.run(net.sim.now + 2.0)
         assert 1 in base.stats.records
@@ -210,7 +236,7 @@ class TestSummaries:
     def test_summary_lists_neighbors_sorted(self):
         net, base, nodes = stabilised()
         node = nodes[0]
-        node.recent.add(0.0, 5)
+        node._recent_by_attr[0].add(0.0, 5)
         summary = node._build_summary()
         qualities = [q for _n, q in summary.neighbors]
         assert qualities == sorted(qualities, reverse=True)

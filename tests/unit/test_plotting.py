@@ -15,7 +15,6 @@ from repro.experiments.plotting import (
     completeness_labels,
     parse_series,
     plot_campaign,
-    png_supported,
     policy_color,
     series_svg,
 )
@@ -246,20 +245,6 @@ class TestPlotCampaign:
         for path in written:
             svg_root(path.read_text())
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            plot_campaign(BAR_DOC, tmp_path, formats=("svg", "bmp"))
-        with pytest.raises(ValueError, match="no plot formats"):
-            plot_campaign(BAR_DOC, tmp_path, formats=())
-
-    def test_png_gated_on_optional_dependency(self, tmp_path):
-        if png_supported():  # pragma: no cover - env-dependent branch
-            written = plot_campaign(BAR_DOC, tmp_path, formats=("png",))
-            assert written and written[0].suffix == ".png"
-        else:
-            with pytest.raises(RuntimeError, match="cairosvg"):
-                plot_campaign(BAR_DOC, tmp_path, formats=("png",))
-
 
 def write_export(tmp_path, doc):
     path = tmp_path / f"{doc['name']}-2026-07-30T000000Z.json"
@@ -294,16 +279,12 @@ class TestPlotCLI:
         assert str(tmp_path) in err and "--export" in err
 
     def test_plot_rejects_bad_format(self, tmp_path, capsys):
+        """Charts are SVG only: ``--format`` is an unknown argument."""
         write_export(tmp_path, BAR_DOC)
-        code = cli.main(["plot", "--export-dir", str(tmp_path), "--format", "bmp"])
-        assert code == 2
-        assert "bmp" in capsys.readouterr().err
-
-    def test_plot_rejects_empty_format(self, tmp_path, capsys):
-        write_export(tmp_path, BAR_DOC)
-        code = cli.main(["plot", "--export-dir", str(tmp_path), "--format", ","])
-        assert code == 2
-        assert "format" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["plot", "--export-dir", str(tmp_path), "--format", "svg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 class TestReportAndRunErrors:

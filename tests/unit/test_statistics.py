@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.core.cost_model import MIN_QUALITY, NetworkModel, hop_cost
 from repro.core.histogram import Histogram
-from repro.core.messages import SummaryMessage
+from repro.core.messages import AttributeSummary, SummaryMessage
 from repro.core.statistics import BasestationStatistics, QueryStatistics
 
 DOMAIN = ValueDomain(0, 19)
@@ -30,15 +30,19 @@ def make_stats(**kw):
 
 
 def summary(origin, values=(5, 6, 7), neighbors=(), sid=-1, readings=7):
-    return SummaryMessage(
-        origin=origin,
+    block = AttributeSummary(
+        attr=0,
         histogram=Histogram.from_values(list(values), 10),
         min_value=min(values),
         max_value=max(values),
         sum_values=sum(values),
+        last_sid=sid,
+    )
+    return SummaryMessage(
+        origin=origin,
         readings_since_last=readings,
         neighbors=tuple(neighbors),
-        last_sid=sid,
+        blocks=(block,),
     )
 
 
@@ -79,7 +83,8 @@ class TestIngestion:
         stats = make_stats()
         stats.ingest_summary(summary(1, values=(1, 2)), now=10.0)
         stats.ingest_summary(summary(1, values=(8, 9)), now=120.0)
-        assert stats.records[1].last_summary.min_value == 8
+        row = stats.production_matrix([1])[0]
+        assert list(row[8:10]) == [0.5, 0.5]  # the later histogram only
         assert len(stats.summary_history) == 2  # never discarded
 
     def test_data_rate_estimated(self):

@@ -8,11 +8,17 @@ from repro.core.storage_index import (
     STORE_LOCAL,
     RangeEntry,
     StorageIndex,
+    chunk_index_set,
     indexes_from_chunks,
 )
 
 
 DOMAIN = ValueDomain(0, 9)
+
+
+def chunk(index, max_entries=MAX_ENTRIES_PER_CHUNK):
+    """The chunks of a one-attribute epoch carrying ``index``."""
+    return chunk_index_set(index.sid, {0: index}, max_entries)
 
 
 def rebuild(chunks):
@@ -89,30 +95,29 @@ class TestCompaction:
 class TestChunking:
     def test_roundtrip(self):
         index = simple_index(sid=7)
-        assert rebuild(index.to_chunks()) == index
+        assert rebuild(chunk(index)) == index
 
     def test_chunk_size_limit(self):
         owners = list(range(1, 11))  # 10 distinct ranges
         index = StorageIndex.single_owner(3, DOMAIN, owners)
-        chunks = index.to_chunks(max_entries=3)
+        chunks = chunk(index, max_entries=3)
         assert all(len(c.entries) <= 3 for c in chunks)
         assert rebuild(chunks) == index
 
     def test_default_chunk_capacity(self):
         index = simple_index()
-        chunks = index.to_chunks()
+        chunks = chunk(index)
         assert all(len(c.entries) <= MAX_ENTRIES_PER_CHUNK for c in chunks)
 
     def test_missing_chunk_rejected(self):
-        chunks = StorageIndex.single_owner(1, DOMAIN, list(range(1, 11))).to_chunks(
-            max_entries=2
-        )
+        index = StorageIndex.single_owner(1, DOMAIN, list(range(1, 11)))
+        chunks = chunk(index, max_entries=2)
         with pytest.raises(ValueError, match="missing"):
             rebuild(chunks[:-1])
 
     def test_mixed_sids_rejected(self):
-        a = simple_index(sid=1).to_chunks(max_entries=2)
-        b = simple_index(sid=2).to_chunks(max_entries=2)
+        a = chunk(simple_index(sid=1), max_entries=2)
+        b = chunk(simple_index(sid=2), max_entries=2)
         with pytest.raises(ValueError, match="different epochs"):
             rebuild([b[0]] + a[1:])
 
@@ -123,7 +128,7 @@ class TestChunking:
     def test_owner_sets_roundtrip(self):
         owners = [(1, 2)] * 5 + [(3,)] * 5
         index = StorageIndex(4, DOMAIN, owners)
-        rebuilt = rebuild(index.to_chunks())
+        rebuilt = rebuild(chunk(index))
         for v in DOMAIN:
             assert set(rebuilt.owners_of(v)) == set(index.owners_of(v))
 

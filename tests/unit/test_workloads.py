@@ -119,7 +119,7 @@ class TestFactory:
 
 class TestQueryGenerator:
     def _generator(self, plan, seed=1):
-        return QueryGenerator(plan, DOMAIN, list(range(1, 21)), random.Random(seed))
+        return QueryGenerator(plan, [DOMAIN], list(range(1, 21)), random.Random(seed))
 
     def test_value_query_width(self):
         plan = QueryPlanConfig(kind="value", width_frac=(0.05, 0.05))
@@ -153,16 +153,5 @@ class TestQueryGenerator:
             QueryPlanConfig(kind="bogus")
         with pytest.raises(ValueError):
             QueryPlanConfig(node_frac=0.0)
-
-    def test_popularity_bias_uses_hint(self):
-        plan = QueryPlanConfig(
-            kind="value", width_frac=(0.03, 0.03), popularity_bias=1.0
-        )
-        gen = QueryGenerator(
-            plan, DOMAIN, [1], random.Random(2), recent_value_hint=lambda: 50
-        )
-        centers = []
-        for _ in range(10):
-            lo, hi = gen.value_range()
-            centers.append((lo + hi) / 2)
-        assert all(abs(c - 50) <= 3 for c in centers)
+        with pytest.raises(ValueError, match="popularity_bias must be 0"):
+            QueryPlanConfig(popularity_bias=1.0)
