@@ -1,7 +1,7 @@
 """Weekly-cron gate: paper-shape assertions on the full-scale E2 export.
 
 Reads the latest ``fig3_middle`` campaign export (written by
-``REPRO_FULL=1 ... run fig3_middle --export``) and checks the figure's
+``REPRO_BENCH_SCALE=1 ... run fig3_middle --export``) and checks the figure's
 qualitative shape at paper scale — SCOOP cheapest by a wide margin, HASH
 within an order of magnitude of BASE — catching scale-dependent
 regressions the down-scaled tier-1 runs cannot see.

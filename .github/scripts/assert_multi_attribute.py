@@ -1,7 +1,7 @@
 """Weekly-cron gate: shape assertions on the full-scale E15 export.
 
 Reads the latest ``multi_attribute`` campaign export (written by
-``REPRO_FULL=1 ... run multi_attribute --export``) and checks the
+``REPRO_BENCH_SCALE=1 ... run multi_attribute --export``) and checks the
 multi-attribute cost story's qualitative shape:
 
 * SCOOP undercuts LOCAL in every (k, policy) cell;

@@ -1,7 +1,7 @@
 """Weekly-cron gate: shape assertions on the full-scale E14 export.
 
 Reads the latest ``node_churn`` campaign export (written by
-``REPRO_FULL=1 ... run node_churn --export``) and checks the churn
+``REPRO_BENCH_SCALE=1 ... run node_churn --export``) and checks the churn
 story's qualitative shape: the retrieval-completeness aggregate degrades
 monotonically with the failure rate for both policies, SCOOP's planner
 counters show dead owners' ranges being reassigned at a remap, and the

@@ -24,7 +24,6 @@ Overrides:
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from pathlib import Path

@@ -1,7 +1,7 @@
 """Weekly-cron gate: shape assertions on the full-scale E13 export.
 
 Reads the latest ``scaling_xl`` campaign export (written by
-``REPRO_FULL=1 ... run scaling_xl --export``) and checks the grid's
+``REPRO_BENCH_SCALE=1 ... run scaling_xl --export``) and checks the grid's
 qualitative shape at paper scale: cost grows with population for both
 policies, the index keeps beating the flood at every size, the storage
 pipeline survives 256 nodes, and every trial really ran under the

@@ -21,12 +21,7 @@ from pathlib import Path
 from typing import Iterable, List
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.campaign import (
-    Campaign,
-    default_analytical,
-    run_cached,
-    run_campaign,
-)
+from repro.experiments.campaign import Campaign, run_campaign
 from repro.experiments.runner import ExperimentResult, ExperimentSpec
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -37,23 +32,6 @@ CACHE = ResultCache()
 
 def _jobs() -> int:
     return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
-
-
-def cached_run(spec: ExperimentSpec) -> ExperimentResult:
-    """Run (or reuse) one simulated trial."""
-    return run_cached(spec, analytical=False, cache=CACHE)
-
-
-def cached_hash_analytical(spec: ExperimentSpec) -> ExperimentResult:
-    return run_cached(spec, analytical=True, cache=CACHE)
-
-
-def run_spec(spec: ExperimentSpec) -> ExperimentResult:
-    """Dispatch: the HASH policy is evaluated analytically by default, as
-    in the paper ("we evaluate the cost of this HASH approach
-    analytically"); set REPRO_HASH_SIMULATED=1 to run the simulated HASH
-    extension instead."""
-    return run_cached(spec, analytical=default_analytical(spec), cache=CACHE)
 
 
 def run_specs(specs: Iterable[ExperimentSpec]) -> List[ExperimentResult]:

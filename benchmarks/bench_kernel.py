@@ -78,7 +78,7 @@ def e13_smoke_spec(seed: int = 1) -> ExperimentSpec:
     series = scaling_xl(seed=seed, sizes=(64,))
     spec = series[0][1][0]  # (n, [scoop, local]) -> scoop
     # scenarios.py already applied the env scale; re-pin to the committed
-    # scale so the benchmark ignores REPRO_BENCH_SCALE/REPRO_FULL.
+    # scale so the benchmark ignores REPRO_BENCH_SCALE.
     unscaled = dataclasses.replace(
         spec,
         scoop=dataclasses.replace(

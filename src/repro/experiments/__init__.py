@@ -12,8 +12,6 @@ from repro.experiments.campaign import (
     LabelAggregate,
     Trial,
     TrialResult,
-    default_analytical,
-    run_cached,
     run_campaign,
 )
 from repro.experiments.registry import (
@@ -28,6 +26,7 @@ from repro.experiments.runner import (
     ExperimentSpec,
     build_motes,
     build_topology,
+    is_analytical,
     run_experiment,
     run_hash_analytical,
     scale_spec,
@@ -54,12 +53,11 @@ __all__ = [
     "TrialResult",
     "build_motes",
     "build_topology",
-    "default_analytical",
     "default_cache_root",
+    "is_analytical",
     "known_policies",
     "policy_factory",
     "register_policy",
-    "run_cached",
     "run_campaign",
     "run_experiment",
     "run_hash_analytical",

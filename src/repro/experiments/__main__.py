@@ -14,7 +14,6 @@ Usage:
                                     [--scale S] [--base-seed B]
                                     [--loadtest [FILE]] [--clients N]
                                     [--requests N]
-                                    [--export] [--export-dir DIR]
     python -m repro.experiments list
     python -m repro.experiments clear-cache [--cache-dir DIR]
 
@@ -82,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale",
         type=float,
         default=None,
-        help="time-scale factor (overrides REPRO_BENCH_SCALE and REPRO_FULL; "
+        help="time-scale factor (overrides REPRO_BENCH_SCALE; "
         "default: REPRO_BENCH_SCALE)",
     )
     run.add_argument("--cache-dir", default=None, help="result cache directory")
@@ -200,20 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="time-scale factor for the deployment spec (overrides "
-        "REPRO_BENCH_SCALE and REPRO_FULL)",
+        "REPRO_BENCH_SCALE)",
     )
     serve.add_argument("--base-seed", type=int, default=1, help="first tenant's seed")
-    serve.add_argument(
-        "--export",
-        action="store_true",
-        help="write the per-tenant serving stats snapshot as JSON on shutdown",
-    )
-    serve.add_argument(
-        "--export-dir",
-        default=None,
-        help="export directory (default: benchmarks/results/campaigns, "
-        "or REPRO_EXPORT_DIR)",
-    )
 
     sub.add_parser("list", help="list scenarios and their trial grids")
 
@@ -494,17 +482,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{snap['requests_shed']:.0f} shed, "
             f"queue depth {snap['queue_depth']:.0f}"
         )
-    if args.export:
-        out_dir = Path(args.export_dir) if args.export_dir else default_export_root()
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stamp = time.strftime("%Y%m%dT%H%M%S")
-        path = out_dir / f"{name}_serve_{stamp}.json"
-        path.write_text(
-            json.dumps(
-                {"scenario": name, "label": label, **stats}, indent=2
-            )
-        )
-        print(f"export: {path}")
     return 0
 
 

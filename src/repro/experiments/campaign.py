@@ -28,6 +28,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.runner import (
     ExperimentResult,
     ExperimentSpec,
+    is_analytical,
     run_experiment,
     run_hash_analytical,
     spec_key,
@@ -35,24 +36,9 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import canonical_scenario_name, scenario_trials
 
 
-def default_analytical(spec: ExperimentSpec) -> bool:
-    """Whether this spec is evaluated analytically by default.
-
-    The paper evaluates HASH analytically ("we evaluate the cost of this
-    HASH approach analytically"); set ``REPRO_HASH_SIMULATED=1`` — or the
-    spec's ``hash_simulated`` flag (the E15 grid does) — to run the
-    simulated HASH extension instead.
-    """
-    return (
-        spec.policy == "hash"
-        and not spec.hash_simulated
-        and not os.environ.get("REPRO_HASH_SIMULATED")
-    )
-
-
 @dataclass
 class Trial:
-    """One executable unit of a campaign: a spec plus how to evaluate it."""
+    """One executable unit of a campaign: a spec and its label."""
 
     spec: ExperimentSpec
     #: Stable trial identity *within* the campaign; seeds sharing a label
@@ -60,8 +46,6 @@ class Trial:
     label: str = ""
     #: Scenario this trial came from ("" for ad-hoc campaigns).
     scenario: str = ""
-    #: Evaluate with the analytical model instead of the simulator.
-    analytical: bool = False
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -70,7 +54,7 @@ class Trial:
     @property
     def key(self) -> str:
         """Canonical cache key of this trial."""
-        return spec_key(self.spec, analytical=self.analytical)
+        return spec_key(self.spec)
 
 
 @dataclass
@@ -220,27 +204,19 @@ class CampaignResult:
 
 @contextmanager
 def _scale_override(scale: Optional[float]):
-    """Temporarily pin ``REPRO_BENCH_SCALE`` (scenario expansion reads it).
-
-    An explicit scale also suspends ``REPRO_FULL`` for the expansion —
-    a deliberate CLI/API argument beats a lingering environment flag.
-    """
+    """Temporarily pin ``REPRO_BENCH_SCALE`` (scenario expansion reads it)."""
     if scale is None:
         yield
         return
-    saved = {
-        name: os.environ.pop(name, None)
-        for name in ("REPRO_BENCH_SCALE", "REPRO_FULL")
-    }
+    saved = os.environ.get("REPRO_BENCH_SCALE")
     os.environ["REPRO_BENCH_SCALE"] = str(scale)
     try:
         yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_BENCH_SCALE", None)
+        else:
+            os.environ["REPRO_BENCH_SCALE"] = saved
 
 
 @dataclass
@@ -261,22 +237,15 @@ class Campaign:
 
         E/A aliases canonicalize here, so a campaign run as ``E13`` is
         named (and exported/reported/plotted as) ``scaling_xl``.
-        ``scale`` overrides both ``REPRO_BENCH_SCALE`` and ``REPRO_FULL``
-        for the expansion: an explicit argument beats ambient env flags.
+        ``scale`` overrides ``REPRO_BENCH_SCALE`` for the expansion: an
+        explicit argument beats the environment.
         """
         scenario = canonical_scenario_name(scenario)
         trials: List[Trial] = []
         with _scale_override(scale):
             for seed in seeds:
                 for label, spec in scenario_trials(scenario, seed=seed):
-                    trials.append(
-                        Trial(
-                            spec=spec,
-                            label=label,
-                            scenario=scenario,
-                            analytical=default_analytical(spec),
-                        )
-                    )
+                    trials.append(Trial(spec=spec, label=label, scenario=scenario))
         return cls(name=scenario, trials=trials)
 
     @classmethod
@@ -292,9 +261,7 @@ class Campaign:
                 label, spec = "", item
             else:
                 label, spec = item
-            trials.append(
-                Trial(spec=spec, label=label, analytical=default_analytical(spec))
-            )
+            trials.append(Trial(spec=spec, label=label))
         return cls(name=name, trials=trials)
 
 
@@ -319,30 +286,11 @@ def _execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     path: dict → spec → run → dict.
     """
     spec = ExperimentSpec.from_dict(payload["spec"])
-    if payload["analytical"]:
+    if is_analytical(spec):
         result = run_hash_analytical(spec)
     else:
         result = run_experiment(spec)
     return {"index": payload["index"], "result": result.to_dict()}
-
-
-def run_cached(
-    spec: ExperimentSpec,
-    analytical: bool = False,
-    cache: Optional[ResultCache] = None,
-) -> ExperimentResult:
-    """Run (or fetch) one trial through the persistent cache."""
-    cache = cache if cache is not None else ResultCache()
-    key = spec_key(spec, analytical=analytical)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    payload = _execute_payload(
-        {"index": 0, "spec": spec.to_dict(), "analytical": analytical}
-    )
-    result = ExperimentResult.from_dict(payload["result"])
-    cache.put(key, result)
-    return result
 
 
 def run_campaign(
@@ -379,11 +327,7 @@ def run_campaign(
         pending_by_key.setdefault(trial.key, []).append(i)
 
     payloads = [
-        {
-            "index": indices[0],
-            "spec": trials[indices[0]].spec.to_dict(),
-            "analytical": trials[indices[0]].analytical,
-        }
+        {"index": indices[0], "spec": trials[indices[0]].spec.to_dict()}
         for indices in pending_by_key.values()
     ]
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.campaign import CampaignResult
-from repro.experiments.runner import SPEC_SCHEMA_VERSION
+from repro.experiments.runner import SPEC_SCHEMA_VERSION, is_analytical
 from repro.experiments.salt import cache_salt
 
 #: Version of the export document format.
@@ -85,7 +85,7 @@ def campaign_to_dict(
                 "scenario": tr.trial.scenario,
                 "seed": tr.trial.spec.seed,
                 "spec_key": tr.trial.key,
-                "analytical": tr.trial.analytical,
+                "analytical": is_analytical(tr.trial.spec),
                 "from_cache": tr.from_cache,
                 "result": tr.result.to_dict(),
             }

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.hash_static import AnalyticalHashModel
 from repro.core.basestation import Basestation
@@ -28,7 +28,6 @@ from repro.core.config import (
     dataclass_to_dict,
 )
 from repro.core.node import ScoopNode
-from repro.core.query import QueryResult
 from repro.experiments.registry import is_registered, known_policies, policy_factory
 from repro.experiments.salt import cache_salt
 from repro.sim.failure import FailureSchedule
@@ -199,12 +198,22 @@ class ExperimentSpec:
         )
 
 
-def spec_key(spec: ExperimentSpec, analytical: bool = False) -> str:
+def is_analytical(spec: ExperimentSpec) -> bool:
+    """Whether ``spec`` is evaluated with the analytical model.
+
+    The paper evaluates HASH analytically ("we evaluate the cost of this
+    HASH approach analytically"); a spec with ``hash_simulated`` set
+    (the E15 grid does) runs the simulated HASH extension instead.
+    """
+    return spec.policy == "hash" and not spec.hash_simulated
+
+
+def spec_key(spec: ExperimentSpec) -> str:
     """Canonical SHA-256 key of one trial (spec + evaluation mode + code).
 
     Stable across processes and sessions — the key of the persistent
-    result cache. ``analytical`` distinguishes the paper's analytical
-    HASH evaluation from a simulated run of the same spec. The key also
+    result cache. The evaluation mode (:func:`is_analytical`) keeps the
+    analytical HASH evaluation apart from a simulated run. The key also
     mixes in :func:`repro.experiments.salt.cache_salt` (a content hash of
     the ``repro`` source tree, ``REPRO_CACHE_SALT`` overrides), so editing
     simulator code self-invalidates every cached entry — ``clear-cache``
@@ -214,7 +223,7 @@ def spec_key(spec: ExperimentSpec, analytical: bool = False) -> str:
         {
             "schema": SPEC_SCHEMA_VERSION,
             "salt": cache_salt(),
-            "analytical": bool(analytical),
+            "analytical": is_analytical(spec),
             "spec": spec.to_dict(),
         }
     )
@@ -400,9 +409,7 @@ def build_motes(
 
 
 def run_experiment(
-    spec: ExperimentSpec,
-    topology: Optional[Topology] = None,
-    on_query_result: Optional[Callable[[QueryResult], None]] = None,
+    spec: ExperimentSpec, topology: Optional[Topology] = None
 ) -> ExperimentResult:
     """Run one full trial and collect the paper's measurements.
 
@@ -435,7 +442,7 @@ def run_experiment(
         drive_load(deployment)
         deployment.run_until(config.stabilization + config.duration)
     else:
-        deployment.start_query_stream(on_result=on_query_result)
+        deployment.start_query_stream()
         deployment.run_until(config.stabilization + config.duration)
 
     # Phase 3: drain — flush batches, let in-flight frames land.

@@ -4,7 +4,7 @@ Each scenario function returns the list of :class:`ExperimentSpec` trials
 that regenerate the corresponding figure, at a time scale controlled by the
 ``REPRO_BENCH_SCALE`` environment variable (default 0.15 of the paper's
 40-minute runs so the whole benchmark suite finishes in minutes; set
-``REPRO_BENCH_SCALE=1`` or ``REPRO_FULL=1`` for paper-scale runs). Scaling
+``REPRO_BENCH_SCALE=1`` for paper-scale runs). Scaling
 shrinks only the duration — all rates stay at the paper's values — so the
 policy *ratios* the figures compare are preserved.
 
@@ -35,8 +35,6 @@ SYNTH_DOMAIN = ValueDomain(0, 100)
 
 def bench_scale() -> float:
     """The time-scale factor benchmarks run at (env-controlled)."""
-    if os.environ.get("REPRO_FULL"):
-        return 1.0
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
 
 

@@ -80,10 +80,10 @@ RETRY_CAP_S = 2.0
 REPLY_TIMEOUT_S = 60.0
 
 
-def _retry_delay(attempt: int, base_s: float, cap_s: float) -> float:
+def _retry_delay(attempt: int) -> float:
     """Capped exponential backoff before 0-based retry ``attempt`` —
     the client-side mirror of the supervisor's respawn schedule."""
-    return min(cap_s, base_s * (2.0**attempt))
+    return min(RETRY_CAP_S, RETRY_BASE_S * (2.0**attempt))
 
 
 def _answer_or_raise(payload: Dict[str, object]) -> QueryAnswer:
@@ -116,8 +116,6 @@ class AsyncScoopClient:
         metrics: bool = False,
         version: int = PROTOCOL_VERSION,
         retries: int = DEFAULT_RETRIES,
-        retry_base_s: float = RETRY_BASE_S,
-        retry_cap_s: float = RETRY_CAP_S,
     ):
         self.host = host
         self.port = port
@@ -125,8 +123,6 @@ class AsyncScoopClient:
         self.subscribe_metrics = metrics
         self.version = version
         self.retries = retries
-        self.retry_base_s = retry_base_s
-        self.retry_cap_s = retry_cap_s
         #: total ``retry``-code resends this client performed.
         self.retries_used = 0
         self.tenants: List[str] = []
@@ -296,9 +292,7 @@ class AsyncScoopClient:
                 if attempt >= self.retries:
                     raise
                 self.retries_used += 1
-                await asyncio.sleep(
-                    _retry_delay(attempt, self.retry_base_s, self.retry_cap_s)
-                )
+                await asyncio.sleep(_retry_delay(attempt))
                 continue
             return _answer_or_raise(frame.payload)
         raise AssertionError("unreachable: retry loop always returns/raises")

@@ -28,7 +28,7 @@ per tenant and multiplexes client query streams over it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.basestation import Basestation
 from repro.core.config import ScoopConfig
@@ -181,9 +181,7 @@ class Deployment:
         )
         self._phase = "live"
 
-    def start_query_stream(
-        self, on_result: Optional[Callable[[QueryResult], None]] = None
-    ) -> None:
+    def start_query_stream(self) -> None:
         """Schedule the internal query stream (one generator query per
         ``query_interval``, stopping at the end of the measured phase) —
         the batch trials' workload. Externally driven deployments (the
@@ -195,10 +193,8 @@ class Deployment:
         def query_tick() -> None:
             if net.sim.now >= config.stabilization + config.duration:
                 return
-            result = base.issue_query(generator.next_query(net.sim.now))
+            base.issue_query(generator.next_query(net.sim.now))
             self.queries_issued += 1
-            if on_result is not None:
-                on_result(result)
             net.sim.schedule(config.query_interval, query_tick)
 
         net.sim.schedule(config.query_interval, query_tick)

@@ -18,9 +18,12 @@ Per-connection lifecycle:
    RESPONSE/ERROR.
 3. A HELLO with ``metrics: true`` subscribes the connection to the live
    telemetry stream: every ``metrics_interval`` seconds the server
+   probes the gateway once (:meth:`ShardedGateway.service_stats`) and
    pushes one METRICS frame per shard (queue depth, hit rate, p95, shed
-   count), interleaved with responses — the streaming replacement for
-   end-of-run snapshots.
+   count, and that shard's tenant scorecards), interleaved with
+   responses. Workers build scorecards only for a probe, so each
+   subscriber costs one probe per interval; a shard that is restarting
+   or retired pushes its last probe.
 
 Framing violations (oversize length prefix, unknown frame type, version
 skew after negotiation, non-JSON payload) poison only the offending
@@ -266,20 +269,29 @@ class ScoopServer:
             pass
 
     async def _push_metrics(self, writer, lock) -> None:
-        """The live telemetry stream for one subscribed connection."""
+        """The live telemetry stream for one subscribed connection: one
+        probe per interval, one METRICS frame per shard, ``tick`` counting
+        this connection's pushes from 1."""
+        tick = 0
         try:
             while True:
                 await asyncio.sleep(self.metrics_interval)
-                snapshots = self.gateway.metrics_snapshots()
-                for shard, snap in sorted(snapshots.items()):
+                stats = await self.gateway.service_stats()
+                tick += 1
+                for shard, card in sorted(stats.shards.items()):
+                    tenants = {
+                        name: scorecard
+                        for name, scorecard in stats.tenants.items()
+                        if self.gateway.shard_of(name) == shard
+                    }
                     await self._send(
                         writer,
                         lock,
                         metrics_frame(
                             shard=shard,
-                            tick=snap.get("tick", 0),
-                            shard_stats=snap.get("stats", {}),
-                            tenants=snap.get("tenants", {}),
+                            tick=tick,
+                            shard_stats=card,
+                            tenants=tenants,
                         ),
                     )
                     self.counters["metrics_pushed"] += 1

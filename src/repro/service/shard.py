@@ -28,6 +28,11 @@ Workers announce ``ready`` after their deployments finish boot +
 stabilization; :attr:`ShardedGateway.ready` gates the server's HELLO
 handshake so first queries can never race warmup.
 
+Replies carry answers only. A tenant scorecard sorts every latency the
+tenant has served, so workers build scorecards only when a ``stats``
+probe asks, and the parent folds each shard's last probe into its shard
+scorecard in one place (:meth:`ShardedGateway._scorecard`).
+
 Supervision
 -----------
 
@@ -56,7 +61,8 @@ shard's tenants are *re-placed*: surviving workers ``adopt`` them
 (booting fresh deployments from the same specs) and the routing table
 flips — the service degrades instead of dying. Per-shard ``restarts`` /
 ``replacements`` / ``last_exit`` counters surface in
-``ServiceStats.shards`` and the METRICS push.
+``ServiceStats.shards`` and the METRICS push; a shard that is restarting
+or retired reports its last probe with them.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -199,12 +204,13 @@ def _shard_worker_main(
 
     Commands (parent → worker):
       ``("batch", [(req_id, tenant, attr, lo, hi), ...])`` →
-      ``("answers", [(req_id, kind, payload)], shard_stats)`` with
+      ``("answers", [(req_id, kind, payload)])`` with
       ``kind`` of ``ok``/``shed`` (payload = answer wire dict) or
       ``error`` (payload = (code, message));
-      ``("stats",)`` → ``("stats", {tenant: scorecard}, shard_stats)``;
+      ``("stats",)`` → ``("stats", {tenant: scorecard})``, the only
+      reply that builds scorecards;
       ``("adopt", [(tenant, spec_dict), ...])`` → boot the re-placed
-      tenants and reply ``("adopted", [tenant, ...], shard_stats)``
+      tenants and reply ``("adopted", [tenant, ...])``
       (``("adopt_error", message)`` on a boot failure — the worker
       survives, only the adoption fails);
       ``("close",)`` → worker exits.
@@ -231,14 +237,7 @@ def _shard_worker_main(
             conn.close()
         return
 
-    conn.send(("ready", shard, sorted(services), os.getpid()))
-
-    def snapshots() -> Dict[str, Dict[str, float]]:
-        return {name: svc.snapshot() for name, svc in services.items()}
-
-    def shard_stats() -> Dict[str, float]:
-        return aggregate_shard_stats(snapshots(), worker_pid=os.getpid())
-
+    conn.send(("ready", shard))
     try:
         while True:
             command = conn.recv()
@@ -247,7 +246,8 @@ def _shard_worker_main(
                 conn.send(("closed", shard))
                 return
             if op == "stats":
-                conn.send(("stats", snapshots(), shard_stats()))
+                cards = {name: svc.snapshot() for name, svc in services.items()}
+                conn.send(("stats", cards))
                 continue
             if op == "adopt":
                 try:
@@ -258,7 +258,7 @@ def _shard_worker_main(
                     )
                     continue
                 services.update(adopted)
-                conn.send(("adopted", sorted(adopted), shard_stats()))
+                conn.send(("adopted", sorted(adopted)))
                 continue
             if op != "batch":
                 conn.send(("fatal", f"unknown shard command {op!r}"))
@@ -292,7 +292,7 @@ def _shard_worker_main(
                 else:
                     answer = QueryAnswer.from_ticket(outcome, shard=shard)
                     answers.append((req_id, answer.status, answer.to_wire()))
-            conn.send(("answers", answers, shard_stats()))
+            conn.send(("answers", answers))
     except (EOFError, KeyboardInterrupt):
         return
     except BaseException as exc:  # noqa: BLE001 — reported to the parent
@@ -347,10 +347,8 @@ class _Shard:
         #: entries shipped to (or being assembled for) the worker; the
         #: supervisor fails these typed when the worker dies mid-batch.
         self.inflight: List[tuple] = []
-        #: latest scorecards off the worker (refreshed by every reply).
-        self.stats: Dict[str, float] = {}
+        #: the tenant scorecards of the last ``stats`` probe.
         self.tenant_stats: Dict[str, Dict[str, float]] = {}
-        self.metrics_tick = 0
         # -- supervision counters (surfaced in ServiceStats.shards) ----
         self.restarts = 0
         self.replacements = 0
@@ -735,17 +733,13 @@ class ShardedGateway:
                         (i, r.tenant, r.attr, r.lo, r.hi)
                         for i, (_kind, _future, r) in enumerate(queries)
                     ]
-                    reply = await self._exchange(shard, ("batch", requests))
-                    self._settle_batch(shard, queries, reply)
+                    _op, answers = await self._exchange(shard, ("batch", requests))
+                    self._settle_batch(queries, answers)
                 if probes:
-                    reply = await self._exchange(shard, ("stats",))
-                    _op, tenant_stats, shard_stats = reply
-                    shard.tenant_stats = tenant_stats
-                    shard.stats = shard_stats
-                    shard.metrics_tick += 1
+                    _op, shard.tenant_stats = await self._exchange(shard, ("stats",))
                     for _kind, future in probes:
                         if not future.done():
-                            future.set_result((tenant_stats, shard_stats))
+                            future.set_result(shard.tenant_stats)
                 for _kind, future, payload in adoptions:
                     reply = await self._exchange(shard, ("adopt", payload))
                     if reply[0] == "adopt_error":
@@ -757,20 +751,15 @@ class ShardedGateway:
                                 )
                             )
                         continue
-                    _op, adopted, shard_stats = reply
-                    shard.stats = shard_stats
                     if not future.done():
-                        future.set_result(list(adopted))
+                        future.set_result(list(reply[1]))
                 shard.inflight = []
             except _WorkerDied as death:
                 return ("died", str(death))
         return None
 
-    def _settle_batch(self, shard: _Shard, queries, reply) -> None:
-        """Resolve one lockstep batch's futures from the worker reply."""
-        _op, answers, shard_stats = reply
-        shard.stats = shard_stats
-        shard.metrics_tick += 1
+    def _settle_batch(self, queries, answers) -> None:
+        """Resolve one lockstep batch's futures from the worker's answers."""
         by_id = {req_id: (kind, payload) for req_id, kind, payload in answers}
         for i, (_kind, future, request) in enumerate(queries):
             if future.done():
@@ -836,66 +825,45 @@ class ShardedGateway:
         return answer
 
     # -- telemetry -----------------------------------------------------
-    def _supervision_stats(self, shard: _Shard) -> Dict[str, float]:
-        """The parent-side supervision counters overlaid onto every
-        shard scorecard (workers report them as 0 — they cannot know)."""
-        return {
-            "restarts": float(shard.restarts),
-            "replacements": float(shard.replacements),
-            "last_exit": float(
-                shard.last_exit if shard.last_exit is not None else 0
-            ),
-        }
+    def _scorecard(self, shard: _Shard) -> Dict[str, float]:
+        """One shard's scorecard: its tenants' last probed scorecards,
+        the worker's pid and the supervision counters, which only the
+        parent knows."""
+        process = shard.process
+        card = aggregate_shard_stats(
+            shard.tenant_stats, worker_pid=process.pid if process is not None else 0
+        )
+        card["restarts"] = float(shard.restarts)
+        card["replacements"] = float(shard.replacements)
+        card["last_exit"] = float(shard.last_exit or 0)
+        return card
 
     async def service_stats(self) -> ServiceStats:
-        """Poll every ready shard for fresh scorecards (rides the same
-        lockstep pump as queries, so it can never interleave a batch);
-        shards mid-restart or retired contribute their last known
-        scorecard plus the supervision counters."""
+        """Probe every ready shard for fresh tenant scorecards (the probe
+        rides the same lockstep pump as queries, so it can never
+        interleave a batch) and build every shard's scorecard. Shards
+        mid-restart or retired report their last probe; a closed
+        gateway probes nothing."""
         loop = asyncio.get_running_loop()
-        futures: Dict[str, "asyncio.Future"] = {}
+        probes: Dict[str, "asyncio.Future"] = {}
         for shard in self._shards.values():
-            if shard.state != READY:
-                continue
-            future = loop.create_future()
-            shard.queue.put_nowait(("stats", future))
-            futures[shard.name] = future
+            if shard.state == READY and not self._closed:
+                probes[shard.name] = loop.create_future()
+                shard.queue.put_nowait(("stats", probes[shard.name]))
         tenants: Dict[str, Dict[str, float]] = {}
-        shards: Dict[str, Dict[str, float]] = {}
-        for name, future in futures.items():
-            shard = self._shards[name]
+        for name, future in probes.items():
             try:
-                tenant_stats, shard_stats = await future
+                tenants.update(await future)
             except ServiceFault:
-                # Died mid-probe: fall back to the cached scorecard.
-                tenant_stats, shard_stats = shard.tenant_stats, shard.stats
-            tenants.update(tenant_stats)
-            shards[name] = {**shard_stats, **self._supervision_stats(shard)}
-        for name, shard in self._shards.items():
-            if name not in shards:
-                # Not probed (restarting / replaced / failed): cached
-                # scorecard + supervision counters, no tenant overlay
-                # (their tenants may live on an adopting shard now).
-                shards[name] = {
-                    **shard.stats,
-                    **self._supervision_stats(shard),
-                }
-        return ServiceStats(tenants=tenants, shards=shards)
-
-    def metrics_snapshots(self) -> Dict[str, Dict[str, object]]:
-        """Latest per-shard scorecards (refreshed by every batch reply),
-        with the supervision counters overlaid."""
-        return {
-            name: {
-                "tick": shard.metrics_tick,
-                "stats": {
-                    **dict(shard.stats),
-                    **self._supervision_stats(shard),
-                },
-                "tenants": {k: dict(v) for k, v in shard.tenant_stats.items()},
-            }
-            for name, shard in self._shards.items()
-        }
+                # Died mid-probe: its last probe stands.
+                tenants.update(self._shards[name].tenant_stats)
+        return ServiceStats(
+            tenants=tenants,
+            shards={
+                name: self._scorecard(shard)
+                for name, shard in self._shards.items()
+            },
+        )
 
     async def close(self) -> None:
         if self._closed:

@@ -142,6 +142,10 @@ class Chunk(Protocol):
 
 C = TypeVar("C", bound=Chunk)
 
+#: Chunks one response burst sends at most; the rest wait for the next
+#: advertisement that still lacks them.
+MAX_CHUNKS_PER_RESPONSE = 6
+
 
 @dataclass(slots=True)
 class Advertisement:
@@ -170,7 +174,6 @@ class ChunkDisseminator(Generic[C]):
         "_send_advert",
         "_send_chunk",
         "_on_complete",
-        "max_chunks_per_response",
         "sid",
         "total",
         "_chunks",
@@ -189,13 +192,11 @@ class ChunkDisseminator(Generic[C]):
         imin: float = 2.0,
         imax: float = 120.0,
         k: int = 2,
-        max_chunks_per_response: int = 6,
     ):
         self.sim = sim
         self._send_advert = send_advert
         self._send_chunk = send_chunk
         self._on_complete = on_complete
-        self.max_chunks_per_response = max_chunks_per_response
         self.sid: int = -1
         self.total: int = 0
         self._chunks: Dict[int, C] = {}
@@ -298,7 +299,7 @@ class ChunkDisseminator(Generic[C]):
 
     def _flush_response(self) -> None:
         self._response_handle = None
-        to_send = sorted(self._response_pending)[: self.max_chunks_per_response]
+        to_send = sorted(self._response_pending)[:MAX_CHUNKS_PER_RESPONSE]
         self._response_pending.clear()
         for index in to_send:
             chunk = self._chunks.get(index)

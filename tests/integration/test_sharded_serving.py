@@ -198,15 +198,19 @@ class TestFramedServer:
                 ) as client:
                     await client.query(tenant="tenant0")
                     deadline = asyncio.get_running_loop().time() + 5.0
-                    while not client.metrics:
+                    while len(client.metrics) < 2:
                         assert (
                             asyncio.get_running_loop().time() < deadline
-                        ), "no METRICS frame within 5s"
+                        ), "no second METRICS frame within 5s"
                         await asyncio.sleep(0.02)
                     push = client.metrics[0]
                     assert push["shard"] == "shard0"
-                    assert "tick" in push
+                    assert push["tick"] == 1
                     assert "requests_offered" in push["stats"]
+                    # Each push probes the shard, so it carries the
+                    # tenant scorecards without any STATS request.
+                    assert "requests_offered" in push["tenants"]["tenant0"]
+                    assert client.metrics[-1]["tick"] > push["tick"]
                 assert server.counters["metrics_pushed"] >= 1
             finally:
                 await server.close()

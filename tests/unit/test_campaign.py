@@ -26,7 +26,6 @@ from repro.experiments.campaign import (
     CampaignResult,
     Trial,
     TrialResult,
-    run_cached,
     run_campaign,
 )
 from repro.experiments.registry import (
@@ -41,6 +40,7 @@ from repro.experiments.runner import (
     ExperimentResult,
     ExperimentSpec,
     build_motes,
+    is_analytical,
     spec_key,
 )
 from repro.experiments.scenarios import scenario_names, scenario_trials, smoke
@@ -152,7 +152,9 @@ class TestSpecSerialization:
         clone = ExperimentSpec.from_dict(spec.to_dict())
         assert spec_key(spec) == spec_key(clone)
         assert spec_key(spec) != spec_key(dataclasses.replace(spec, seed=2))
-        assert spec_key(spec) != spec_key(spec, analytical=True)
+        hash_spec = small_spec(policy="hash")
+        simulated = dataclasses.replace(hash_spec, hash_simulated=True)
+        assert spec_key(hash_spec) != spec_key(simulated)
         assert len(spec_key(spec)) == 64  # sha256 hex
 
     def test_canonical_key_is_order_insensitive(self):
@@ -236,15 +238,17 @@ class TestResultCache:
         monkeypatch.undo()
         assert cache.disk_entries() == 0
 
-    def test_run_cached_executes_once(self, tmp_path):
+    def test_trial_executes_once_then_replays(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = small_spec(policy="hash")
-        first = run_cached(spec, analytical=True, cache=cache)
-        again = run_cached(spec, analytical=True, cache=cache)
-        assert again == first
+        campaign = Campaign.from_specs("hash", [small_spec(policy="hash")])
+        first = run_campaign(campaign, cache=cache)
+        again = run_campaign(campaign, cache=cache)
+        assert (first.executed, again.executed) == (1, 0)
+        assert again.results == first.results
         # A fresh process-equivalent (new cache over the same dir) also hits.
-        disk_hit = run_cached(spec, analytical=True, cache=ResultCache(tmp_path))
-        assert disk_hit == first
+        disk_hit = run_campaign(campaign, cache=ResultCache(tmp_path))
+        assert disk_hit.executed == 0
+        assert disk_hit.results == first.results
 
 
 class TestCampaignExpansion:
@@ -271,8 +275,8 @@ class TestCampaignExpansion:
     def test_hash_trials_default_analytical(self):
         campaign = Campaign.from_scenario("fig3_middle")
         by_policy = {t.spec.policy: t for t in campaign.trials}
-        assert by_policy["hash"].analytical
-        assert not by_policy["scoop"].analytical
+        assert is_analytical(by_policy["hash"].spec)
+        assert not is_analytical(by_policy["scoop"].spec)
 
     def test_scale_override(self):
         small = Campaign.from_scenario("loss_rates", scale=0.1)
@@ -282,13 +286,13 @@ class TestCampaignExpansion:
             < full.trials[0].spec.scoop.duration == 2400.0
         )
 
-    def test_explicit_scale_beats_repro_full(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
+    def test_explicit_scale_beats_repro_bench_scale(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "1")
         small = Campaign.from_scenario("loss_rates", scale=0.1)
         assert small.trials[0].spec.scoop.duration < 2400.0
-        # Env flags are restored after expansion.
+        # The variable is restored after expansion.
         import os
-        assert os.environ["REPRO_FULL"] == "1"
+        assert os.environ["REPRO_BENCH_SCALE"] == "1"
 
     def test_aggregates_mean_stdev(self):
         spec1, spec2 = small_spec(seed=1), small_spec(seed=2)

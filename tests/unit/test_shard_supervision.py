@@ -4,12 +4,15 @@ Everything here runs without worker processes: the backoff schedule is
 plain math, the re-placement plan is a pure function, and the supervisor
 loop is driven with a scripted ``_pump`` plus a fake clock (the
 injectable ``gateway._sleep``) — so the respawn/replace decisions and
-the queue-drain guarantees are pinned deterministically. The matching
+the queue-drain guarantees are pinned deterministically. The worker's
+command loop runs in a thread over an in-process pipe. The matching
 real-process matrix (actual SIGKILLs over real sockets) lives in
 ``tests/integration/test_sharded_serving.py``.
 """
 
 import asyncio
+import multiprocessing
+import threading
 
 import pytest
 
@@ -27,9 +30,11 @@ from repro.service.shard import (
     BackoffPolicy,
     ShardedGateway,
     _Shard,
+    _shard_worker_main,
     plan_placement,
     plan_replacement,
 )
+from repro.service.gateway import TenantService
 
 
 def tiny_spec(seed: int = 3) -> ExperimentSpec:
@@ -313,7 +318,8 @@ class TestStateBookkeeping:
             shard.restarts = 2
             shard.replacements = 1
             shard.last_exit = -9
-            overlay = gateway._supervision_stats(shard)
+            card = gateway._scorecard(shard)
+            overlay = {k: card[k] for k in ("restarts", "replacements", "last_exit")}
             assert overlay == {
                 "restarts": 2.0,
                 "replacements": 1.0,
@@ -337,3 +343,46 @@ class TestStateBookkeeping:
             assert gateway.ready.is_set()
 
         asyncio.run(program())
+
+
+class TestWorkerLoop:
+    """The worker's command loop, run in a thread over an in-process
+    pipe: scorecards are built for a ``stats`` probe only."""
+
+    def test_batch_replies_carry_answers_only(self, monkeypatch):
+        snapshots = []
+        snapshot = TenantService.snapshot
+
+        def counted(service):
+            snapshots.append(service.name)
+            return snapshot(service)
+
+        monkeypatch.setattr(TenantService, "snapshot", counted)
+        parent, child = multiprocessing.Pipe()
+        payloads = [
+            ("tenant0", tiny_spec(seed=3).to_dict()),
+            ("tenant1", tiny_spec(seed=4).to_dict()),
+        ]
+        worker = threading.Thread(
+            target=_shard_worker_main, args=(child, "shard0", payloads, {})
+        )
+        worker.start()
+        try:
+            assert parent.recv() == ("ready", "shard0")
+            parent.send(("batch", [(0, "tenant0", 0, 10, 60)]))
+            op, answers = parent.recv()
+            assert op == "answers"
+            assert [(req_id, kind) for req_id, kind, _ in answers] == [(0, "ok")]
+            assert snapshots == []
+            parent.send(("stats",))
+            op, cards = parent.recv()
+            assert op == "stats" and sorted(cards) == ["tenant0", "tenant1"]
+            assert cards["tenant0"]["requests_served"] == 1
+            assert sorted(snapshots) == ["tenant0", "tenant1"]
+            parent.send(("close",))
+            assert parent.recv() == ("closed", "shard0")
+        finally:
+            # A failed assertion must not leave the worker in recv().
+            parent.close()
+            worker.join(timeout=10.0)
+        assert not worker.is_alive()
