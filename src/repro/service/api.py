@@ -343,9 +343,9 @@ def aggregate_shard_stats(
     return {
         "tenants": float(len(tenant_stats)),
         "worker_pid": float(worker_pid),
-        # Supervision counters: 0 at the source; the parent-side
-        # supervisor overlays the real values (a worker cannot know how
-        # often it has been respawned).
+        # Supervision counters: 0 here; ShardedGateway._scorecard sets
+        # the real values (only the parent knows how often a worker has
+        # been respawned).
         "restarts": 0.0,
         "replacements": 0.0,
         "last_exit": 0.0,

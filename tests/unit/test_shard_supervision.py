@@ -328,6 +328,23 @@ class TestStateBookkeeping:
 
         asyncio.run(program())
 
+    def test_closed_gateway_probes_nothing(self):
+        """A METRICS push that outlives close() must not wait on a pump
+        that has stopped: every shard reports its last probe."""
+
+        async def program():
+            gateway = _bare_gateway()
+            shard = _Shard("shard0", ["tenant0"])
+            shard.state = READY
+            shard.tenant_stats = {"tenant0": {"requests_served": 3.0}}
+            gateway._shards = {"shard0": shard}
+            gateway._closed = True
+            stats = await asyncio.wait_for(gateway.service_stats(), timeout=5.0)
+            assert shard.queue.empty()
+            assert stats.shards["shard0"]["requests_served"] == 3.0
+
+        asyncio.run(program())
+
     def test_maybe_ready_counts_terminal_states(self):
         """A shard that dies terminally before ever being ready must not
         park wait_ready forever — terminal counts as concluded."""
