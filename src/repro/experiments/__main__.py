@@ -81,8 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale",
         type=float,
         default=None,
-        help="time-scale factor (overrides REPRO_BENCH_SCALE; "
-        "default: REPRO_BENCH_SCALE)",
+        help="time-scale factor (default: REPRO_BENCH_SCALE)",
     )
     run.add_argument("--cache-dir", default=None, help="result cache directory")
     run.add_argument(
