@@ -18,7 +18,8 @@ Two modes:
   chaos runs (``--chaos-kill-worker``): the fault must actually have
   fired (a worker killed mid-load, ≥1 restart recorded in the shard
   scorecards) and the service must still have completed every offered
-  request — zero failed clients, zero lost answers. Chaos reports are
+  request — zero failed clients, zero lost answers — with the tenant
+  count still adding up over the shard scorecards. Chaos reports are
   *excluded* from the ``--serve`` digest-identity set: a mid-run kill
   legitimately perturbs shed timing.
 
@@ -121,6 +122,10 @@ def check_chaos_report(path: str) -> dict:
     assert restarts >= 1 or replacements >= 1, (label, shards)
     killed = shards.get(chaos["killed"], {})
     assert killed.get("last_exit", 0) != 0, (label, chaos["killed"], killed)
+    # Each tenant is counted on one shard, even after a re-placement (a
+    # retired shard reports none, so requests_served > 0 is not gated).
+    tenants_placed = sum(int(s["tenants"]) for s in shards.values())
+    assert tenants_placed == len(report["tenants"]), (label, shards)
 
     print(
         f"{label} (chaos): killed={chaos['killed']} "

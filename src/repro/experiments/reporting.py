@@ -53,10 +53,9 @@ def series_table(
     series: Dict[str, List[float]],
     x_values: Sequence[object],
     title: str,
-    y_label: str = "messages",
 ) -> str:
     """A figure-4/5 style table: one row per x value, one column per policy."""
-    headers = [x_label] + [f"{name} ({y_label})" for name in series]
+    headers = [x_label] + [f"{name} (messages)" for name in series]
     rows = []
     for i, x in enumerate(x_values):
         rows.append([x] + [int(series[name][i]) for name in series])

@@ -518,11 +518,11 @@ def _policy_labels(specs: Iterable[ExperimentSpec]) -> LabelledSpecs:
     return [(f"{s.policy}/{s.workload}", s) for s in specs]
 
 
-def _series_labels(prefix: str, series, fmt: str = "{:g}") -> LabelledSpecs:
+def _series_labels(prefix: str, series) -> LabelledSpecs:
     out: LabelledSpecs = []
     for x, specs in series:
         for s in specs:
-            out.append((f"{prefix}={fmt.format(x)}/{s.policy}/{s.workload}", s))
+            out.append((f"{prefix}={x:g}/{s.policy}/{s.workload}", s))
     return out
 
 

@@ -336,10 +336,16 @@ def aggregate_shard_stats(
     ones); the latency figure kept is the max per-tenant p95 — the
     shard's worst tenant is what a load balancer would act on.
     """
-    offered = sum(s.get("requests_offered", 0.0) for s in tenant_stats.values())
-    served = sum(s.get("requests_served", 0.0) for s in tenant_stats.values())
-    shed = sum(s.get("requests_shed", 0.0) for s in tenant_stats.values())
-    hits = sum(s.get("cache_hits", 0.0) for s in tenant_stats.values())
+    cards = tenant_stats.values()
+
+    def total(key: str) -> float:
+        # Starts at 0.0, so an empty shard's fields are floats too.
+        return sum((card.get(key, 0.0) for card in cards), 0.0)
+
+    offered = total("requests_offered")
+    served = total("requests_served")
+    shed = total("requests_shed")
+    hits = total("cache_hits")
     return {
         "tenants": float(len(tenant_stats)),
         "worker_pid": float(worker_pid),
@@ -355,12 +361,9 @@ def aggregate_shard_stats(
         "shed_rate": shed / offered if offered else 0.0,
         "cache_hits": hits,
         "cache_hit_rate": hits / served if served else 0.0,
-        "queue_depth": sum(s.get("backlog", 0.0) for s in tenant_stats.values()),
-        "queries_issued": sum(
-            s.get("queries_issued", 0.0) for s in tenant_stats.values()
-        ),
+        "queue_depth": total("backlog"),
+        "queries_issued": total("queries_issued"),
         "latency_p95_s": max(
-            (s.get("latency_p95_s", 0.0) for s in tenant_stats.values()),
-            default=0.0,
+            (card.get("latency_p95_s", 0.0) for card in cards), default=0.0
         ),
     }

@@ -24,14 +24,20 @@ the pipe through an event-loop reader, so the parent runs no threads.
 Shards are independent; concurrency comes from running one pump per
 shard.
 
+Placement lives in one table, tenant → shard name
+(``ShardedGateway._shard_of``): a shard's tenants are the ones the table
+maps to it, in tenant order, and a re-placement only flips their entries.
+
 Workers announce ``ready`` after their deployments finish boot +
-stabilization; :attr:`ShardedGateway.ready` gates the server's HELLO
-handshake so first queries can never race warmup.
+stabilization. :attr:`ShardedGateway.ready` is the one readiness event:
+it gates the server's HELLO handshake so first queries can never race
+warmup, and :meth:`ShardedGateway.answer` waits on it too.
 
 Replies carry answers only. A tenant scorecard sorts every latency the
 tenant has served, so workers build scorecards only when a ``stats``
 probe asks, and the parent folds each shard's last probe into its shard
-scorecard in one place (:meth:`ShardedGateway._scorecard`).
+scorecard in one place (:meth:`ShardedGateway._scorecard`), keeping
+only the tenants placed on that shard now.
 
 Supervision
 -----------
@@ -51,9 +57,10 @@ Worker death is detected by pipe EOF or a ``fatal`` reply while an
 exchange is in flight, and by the process's exit sentinel at any time:
 an event-loop reader on :attr:`multiprocessing.Process.sentinel` fires
 once the worker has exited, which also wakes an idle pump. On death the
-supervisor fails every in-flight and queued request with the
-*retryable* :class:`~repro.service.api.ShardRestartingError` (wire code
-``retry``, honored by the clients' capped retry policy), respawns the
+supervisor fails every in-flight and queued request through one sweep
+(the one :meth:`ShardedGateway.close` uses too) with the *retryable*
+:class:`~repro.service.api.ShardRestartingError` (wire code ``retry``,
+honored by the clients' capped retry policy), respawns the
 worker with bounded exponential backoff (:class:`BackoffPolicy`), and
 re-creates its tenants from the stored spec payloads via the same
 deterministic seed ladder. When the respawn budget runs out, the dead
@@ -61,14 +68,17 @@ shard's tenants are *re-placed*: surviving workers ``adopt`` them
 (booting fresh deployments from the same specs) and the routing table
 flips — the service degrades instead of dying. Per-shard ``restarts`` /
 ``replacements`` / ``last_exit`` counters surface in
-``ServiceStats.shards`` and the METRICS push; a shard that is restarting
-or retired reports its last probe with them.
+``ServiceStats.shards`` and the METRICS push. A restarting shard reports
+its last probe with them; a retired shard reports no tenants, and a
+re-placed tenant's scorecard restarts at 0 on its adopter, which boots
+it afresh.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -98,8 +108,10 @@ REPLACING = "replacing"
 REPLACED = "replaced"
 FAILED = "failed"
 
-#: Transient states: requests fail with the retryable ``retry`` code.
-_RETRYABLE_STATES = (RESTARTING, REPLACING)
+#: Transient states: requests fail with the retryable ``retry`` code. A
+#: request meets a booting shard only once a sibling's boot error has set
+#: the gateway's readiness early.
+_RETRYABLE_STATES = (BOOTING, RESTARTING, REPLACING)
 #: Terminal states: the shard will never serve again.
 _TERMINAL_STATES = (REPLACED, FAILED)
 
@@ -130,44 +142,17 @@ class BackoffPolicy:
             raise ValueError(f"attempt must be >= 0, got {attempt}")
         return min(self.cap_s, self.base_s * (2.0**attempt))
 
-    def delays(self) -> List[float]:
-        """The full delay schedule, one entry per budgeted respawn."""
-        return [self.delay(i) for i in range(self.budget)]
-
 
 def shard_name(index: int) -> str:
     return f"shard{index}"
 
 
-def plan_placement(
-    tenants: Sequence[str], workers: int
-) -> List[List[str]]:
-    """Round-robin tenant → shard placement (shard i hosts tenants
-    i, i+W, i+2W, ...). Deterministic in the tenant order alone, so a
-    fixed tenant list always yields the same placement."""
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
-    assignments: List[List[str]] = [[] for _ in range(min(workers, len(tenants)))]
-    for i, tenant in enumerate(tenants):
-        assignments[i % len(assignments)].append(tenant)
-    return assignments
-
-
-def plan_replacement(
-    tenants: Sequence[str], survivors: Sequence[str]
-) -> Dict[str, List[str]]:
-    """Round-robin a dead shard's tenants over the surviving shards.
-
-    Deterministic in the (ordered) tenant and survivor lists, mirroring
-    :func:`plan_placement`. Returns ``{survivor: [tenant, ...]}`` with
-    only non-empty assignments.
-    """
-    if not survivors:
-        raise ValueError("no surviving shards to re-place onto")
-    plan: Dict[str, List[str]] = {}
-    for i, tenant in enumerate(tenants):
-        plan.setdefault(survivors[i % len(survivors)], []).append(tenant)
-    return plan
+def round_robin(tenants: Sequence[str], shards: Sequence[str]) -> Dict[str, str]:
+    """Deal ``tenants`` over ``shards`` in order (shard i gets tenants
+    i, i+S, i+2S, ...): the initial placement and a dead shard's
+    re-placement onto the survivors. Deterministic in the two ordered
+    lists alone."""
+    return {tenant: shards[i % len(shards)] for i, tenant in enumerate(tenants)}
 
 
 # ----------------------------------------------------------------------
@@ -330,17 +315,13 @@ class _Shard:
     """Parent-side handle of one worker: process, pipe, request queue,
     and the supervision bookkeeping (state, restart counters)."""
 
-    def __init__(self, name: str, tenants: List[str]):
+    def __init__(self, name: str):
         self.name = name
         self.process = None
         self.conn = None
         #: resolved by the exit-sentinel reader once the process exits.
         self.exited: Optional["asyncio.Future"] = None
-        self.tenants = list(tenants)
         self.queue: "asyncio.Queue" = asyncio.Queue()
-        #: set once the *first* boot concludes (ready or terminal) —
-        #: waiters wake and read :attr:`state` for the outcome.
-        self.ready = asyncio.Event()
         self.state = BOOTING
         self.failed: Optional[str] = None
         self.supervisor: Optional[asyncio.Task] = None
@@ -350,10 +331,10 @@ class _Shard:
         #: the tenant scorecards of the last ``stats`` probe.
         self.tenant_stats: Dict[str, Dict[str, float]] = {}
         # -- supervision counters (surfaced in ServiceStats.shards) ----
+        #: respawns so far, which the backoff budget bounds.
         self.restarts = 0
         self.replacements = 0
         self.last_exit: Optional[int] = None
-        self.respawns_used = 0
 
 
 class ShardedGateway:
@@ -387,9 +368,16 @@ class ShardedGateway:
             name: dataclasses.replace(spec, seed=seed0 + i).to_dict()
             for i, name in enumerate(names)
         }
-        self._assignments = plan_placement(names, workers)
+        #: shards placed at start; a retired shard still counts.
+        self.workers = min(workers, tenants)
+        #: tenant -> shard name, in tenant order: the only record of
+        #: placement. A re-placement flips entries.
+        self._shard_of = round_robin(
+            names, [shard_name(i) for i in range(self.workers)]
+        )
         self._shards: Dict[str, _Shard] = {}
-        self._shard_of: Dict[str, str] = {}
+        #: set once every shard's first boot has concluded (ready or
+        #: terminal), or early by a boot error.
         self.ready = asyncio.Event()
         self._closed = False
         self._boot_error: Optional[str] = None
@@ -402,12 +390,12 @@ class ShardedGateway:
     def tenants(self) -> List[str]:
         return sorted(self._shard_of)
 
-    @property
-    def workers(self) -> int:
-        return len(self._assignments)
-
     def shard_of(self, tenant: str) -> str:
         return self._shard_of[tenant]
+
+    def _tenants_on(self, shard: _Shard) -> List[str]:
+        """The tenants placed on ``shard``, in tenant order."""
+        return [t for t, name in self._shard_of.items() if name == shard.name]
 
     def shard_states(self) -> Dict[str, str]:
         """Current supervision state per shard (diagnostics, tests)."""
@@ -423,12 +411,10 @@ class ShardedGateway:
         from repro.experiments import registry
 
         self._plugins = registry.plugin_policies()
-        for i, tenant_names in enumerate(self._assignments):
-            shard = _Shard(shard_name(i), tenant_names)
+        for i in range(self.workers):
+            shard = _Shard(shard_name(i))
             self._spawn(shard)
             self._shards[shard.name] = shard
-            for tenant in tenant_names:
-                self._shard_of[tenant] = shard.name
         for shard in self._shards.values():
             shard.supervisor = asyncio.create_task(
                 self._supervise(shard), name=f"supervise-{shard.name}"
@@ -441,7 +427,7 @@ class ShardedGateway:
         and wakes an idle pump once the worker exits."""
         ctx = multiprocessing.get_context(_START_METHOD)
         parent_conn, child_conn = ctx.Pipe()
-        payload = [(t, self._payloads[t]) for t in shard.tenants]
+        payload = [(t, self._payloads[t]) for t in self._tenants_on(shard)]
         process = ctx.Process(
             target=_shard_worker_main,
             args=(child_conn, shard.name, payload, self._plugins),
@@ -524,11 +510,11 @@ class ShardedGateway:
 
     def _death_exception(self, shard: _Shard) -> ServiceFault:
         """The typed fault a request on ``shard`` fails with right now:
-        retryable while the shard is coming back, terminal otherwise."""
+        retryable while the shard is (re)booting, terminal otherwise."""
         if shard.state in _RETRYABLE_STATES:
+            reason = f": {shard.failed}" if shard.failed else ""
             return ShardRestartingError(
-                f"{shard.name} is {shard.state}: "
-                f"{shard.failed or 'worker died'}; retry shortly"
+                f"{shard.name} is {shard.state}{reason}; retry shortly"
             )
         return ServiceUnavailableError(
             shard.failed or f"{shard.name} is {shard.state}"
@@ -542,25 +528,23 @@ class ShardedGateway:
         if not future.done():
             future.set_exception(exc)
 
-    def _fail_inflight(self, shard: _Shard) -> None:
-        for entry in shard.inflight:
-            self._fail_entry(entry, self._death_exception(shard))
+    def _fail_pending(self, shard: _Shard, fault: Callable[[], ServiceFault]) -> None:
+        """Fail the in-flight batch and every queued entry, each with its
+        own ``fault()`` (``answer()`` stamps its request's seq on it): a
+        request sent to a shard that stops serving must never hang until
+        the client's timeout."""
+        entries = shard.inflight
         shard.inflight = []
-
-    def _drain_queue(self, shard: _Shard) -> None:
-        """Fail-fast every request sitting in the shard's queue — a
-        queued future must never be left to hang until client timeout."""
         while not shard.queue.empty():
-            entry = shard.queue.get_nowait()
-            if entry is None:
-                self._closed = True
-                continue
-            self._fail_entry(entry, self._death_exception(shard))
+            entries.append(shard.queue.get_nowait())
+        for entry in entries:
+            self._fail_entry(entry, fault())
 
     async def _supervise(self, shard: _Shard) -> None:
         """One shard's supervisor: run the worker, and on death respawn
         with bounded backoff or re-place the tenants when the respawn
         budget is spent (see the module docstring's state machine)."""
+        fault = functools.partial(self._death_exception, shard)
         while True:
             outcome = await self._pump(shard)
             if outcome is None or self._closed:
@@ -570,22 +554,24 @@ class ShardedGateway:
             if kind == "boot_error":
                 # The worker itself reported the exception: the spec is
                 # broken, every respawn would fail identically.
-                self._mark_failed(shard, reason)
                 self._boot_error = f"{shard.name} failed to boot: {reason}"
+                self._mark_failed(shard, reason)
                 self.ready.set()  # wake waiters so they can see the failure
-                await self._reap(shard)
-                return await self._drain_until_closed(shard)
-            if shard.respawns_used >= self.backoff.budget:
-                await self._replace(shard)
-                return await self._drain_until_closed(shard)
-            shard.state = RESTARTING
-            self._fail_inflight(shard)
-            # Reap before draining: the exit reader's ``dead`` entry is
-            # queued by then, so it cannot reach the next incarnation.
+            elif shard.restarts < self.backoff.budget:
+                shard.state = RESTARTING
+            else:
+                shard.state = REPLACING
+            self._fail_pending(shard, fault)
+            # Reap before the second sweep: the exit reader's ``dead``
+            # entry is queued by then, so it cannot reach the next
+            # incarnation.
             await self._reap(shard)
-            self._drain_queue(shard)
-            delay = self.backoff.delay(shard.respawns_used)
-            shard.respawns_used += 1
+            self._fail_pending(shard, fault)
+            if shard.state == REPLACING:
+                await self._replace(shard)
+            if shard.state != RESTARTING:
+                return await self._drain_until_closed(shard)
+            delay = self.backoff.delay(shard.restarts)
             shard.restarts += 1
             await self._sleep(delay)
             if self._closed:
@@ -611,16 +597,12 @@ class ShardedGateway:
     def _mark_failed(self, shard: _Shard, reason: str) -> None:
         shard.state = FAILED
         shard.failed = reason
-        shard.ready.set()  # waiters wake and observe the terminal state
         self._maybe_ready()
 
     async def _replace(self, shard: _Shard) -> None:
-        """Respawn budget exhausted: re-place the shard's tenants across
-        the surviving shards so the service degrades instead of dying."""
-        shard.state = REPLACING
-        self._fail_inflight(shard)
-        await self._reap(shard)
-        self._drain_queue(shard)
+        """Respawn budget exhausted and the worker reaped: re-place the
+        shard's tenants across the surviving shards so the service
+        degrades instead of dying."""
         survivors = [
             s.name
             for s in self._shards.values()
@@ -629,14 +611,15 @@ class ShardedGateway:
         if not survivors:
             self._mark_failed(
                 shard,
-                f"{shard.name} worker died {shard.respawns_used + 1} times "
+                f"{shard.name} worker died {shard.restarts + 1} times "
                 "and no shard survives to adopt its tenants",
             )
             return
-        plan = plan_replacement(shard.tenants, sorted(survivors))
-        for survivor_name in sorted(plan):
+        plan = round_robin(self._tenants_on(shard), sorted(survivors))
+        adopters = sorted(set(plan.values()))
+        for survivor_name in adopters:
             survivor = self._shards[survivor_name]
-            tenants = plan[survivor_name]
+            tenants = [t for t, name in plan.items() if name == survivor_name]
             payload = [(t, self._payloads[t]) for t in tenants]
             future = asyncio.get_running_loop().create_future()
             survivor.queue.put_nowait(("adopt", future, payload))
@@ -647,21 +630,15 @@ class ShardedGateway:
                 # that. These tenants stay on the dead shard and fail
                 # unavailable — the rest still re-place.
                 continue
-            survivor.tenants.extend(tenants)
             survivor.replacements += len(tenants)
             for tenant in tenants:
                 self._shard_of[tenant] = survivor_name
         shard.state = REPLACED
         shard.failed = (
             f"{shard.name} exhausted its respawn budget "
-            f"({self.backoff.budget}); tenants re-placed onto "
-            f"{sorted(plan)}"
+            f"({self.backoff.budget}); tenants re-placed onto {adopters}"
         )
-        shard.ready.set()
         self._maybe_ready()
-        # Requests that raced the re-placement still fail retryable —
-        # on retry the routing table sends them to the adopter.
-        self._drain_queue(shard)
 
     async def _drain_until_closed(self, shard: _Shard) -> None:
         """Terminal-state drainer: anything that still lands on this
@@ -704,7 +681,6 @@ class ShardedGateway:
             return ("boot_error", str(message[-1]))
         shard.state = READY
         shard.failed = None
-        shard.ready.set()
         self._maybe_ready()
         while not self._closed:
             item = await shard.queue.get()
@@ -787,27 +763,18 @@ class ShardedGateway:
         :class:`~repro.service.api.ShardRestartingError` (retryable)
         while the shard's worker is being respawned or its tenants
         re-placed, and :class:`ServiceUnavailableError` when the shard
-        is terminally gone. Called before the shard is ready, it waits —
-        the HELLO handshake normally makes that impossible.
+        is terminally gone. Called before the gateway is :attr:`ready`,
+        it waits — the HELLO handshake normally makes that impossible.
         """
         if self._closed:
             raise ServiceUnavailableError("gateway is closed", seq=request.seq)
-        shard: Optional[_Shard] = None
-        shard_id: Optional[str] = None
-        # Re-resolve after the ready wait: a re-placement may have moved
-        # the tenant to an adopting shard while we were parked.
-        for _ in range(len(self._shards) + 1):
-            shard_id = self._shard_of.get(request.tenant)
-            if shard_id is None:
-                raise MalformedRequestError(
-                    f"unknown tenant {request.tenant!r}; one of {self.tenants}",
-                    seq=request.seq,
-                )
-            shard = self._shards[shard_id]
-            await shard.ready.wait()
-            if self._shard_of.get(request.tenant) == shard_id:
-                break
-        assert shard is not None
+        if request.tenant not in self._shard_of:
+            raise MalformedRequestError(
+                f"unknown tenant {request.tenant!r}; one of {self.tenants}",
+                seq=request.seq,
+            )
+        await self.ready.wait()
+        shard = self._shards[self._shard_of[request.tenant]]
         if shard.state != READY:
             fault = self._death_exception(shard)
             fault.seq = request.seq
@@ -825,13 +792,24 @@ class ShardedGateway:
         return answer
 
     # -- telemetry -----------------------------------------------------
+    def _last_probe(self, shard: _Shard) -> Dict[str, Dict[str, float]]:
+        """``shard``'s last probed tenant scorecards, for the tenants
+        placed on it now: a re-placed tenant reports from its adopter, so
+        a retired shard reports none."""
+        return {
+            tenant: card
+            for tenant, card in shard.tenant_stats.items()
+            if self._shard_of[tenant] == shard.name
+        }
+
     def _scorecard(self, shard: _Shard) -> Dict[str, float]:
         """One shard's scorecard: its tenants' last probed scorecards,
         the worker's pid and the supervision counters, which only the
         parent knows."""
         process = shard.process
         card = aggregate_shard_stats(
-            shard.tenant_stats, worker_pid=process.pid if process is not None else 0
+            self._last_probe(shard),
+            worker_pid=process.pid if process is not None else 0,
         )
         card["restarts"] = float(shard.restarts)
         card["replacements"] = float(shard.replacements)
@@ -841,9 +819,9 @@ class ShardedGateway:
     async def service_stats(self) -> ServiceStats:
         """Probe every ready shard for fresh tenant scorecards (the probe
         rides the same lockstep pump as queries, so it can never
-        interleave a batch) and build every shard's scorecard. Shards
-        mid-restart or retired report their last probe; a closed
-        gateway probes nothing."""
+        interleave a batch) and build every shard's scorecard. A shard
+        mid-restart reports its last probe and a retired one no tenants;
+        a closed gateway probes nothing."""
         loop = asyncio.get_running_loop()
         probes: Dict[str, "asyncio.Future"] = {}
         for shard in self._shards.values():
@@ -856,7 +834,7 @@ class ShardedGateway:
                 tenants.update(await future)
             except ServiceFault:
                 # Died mid-probe: its last probe stands.
-                tenants.update(self._shards[name].tenant_stats)
+                tenants.update(self._last_probe(self._shards[name]))
         return ServiceStats(
             tenants=tenants,
             shards={
@@ -882,6 +860,7 @@ class ShardedGateway:
                 shard.conn.send(("close",))
             except (OSError, BrokenPipeError, ValueError):
                 pass
+        closed = functools.partial(ServiceUnavailableError, "gateway is closed")
         for shard in self._shards.values():
             process = shard.process
             if process is None:
@@ -897,13 +876,4 @@ class ShardedGateway:
             except OSError:
                 pass
             # Nothing may be left hanging on a closed gateway.
-            closed_exc: Callable[[], ServiceFault] = lambda: (
-                ServiceUnavailableError("gateway is closed")
-            )
-            for entry in shard.inflight:
-                self._fail_entry(entry, closed_exc())
-            shard.inflight = []
-            while not shard.queue.empty():
-                entry = shard.queue.get_nowait()
-                if entry is not None:
-                    self._fail_entry(entry, closed_exc())
+            self._fail_pending(shard, closed)

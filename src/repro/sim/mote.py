@@ -5,14 +5,14 @@ TinyOS stack: a monotonically increasing sequence number stamped into every
 outgoing frame header, a snooping :class:`~repro.sim.linkest.LinkEstimator`,
 and a :class:`~repro.sim.routing_tree.RoutingTree` maintained by periodic
 beacons ("heartbeat messages", Section 6). Subclasses implement
-:meth:`handle_frame` (and optionally :meth:`handle_snoop`) for application
-traffic.
+:meth:`handle_frame` for application traffic.
 
 Frame dispatch keeps the bookkeeping honest: *every* heard frame (received
 or snooped, except link-layer ACKs) feeds the link estimator and the
 origin/parent header feeds the descendants list, exactly as Section 5.2
 describes the basestation and nodes learning topology from Scoop's custom
-packet header.
+packet header. A snooped frame does nothing else: beacons are broadcast,
+and the radio hands every broadcast to :meth:`on_receive`.
 """
 
 from __future__ import annotations
@@ -249,19 +249,11 @@ class Mote:
         self.handle_frame(frame)
 
     def on_snoop(self, frame: Frame) -> None:
-        if not self.booted:
-            return
-        self._observe(frame)
-        if frame.kind is FrameKind.BEACON:
-            self.tree.on_beacon(frame.src, frame.payload)
-            return
-        self.handle_snoop(frame)
+        if self.booted:
+            self._observe(frame)
 
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
     def handle_frame(self, frame: Frame) -> None:
         """Application traffic addressed to (or broadcast past) this node."""
-
-    def handle_snoop(self, frame: Frame) -> None:
-        """Overheard application traffic (default: ignore)."""

@@ -35,23 +35,22 @@ _BLOCK = 4096
 class BatchedUniformStream:
     """Uniform [0, 1) draws served from pre-generated blocks."""
 
-    __slots__ = ("seed", "_gen", "_block", "_pos", "_size")
+    __slots__ = ("seed", "_gen", "_block", "_pos")
 
-    def __init__(self, seed: int, block_size: int = _BLOCK):
+    def __init__(self, seed: int):
         self.seed = seed
-        self._size = block_size
-        self._pos = block_size  # empty: first draw triggers a refill
+        self._pos = _BLOCK  # empty: first draw triggers a refill
         self._block = np.empty(0)
         entropy = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, _STREAM_DOMAIN])
         self._gen = np.random.Generator(np.random.PCG64(entropy))
 
     def _refill(self) -> None:
-        self._block = self._gen.random(self._size)
+        self._block = self._gen.random(_BLOCK)
         self._pos = 0
 
     def random(self) -> float:
         """The next uniform in the sequence, as a Python float."""
-        if self._pos >= self._size:
+        if self._pos >= _BLOCK:
             self._refill()
         value = self._block[self._pos]
         self._pos += 1
@@ -67,9 +66,9 @@ class BatchedUniformStream:
         out = np.empty(max(k, 0))
         filled = 0
         while filled < k:
-            if self._pos >= self._size:
+            if self._pos >= _BLOCK:
                 self._refill()
-            n = min(self._size - self._pos, k - filled)
+            n = min(_BLOCK - self._pos, k - filled)
             out[filled : filled + n] = self._block[self._pos : self._pos + n]
             self._pos += n
             filled += n

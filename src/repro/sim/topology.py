@@ -290,8 +290,6 @@ def random_geometric(
     target_degree_fraction: float = 0.20,
     loss_range: Tuple[float, float] = (0.25, 0.90),
     asymmetry: float = 0.10,
-    area: float = 100.0,
-    max_attempts: int = 40,
 ) -> Topology:
     """Random geometric topology tuned to the paper's simulated network.
 
@@ -302,7 +300,8 @@ def random_geometric(
     asymmetric. The generator retries until the topology is connected.
     """
     rng = random.Random(seed)
-    for attempt in range(max_attempts):
+    area = 100.0  # side of the square
+    for attempt in range(40):
         positions = [(rng.uniform(0, area), rng.uniform(0, area)) for _ in range(n)]
         # Put the basestation near a corner, as in a building deployment
         # where the root sits at one end of the floor.

@@ -531,8 +531,9 @@ class TestShardSupervision:
     def test_budget_exhausted_replaces_tenants_onto_survivor(self):
         """With a zero respawn budget, a worker death re-places the dead
         shard's tenants onto the survivor: the routing table flips, the
-        tenant keeps answering (from the other shard), and the
-        supervision counters record the whole story."""
+        tenant keeps answering (from the other shard), the supervision
+        counters record the whole story, and each tenant is counted on
+        one shard only."""
 
         async def program():
             gateway = ShardedGateway(
@@ -548,6 +549,9 @@ class TestShardSupervision:
                     _request(gateway, "tenant0", seq=1)
                 )
                 assert before.shard == "shard0"
+                # shard0's last probe now holds tenant0.
+                probed = await gateway.service_stats()
+                assert probed.shards["shard0"]["tenants"] == 1.0
                 assert gateway.chaos_kill_worker("shard0") == "shard0"
                 await poll_until(
                     lambda: gateway.shard_states()["shard0"] == "replaced"
@@ -564,8 +568,13 @@ class TestShardSupervision:
                 assert stats.shards["shard0"]["restarts"] == 0
                 assert stats.shards["shard0"]["last_exit"] == -9
                 assert stats.shards["shard1"]["replacements"] == 1
-                # Both tenants report through the adopting shard now.
+                # Both tenants report through the adopting shard now, and
+                # the retired shard reports none: the report adds up.
                 assert set(stats.tenants) == {"tenant0", "tenant1"}
+                assert stats.shards["shard0"]["tenants"] == 0.0
+                assert stats.shards["shard1"]["tenants"] == 2.0
+                placed = sum(card["tenants"] for card in stats.shards.values())
+                assert placed == len(gateway.tenants)
             finally:
                 await gateway.close()
                 assert_no_zombies(gateway)

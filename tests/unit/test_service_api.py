@@ -174,6 +174,9 @@ class TestAggregateShardStats:
         assert agg["tenants"] == 0.0
         assert agg["shed_rate"] == 0.0
         assert agg["latency_p95_s"] == 0.0
+        # A shard before its first probe, or a retired one, still sends
+        # floats: ServiceStats.shards is Dict[str, Dict[str, float]].
+        assert {k: type(v) for k, v in agg.items()} == dict.fromkeys(agg, float)
 
 
 def test_version_constant_is_one():

@@ -1,7 +1,7 @@
 """Unit tests for the shard supervisor's pure machinery (ISSUE 10).
 
 Everything here runs without worker processes: the backoff schedule is
-plain math, the re-placement plan is a pure function, and the supervisor
+plain math, the placement deal is a pure function, and the supervisor
 loop is driven with a scripted ``_pump`` plus a fake clock (the
 injectable ``gateway._sleep``) — so the respawn/replace decisions and
 the queue-drain guarantees are pinned deterministically. The worker's
@@ -19,6 +19,7 @@ import pytest
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.experiments.runner import ExperimentSpec
 from repro.service.api import (
+    QueryRequest,
     ServiceUnavailableError,
     ShardRestartingError,
 )
@@ -26,13 +27,13 @@ from repro.service.shard import (
     BOOTING,
     FAILED,
     READY,
+    REPLACING,
     RESTARTING,
     BackoffPolicy,
     ShardedGateway,
     _Shard,
     _shard_worker_main,
-    plan_placement,
-    plan_replacement,
+    round_robin,
 )
 from repro.service.gateway import TenantService
 
@@ -73,7 +74,7 @@ def dead_shard(exitcode: int = -9) -> _Shard:
     """shard0 whose fake worker has exited: its exit future is already
     resolved, as the exit-sentinel reader leaves it. Needs a running
     loop."""
-    shard = _Shard("shard0", ["tenant0"])
+    shard = _Shard("shard0")
     shard.process = FakeProcess(exitcode)
     shard.exited = asyncio.get_running_loop().create_future()
     shard.exited.set_result(exitcode)
@@ -82,15 +83,13 @@ def dead_shard(exitcode: int = -9) -> _Shard:
 
 class TestBackoffPolicy:
     def test_delay_schedule_doubles_up_to_cap(self):
-        policy = BackoffPolicy(base_s=0.25, cap_s=5.0, budget=6)
-        assert policy.delays() == [0.25, 0.5, 1.0, 2.0, 4.0, 5.0]
+        policy = BackoffPolicy(base_s=0.25, cap_s=5.0)
+        delays = [policy.delay(i) for i in range(6)]
+        assert delays == [0.25, 0.5, 1.0, 2.0, 4.0, 5.0]
 
     def test_cap_binds_immediately_when_base_exceeds_it(self):
-        policy = BackoffPolicy(base_s=10.0, cap_s=3.0, budget=2)
-        assert policy.delays() == [3.0, 3.0]
-
-    def test_zero_budget_means_no_respawns(self):
-        assert BackoffPolicy(budget=0).delays() == []
+        policy = BackoffPolicy(base_s=10.0, cap_s=3.0)
+        assert [policy.delay(i) for i in range(2)] == [3.0, 3.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,19 +102,40 @@ class TestBackoffPolicy:
 
 class TestPlacementPlans:
     def test_round_robin_placement(self):
-        assert plan_placement(["t0", "t1", "t2"], 2) == [["t0", "t2"], ["t1"]]
+        """Tenants deal round-robin over min(workers, tenants) shards;
+        the table keeps tenant order, the order a shard boots them in."""
+        gateway = ShardedGateway(tiny_spec(), tenants=3, workers=2)
+        assert gateway._shard_of == {
+            "tenant0": "shard0",
+            "tenant1": "shard1",
+            "tenant2": "shard0",
+        }
+        assert gateway.workers == 2
+        assert gateway._tenants_on(_Shard("shard0")) == ["tenant0", "tenant2"]
+        assert ShardedGateway(tiny_spec(), tenants=2, workers=5).workers == 2
 
     def test_replacement_round_robins_over_survivors(self):
-        plan = plan_replacement(["t0", "t1", "t2"], ["shard1", "shard2"])
-        assert plan == {"shard1": ["t0", "t2"], "shard2": ["t1"]}
+        plan = round_robin(["t0", "t1", "t2"], ["shard1", "shard2"])
+        assert plan == {"t0": "shard1", "t1": "shard2", "t2": "shard1"}
 
-    def test_replacement_is_deterministic(self):
-        args = (["a", "b", "c", "d"], ["s2", "s5"])
-        assert plan_replacement(*args) == plan_replacement(*args)
+    def test_no_survivors_fails_the_shard(self):
+        """With no live shard left to adopt its tenants, a retired shard
+        fails terminally, its tenants stay placed on it, and readiness
+        still concludes."""
 
-    def test_no_survivors_raises(self):
-        with pytest.raises(ValueError, match="no surviving"):
-            plan_replacement(["t0"], [])
+        async def program():
+            gateway = _bare_gateway()
+            dead, other = _Shard("shard0"), _Shard("shard1")
+            dead.state = REPLACING
+            other.state = FAILED
+            gateway._shards = {"shard0": dead, "shard1": other}
+            await gateway._replace(dead)
+            assert dead.state == FAILED
+            assert "no shard survives" in dead.failed
+            assert gateway.shard_of("tenant0") == "shard0"
+            assert gateway.ready.is_set()
+
+        asyncio.run(program())
 
 
 def _bare_gateway(**kwargs) -> ShardedGateway:
@@ -157,13 +177,12 @@ class TestSupervisorLoop:
             assert spawns == ["shard0", "shard0"]
             assert sleeps == [0.25, 0.5]
             assert shard.restarts == 2
-            assert shard.respawns_used == 2
             assert shard.last_exit == -9
 
         asyncio.run(program())
 
     def test_budget_exhausted_hands_off_to_replacement(self):
-        """Once respawns_used hits the budget, the next death goes to
+        """Once restarts hit the budget, the next death goes to
         _replace() instead of another spawn."""
 
         async def program():
@@ -230,10 +249,14 @@ class TestSupervisorLoop:
 
             assert shard.restarts == 0
             assert "bad spec" in gateway._boot_error
-            assert gateway.ready.is_set()
-            assert shard.ready.is_set()  # waiters wake to see the failure
+            assert gateway.ready.is_set()  # waiters wake to see the failure
 
         asyncio.run(program())
+
+
+def fail_pending(gateway: ShardedGateway, shard: _Shard) -> None:
+    """The supervisor's sweep: each entry fails with the shard's fault."""
+    gateway._fail_pending(shard, lambda: gateway._death_exception(shard))
 
 
 class TestQueueDraining:
@@ -242,7 +265,7 @@ class TestQueueDraining:
     def test_drain_fails_queued_futures_retryable(self):
         async def program():
             gateway = _bare_gateway()
-            shard = _Shard("shard0", ["tenant0"])
+            shard = _Shard("shard0")
             shard.state = RESTARTING
             shard.failed = "worker died"
             loop = asyncio.get_running_loop()
@@ -252,7 +275,7 @@ class TestQueueDraining:
             # An exit reader's wake-up mixed in must be skipped, not failed.
             shard.queue.put_nowait(("dead", "exitcode -9"))
 
-            gateway._drain_queue(shard)
+            fail_pending(gateway, shard)
 
             assert shard.queue.empty()
             for future in futures:
@@ -264,14 +287,14 @@ class TestQueueDraining:
     def test_drain_on_terminal_shard_fails_unavailable(self):
         async def program():
             gateway = _bare_gateway()
-            shard = _Shard("shard0", ["tenant0"])
+            shard = _Shard("shard0")
             shard.state = FAILED
             shard.failed = "no survivors"
             loop = asyncio.get_running_loop()
             future = loop.create_future()
             shard.queue.put_nowait(("req", future, None))
 
-            gateway._drain_queue(shard)
+            fail_pending(gateway, shard)
 
             with pytest.raises(ServiceUnavailableError, match="no survivors"):
                 future.result()
@@ -281,15 +304,16 @@ class TestQueueDraining:
     def test_fail_inflight_clears_the_live_batch(self):
         async def program():
             gateway = _bare_gateway()
-            shard = _Shard("shard0", ["tenant0"])
+            shard = _Shard("shard0")
             shard.state = RESTARTING
             loop = asyncio.get_running_loop()
-            futures = [loop.create_future() for _ in range(2)]
-            shard.inflight = [("req", f, None) for f in futures]
+            futures = [loop.create_future() for _ in range(3)]
+            shard.inflight = [("req", f, None) for f in futures[:2]]
+            shard.queue.put_nowait(("req", futures[2], None))
 
-            gateway._fail_inflight(shard)
+            fail_pending(gateway, shard)
 
-            assert shard.inflight == []
+            assert shard.inflight == [] and shard.queue.empty()
             for future in futures:
                 assert isinstance(future.exception(), ShardRestartingError)
             # Each future gets its OWN exception instance: seq stamping
@@ -302,19 +326,18 @@ class TestQueueDraining:
 class TestStateBookkeeping:
     def test_initial_state_and_counters(self):
         async def program():
-            shard = _Shard("shard3", ["tenant0", "tenant2"])
+            shard = _Shard("shard3")
             assert shard.state == BOOTING
             assert shard.restarts == 0
             assert shard.replacements == 0
             assert shard.last_exit is None
-            assert shard.tenants == ["tenant0", "tenant2"]
 
         asyncio.run(program())
 
     def test_supervision_stats_overlay(self):
         async def program():
             gateway = _bare_gateway()
-            shard = _Shard("shard0", ["tenant0"])
+            shard = _Shard("shard0")
             shard.restarts = 2
             shard.replacements = 1
             shard.last_exit = -9
@@ -334,7 +357,7 @@ class TestStateBookkeeping:
 
         async def program():
             gateway = _bare_gateway()
-            shard = _Shard("shard0", ["tenant0"])
+            shard = _Shard("shard0")
             shard.state = READY
             shard.tenant_stats = {"tenant0": {"requests_served": 3.0}}
             gateway._shards = {"shard0": shard}
@@ -345,15 +368,31 @@ class TestStateBookkeeping:
 
         asyncio.run(program())
 
+    def test_a_booting_shard_fails_retryable(self):
+        """Once a sibling's boot error has set readiness early, a request
+        for a still-booting shard fails with ``retry`` instead of
+        waiting."""
+
+        async def program():
+            gateway = _bare_gateway()
+            gateway._shards = {"shard0": _Shard("shard0"), "shard1": _Shard("shard1")}
+            gateway.ready.set()
+            request = QueryRequest(tenant="tenant0", attr=0, lo=0, hi=100, seq=7)
+            with pytest.raises(ShardRestartingError, match="booting") as fault:
+                await gateway.answer(request)
+            assert fault.value.seq == 7
+
+        asyncio.run(program())
+
     def test_maybe_ready_counts_terminal_states(self):
         """A shard that dies terminally before ever being ready must not
         park wait_ready forever — terminal counts as concluded."""
 
         async def program():
             gateway = _bare_gateway()
-            ready = _Shard("shard0", ["tenant0"])
+            ready = _Shard("shard0")
             ready.state = READY
-            dead = _Shard("shard1", ["tenant1"])
+            dead = _Shard("shard1")
             dead.state = FAILED
             gateway._shards = {"shard0": ready, "shard1": dead}
             gateway._maybe_ready()
