@@ -6,22 +6,15 @@ same values (each ships to a nearby owner); range placement trades index
 granularity for fewer mapping chunks.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import ablation_extensions
 
 
 def test_ablation_extensions(benchmark):
-    def run():
-        variants = ablation_extensions()
-        return dict(zip(variants, run_specs(variants.values())))
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    # Results are cached and shared across benchmark files: never mutate
-    # them; build labelled rows locally instead.
+    out = run_scenario(benchmark, "ablation_extensions")
     rows = []
-    for name, result in results.items():
+    for name, result in by_label(out).items():
         rows.append(
             [f"gaussian[{name}]"]
             + [
@@ -38,13 +31,4 @@ def test_ablation_extensions(benchmark):
             "Ablation: Section 4 index extensions (GAUSSIAN)",
         ),
     )
-
-    # All variants complete their workload and store data reliably.
-    for name, result in results.items():
-        assert result.storage_success_rate > 0.8, name
-    # Range placement produces far fewer mapping ranges, hence fewer or
-    # equal mapping messages.
-    assert (
-        results["range-width-10"].breakdown["mapping"]
-        <= results["single-owner"].breakdown["mapping"] * 1.25
-    )
+    assert_claims(out)

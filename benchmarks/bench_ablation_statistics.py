@@ -6,27 +6,18 @@ minutes"). Faster remaps track drifting data better (fewer owner misses)
 but cost more mapping messages.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import ablation_statistics
-
-INTERVALS = (120.0, 240.0, 480.0)
 
 
 def test_ablation_statistics(benchmark):
-    def run():
-        grid = ablation_statistics(remap_intervals=INTERVALS)
-        results = run_specs([spec for _, spec in grid])
-        return dict(zip([interval for interval, _ in grid], results))
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "ablation_statistics")
     rows = []
-    for interval in INTERVALS:
-        r = results[interval]
+    for label, r in by_label(out).items():
         rows.append(
             [
-                f"{interval:.0f}s",
+                label.partition("=")[2],
                 int(r.breakdown["mapping"]),
                 int(r.breakdown["data"]),
                 f"{r.owner_hit_rate:.0%}",
@@ -41,7 +32,4 @@ def test_ablation_statistics(benchmark):
             "Ablation: remap interval vs mapping overhead and placement quality",
         ),
     )
-
-    # All remap rates keep the system functional.
-    for interval, r in results.items():
-        assert r.storage_success_rate > 0.8, interval
+    assert_claims(out)

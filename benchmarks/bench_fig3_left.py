@@ -6,48 +6,17 @@ scoop/gaussian beats both LOCAL and BASE despite its summary and mapping
 overheads.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, emit, run_scenario
 
 from repro.experiments.reporting import breakdown_table
-from repro.experiments.scenarios import fig3_left
 
 
 def test_fig3_left(benchmark):
-    def run():
-        return run_specs(fig3_left())
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "fig3_left")
     emit(
         "fig3_left",
-        breakdown_table(results, "Figure 3 (left): cost breakdown per storage method"),
+        breakdown_table(
+            out.results, "Figure 3 (left): cost breakdown per storage method"
+        ),
     )
-    by_label = {f"{r.policy}/{r.workload}": r for r in results}
-    scoop_unique = by_label["scoop/unique"].total_messages
-    scoop_gauss = by_label["scoop/gaussian"].total_messages
-    local_gauss = by_label["local/gaussian"].total_messages
-    base_gauss = by_label["base/gaussian"].total_messages
-
-    # Paper shape: Scoop outperforms LOCAL and BASE on GAUSSIAN; UNIQUE is
-    # Scoop's best case.
-    assert scoop_gauss < local_gauss
-    assert scoop_gauss < base_gauss
-    assert scoop_unique <= scoop_gauss * 1.1
-    # BASE has only data messages; LOCAL only query/reply messages —
-    # asserted on the per-kind transmission census, not the merged
-    # figure categories.
-    base_sent = by_label["base/gaussian"].metrics.messages_sent
-    assert base_sent.get("summary", 0) == 0
-    assert base_sent.get("mapping", 0) == 0
-    assert base_sent.get("query", 0) + base_sent.get("reply", 0) == 0
-    local_sent = by_label["local/gaussian"].metrics.messages_sent
-    assert local_sent.get("data", 0) == 0
-    assert local_sent.get("summary", 0) == 0
-    # The merged breakdown is exactly the census re-bucketed: each trial's
-    # categories sum to its total.
-    for r in results:
-        assert sum(r.breakdown.values()) == r.total_messages
-        cost_kinds = ("data", "summary", "mapping", "query", "reply")
-        assert (
-            sum(r.metrics.messages_sent.get(k, 0) for k in cost_kinds)
-            == r.total_messages
-        )
+    assert_claims(out)

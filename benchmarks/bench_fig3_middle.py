@@ -6,43 +6,19 @@ HASH approach analytically"). Expected shape: SCOOP well below every
 baseline; HASH comparable to BASE.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, emit, run_scenario
 
 from repro.experiments.reporting import breakdown_table
-from repro.experiments.scenarios import fig3_middle
 
 
 def test_fig3_middle(benchmark):
-    def run():
-        return run_specs(fig3_middle())
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "fig3_middle")
     emit(
         "fig3_middle",
         breakdown_table(
-            results,
+            out.results,
             "Figure 3 (middle): storage policies over the REAL trace "
             "(HASH analytical)",
         ),
     )
-    totals = {r.policy: r.total_messages for r in results}
-
-    # Paper shape: SCOOP cheapest by a wide margin.
-    assert totals["scoop"] < totals["local"]
-    assert totals["scoop"] < totals["base"]
-    assert totals["scoop"] < totals["hash"]
-    # HASH performs "about as well as BASE" (same order of magnitude).
-    assert 0.3 < totals["hash"] / totals["base"] < 3.0
-
-    by_policy = {r.policy: r for r in results}
-    # Simulated trials carry the structured breakdown; the analytical HASH
-    # evaluation has no simulator to meter.
-    assert by_policy["hash"].analytical and by_policy["hash"].metrics is None
-    scoop = by_policy["scoop"].metrics
-    assert scoop is not None
-    # Section 2.1's premise, measured: radio energy dominates flash by
-    # orders of magnitude, and SCOOP pays a real (non-zero) mapping cost.
-    assert scoop.energy_j["radio_tx"] > 100 * scoop.energy_j["flash_write"]
-    assert scoop.messages_sent.get("mapping", 0) > 0
-    assert scoop.planner.get("model_builds", 0) >= 1
-    assert scoop.planner.get("dijkstra_runs", 0) > 0
+    assert_claims(out)

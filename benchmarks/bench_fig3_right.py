@@ -6,39 +6,17 @@ Scoop "performs no better than BASE or HASH" because there is no
 predictability to exploit; REAL and GAUSSIAN sit in between.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, emit, run_scenario
 
 from repro.experiments.reporting import breakdown_table
-from repro.experiments.scenarios import fig3_right
 
 
 def test_fig3_right(benchmark):
-    def run():
-        return run_specs(fig3_right())
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "fig3_right")
     emit(
         "fig3_right",
-        breakdown_table(results, "Figure 3 (right): Scoop over different data sources"),
+        breakdown_table(
+            out.results, "Figure 3 (right): Scoop over different data sources"
+        ),
     )
-    totals = {r.workload: r.total_messages for r in results}
-
-    # RANDOM is Scoop's adversarial case: costlier than every structured
-    # source.
-    assert totals["random"] > totals["unique"]
-    assert totals["random"] > totals["equal"]
-    assert totals["random"] > totals["gaussian"]
-    # UNIQUE exploits locality: among the cheapest sources.
-    assert totals["unique"] <= min(totals["gaussian"], totals["random"])
-    # EQUAL suppresses mapping dissemination: very few mapping messages —
-    # visible directly in the per-kind transmission census.
-    by_workload = {r.workload: r for r in results}
-    assert (
-        by_workload["equal"].metrics.messages_sent.get("mapping", 0)
-        <= by_workload["random"].metrics.messages_sent.get("mapping", 0)
-    )
-    # Every source runs the same protocol substrate: routing beacons are
-    # tracked (outside the paper's metric) and nonzero everywhere.
-    for r in results:
-        assert r.metrics.messages_sent.get("beacon", 0) > 0
-        assert r.breakdown["mapping"] == r.metrics.messages_sent.get("mapping", 0)
+    assert_claims(out)

@@ -8,30 +8,17 @@ percentages ("around 60%, [Scoop] becomes slightly more expensive than
 BASE").
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import series_table
-from repro.experiments.scenarios import fig4_selectivity
-
-FRACTIONS = (0.05, 0.25, 0.60, 1.00)
+from repro.experiments.scenarios import sweep
 
 
 def test_fig4_selectivity(benchmark):
-    def run():
-        grid = [
-            (frac, spec)
-            for frac, specs in fig4_selectivity(fractions=FRACTIONS)
-            for spec in specs
-        ]
-        results = run_specs([spec for _, spec in grid])
-        table = {}
-        for (frac, spec), result in zip(grid, results):
-            table.setdefault(frac, {})[spec.policy] = result
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "fig4_selectivity")
+    grid = sweep(by_label(out))
     series = {
-        policy: [table[f][policy].total_messages for f in FRACTIONS]
+        policy: [cell[policy].total_messages for cell in grid.values()]
         for policy in ("scoop", "local", "base")
     }
     emit(
@@ -39,15 +26,8 @@ def test_fig4_selectivity(benchmark):
         series_table(
             "% nodes queried",
             series,
-            [f"{f:.0%}" for f in FRACTIONS],
+            [f"{float(frac):.0%}" for frac in grid],
             "Figure 4: cost vs percentage of nodes queried (REAL)",
         ),
     )
-
-    # SCOOP beats LOCAL and BASE when few nodes are queried.
-    assert series["scoop"][0] < series["local"][0]
-    assert series["scoop"][0] < series["base"][0]
-    # LOCAL is roughly flat: its flood ignores the bitmap width.
-    assert max(series["local"]) < 2.0 * min(series["local"])
-    # SCOOP's cost grows with the fraction of nodes queried.
-    assert series["scoop"][-1] > series["scoop"][0]
+    assert_claims(out)

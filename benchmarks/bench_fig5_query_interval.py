@@ -5,30 +5,17 @@ zero in BASE, only LOCAL is substantially affected by this; as the query
 rate drops, it becomes a more attractive option relative to the others."
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import series_table
-from repro.experiments.scenarios import fig5_query_interval
-
-INTERVALS = (5.0, 15.0, 45.0)
+from repro.experiments.scenarios import sweep
 
 
 def test_fig5_query_interval(benchmark):
-    def run():
-        grid = [
-            (interval, spec)
-            for interval, specs in fig5_query_interval(intervals=INTERVALS)
-            for spec in specs
-        ]
-        results = run_specs([spec for _, spec in grid])
-        table = {}
-        for (interval, spec), result in zip(grid, results):
-            table.setdefault(interval, {})[spec.policy] = result
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "fig5_query_interval")
+    grid = sweep(by_label(out))
     series = {
-        policy: [table[i][policy].total_messages for i in INTERVALS]
+        policy: [cell[f"{policy}/real"].total_messages for cell in grid.values()]
         for policy in ("scoop", "local", "base")
     }
     emit(
@@ -36,14 +23,8 @@ def test_fig5_query_interval(benchmark):
         series_table(
             "query interval (s)",
             series,
-            [f"{i:.0f}" for i in INTERVALS],
+            list(grid),
             "Figure 5: cost vs query interval (REAL)",
         ),
     )
-
-    # LOCAL's cost falls sharply as queries become rarer.
-    assert series["local"][0] > 2.0 * series["local"][-1]
-    # BASE is (nearly) unaffected by the query rate.
-    assert max(series["base"]) < 1.3 * min(series["base"])
-    # At the default/faster query rates SCOOP beats LOCAL.
-    assert series["scoop"][0] < series["local"][0]
+    assert_claims(out)

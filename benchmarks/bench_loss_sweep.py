@@ -7,34 +7,20 @@ with LOCAL: retransmissions should inflate Scoop's cost as links worsen,
 while its storage pipeline keeps working.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import loss_sweep
-
-LOSSES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+from repro.experiments.scenarios import sweep
 
 
 def test_loss_sweep(benchmark):
-    def run():
-        grid = [
-            (extra, spec)
-            for extra, specs in loss_sweep(losses=LOSSES)
-            for spec in specs
-        ]
-        results = run_specs([spec for _, spec in grid])
-        table = {}
-        for (extra, spec), result in zip(grid, results):
-            table.setdefault(extra, {})[spec.policy] = result
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "loss_sweep")
     rows = []
-    for extra in LOSSES:
-        scoop, local = table[extra]["scoop"], table[extra]["local"]
+    for extra, cell in sweep(by_label(out)).items():
+        scoop, local = cell["scoop"], cell["local"]
         rows.append(
             [
-                f"{extra:.0%}",
+                f"{float(extra):.0%}",
                 int(scoop.total_messages),
                 f"{scoop.storage_success_rate:.0%}",
                 f"{scoop.query_reply_rate:.0%}",
@@ -49,15 +35,4 @@ def test_loss_sweep(benchmark):
             "E12: SCOOP vs LOCAL as every testbed link degrades",
         ),
     )
-
-    # Worse links cost more transmissions end to end.
-    assert (
-        table[LOSSES[-1]]["scoop"].total_messages
-        > table[LOSSES[0]]["scoop"].total_messages
-    )
-    for extra in LOSSES:
-        scoop, local = table[extra]["scoop"], table[extra]["local"]
-        # The storage pipeline survives the whole sweep.
-        assert scoop.storage_success_rate > 0.85, extra
-        # The index keeps beating a flood at every loss level.
-        assert scoop.total_messages < local.total_messages, extra
+    assert_claims(out)

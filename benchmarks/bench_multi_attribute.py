@@ -3,7 +3,8 @@
 The paper's Section 5.5 query model is one attribute per index; the
 motivating deployments sample several. This grid runs SCOOP vs LOCAL vs
 (simulated) HASH at k ∈ {1, 2, 4} attributes with a constant
-*per-attribute* query rate and asserts the multi-attribute cost story:
+*per-attribute* query rate, and the scenario's registered check holds
+the multi-attribute cost story:
 
 * SCOOP stays cheaper than LOCAL in every cell;
 * SCOOP's total cost grows **sublinearly** in k — summaries pack k
@@ -16,47 +17,18 @@ motivating deployments sample several. This grid runs SCOOP vs LOCAL vs
   per-attribute counters present for every registered attribute.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import multi_attribute_grid
-
-KS = (1, 2, 4)
-
-#: SCOOP's total at k must undercut k times its single-attribute cost by
-#: at least this factor (sublinearity with margin).
-SUBLINEAR_MARGIN = 0.9
-
-#: LOCAL's k=4 total must be at least this multiple of its k=1 total —
-#: the flood bill tracks the k× query stream (congestion slack keeps it
-#: below a strict 4×).
-LOCAL_GROWTH_FLOOR = 2.0
-
-#: Per-cell oracle recall floor (tuple-weighted) for SCOOP at bench
-#: scale; the weekly full-scale gate holds the higher paper-regime bar.
-RECALL_FLOOR = 0.5
+from repro.experiments.scenarios import sweep
 
 
 def test_multi_attribute(benchmark):
-    def run():
-        grid = [
-            (k, spec)
-            for k, specs in multi_attribute_grid(ks=KS)
-            for spec in specs
-        ]
-        results = run_specs([spec for _, spec in grid])
-        table = {}
-        for (k, spec), result in zip(grid, results):
-            table.setdefault(k, {})[spec.policy] = result
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "multi_attribute")
     rows = []
-    for k in KS:
-        scoop, local = table[k]["scoop"], table[k]["local"]
-        maintenance = (
-            scoop.breakdown["summary"] + scoop.breakdown["mapping"]
-        )
+    for k, cell in sweep(by_label(out)).items():
+        scoop, local = cell["scoop"], cell["local"]
+        maintenance = scoop.breakdown["summary"] + scoop.breakdown["mapping"]
         rows.append(
             [
                 k,
@@ -64,7 +36,7 @@ def test_multi_attribute(benchmark):
                 int(maintenance),
                 f"{scoop.metrics.oracle['recall_weighted']:.0%}",
                 int(local.total_messages),
-                int(table[k]["hash"].total_messages),
+                int(cell["hash"].total_messages),
             ]
         )
     emit(
@@ -82,47 +54,4 @@ def test_multi_attribute(benchmark):
             "E15: message cost and oracle recall vs concurrent attribute count",
         ),
     )
-
-    scoop_1 = table[1]["scoop"].total_messages
-    maint_1 = (
-        table[1]["scoop"].breakdown["summary"]
-        + table[1]["scoop"].breakdown["mapping"]
-    )
-    for k in KS:
-        scoop, local = table[k]["scoop"], table[k]["local"]
-        # SCOOP wins every cell.
-        assert scoop.total_messages < local.total_messages, (
-            k,
-            scoop.total_messages,
-            local.total_messages,
-        )
-        if k > 1:
-            # Per-attribute cost grows sublinearly for SCOOP...
-            assert scoop.total_messages < SUBLINEAR_MARGIN * k * scoop_1, (
-                k,
-                scoop.total_messages,
-                scoop_1,
-            )
-            maintenance = scoop.breakdown["summary"] + scoop.breakdown["mapping"]
-            assert maintenance < SUBLINEAR_MARGIN * k * maint_1, (
-                k,
-                maintenance,
-                maint_1,
-            )
-        # ...and the oracle signs off on every cell: nothing fabricated,
-        # recall above the floor, per-attribute counters for all k.
-        oracle = scoop.metrics.oracle
-        assert oracle["precision_violations"] == 0, (k, oracle)
-        assert oracle["recall_weighted"] >= RECALL_FLOOR, (k, oracle)
-        assert set(scoop.metrics.attributes) == {
-            f"a{a}" for a in range(k)
-        }, (k, scoop.metrics.attributes)
-        for attr in range(k):
-            assert scoop.metrics.planner.get(f"a{attr}.index_builds", 0) > 0, (
-                k,
-                attr,
-            )
-    # LOCAL's broadcast floods keep growing with the k× query stream.
-    local_1 = table[1]["local"].total_messages
-    local_4 = table[KS[-1]]["local"].total_messages
-    assert local_4 >= LOCAL_GROWTH_FLOOR * local_1, (local_1, local_4)
+    assert_claims(out)

@@ -9,39 +9,20 @@ and SCOOP must *re-map* (planner reassignment counters move, the storage
 pipeline keeps landing readings) rather than collapse.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import node_churn
-
-RATES = (0.0, 0.15, 0.3, 0.45)
-
-#: Seed-to-seed slack on the per-rate completeness comparison: adjacent
-#: rates kill different node sets at different times, so monotonicity is
-#: asserted up to this tolerance (the 0 -> max drop must be strict).
-MONOTONE_SLACK = 0.03
+from repro.experiments.scenarios import sweep
 
 
 def test_node_churn(benchmark):
-    def run():
-        grid = [
-            (rate, spec)
-            for rate, specs in node_churn(rates=RATES)
-            for spec in specs
-        ]
-        results = run_specs([spec for _, spec in grid])
-        table = {}
-        for (rate, spec), result in zip(grid, results):
-            table.setdefault(rate, {})[spec.policy] = result
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "node_churn")
     rows = []
-    for rate in RATES:
-        scoop, local = table[rate]["scoop"], table[rate]["local"]
+    for rate, cell in sweep(by_label(out)).items():
+        scoop, local = cell["scoop"], cell["local"]
         rows.append(
             [
-                f"{rate:.0%}",
+                f"{float(rate):.0%}",
                 f"{scoop.retrieval_completeness:.0%}",
                 f"{scoop.storage_success_rate:.0%}",
                 int(scoop.metrics.planner.get("owners_reassigned", 0)),
@@ -66,22 +47,4 @@ def test_node_churn(benchmark):
             "E14: data survival and owner reassignment under node churn",
         ),
     )
-
-    for policy in ("scoop", "local"):
-        completeness = [table[rate][policy].retrieval_completeness for rate in RATES]
-        # Completeness degrades monotonically with churn (up to seed noise)
-        # and the full sweep ends strictly lower than it started.
-        for a, b in zip(completeness, completeness[1:]):
-            assert b <= a + MONOTONE_SLACK, (policy, completeness)
-        assert completeness[-1] < completeness[0] - 0.05, (policy, completeness)
-    for rate in RATES:
-        scoop = table[rate]["scoop"]
-        # SCOOP re-maps rather than collapses: readings keep landing
-        # somewhere retrievable even at the highest churn...
-        assert scoop.storage_success_rate > 0.8, (rate, scoop.storage_success_rate)
-        if rate > 0:
-            # ...because dead owners' ranges are reassigned at a remap.
-            assert scoop.metrics.planner.get("owners_reassigned", 0) > 0, rate
-            assert scoop.metrics.survival["nodes_failed"] > 0, rate
-        else:
-            assert scoop.metrics.survival["nodes_failed"] == 0
+    assert_claims(out)

@@ -5,55 +5,25 @@ on different types of data are less pronounced as the cost of queries,
 mappings, and summaries becomes dominant."
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import sample_interval_sweep
-
-INTERVALS = (15.0, 60.0)
+from repro.experiments.scenarios import sweep
 
 
 def test_sample_interval(benchmark):
-    def run():
-        grid = [
-            (interval, spec)
-            for interval, specs in sample_interval_sweep(intervals=INTERVALS)
-            for spec in specs
-        ]
-        results = run_specs([spec for _, spec in grid])
-        table = {}
-        for (interval, spec), result in zip(grid, results):
-            table.setdefault(interval, {})[spec.workload] = result
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = []
-    for interval in INTERVALS:
-        per = table[interval]
-        rows.append(
-            [f"{interval:.0f}s"]
-            + [int(per[w].total_messages) for w in ("unique", "gaussian", "random")]
-        )
+    out = run_scenario(benchmark, "sample_interval")
+    sources = ("unique", "gaussian", "random")
+    rows = [
+        [f"{interval}s"] + [int(cell[f"scoop/{s}"].total_messages) for s in sources]
+        for interval, cell in sweep(by_label(out)).items()
+    ]
     emit(
         "sample_interval",
         format_table(
-            ["sample interval", "unique", "gaussian", "random"],
+            ["sample interval", *sources],
             rows,
             "Section 6: Scoop cost vs sample interval, per data source",
         ),
     )
-
-    def spread(interval):
-        totals = [
-            table[interval][w].total_messages for w in ("unique", "gaussian", "random")
-        ]
-        return max(totals) - min(totals)
-
-    # The gap between the best and worst data source shrinks as the data
-    # rate drops.
-    assert spread(INTERVALS[-1]) < spread(INTERVALS[0])
-    # Less data, fewer messages overall for the data-heavy source.
-    assert (
-        table[INTERVALS[-1]]["random"].total_messages
-        < table[INTERVALS[0]]["random"].total_messages
-    )
+    assert_claims(out)

@@ -6,30 +6,17 @@ sensitive to larger networks as data is sent further across the network;
 Scoop over other distributions is less sensitive to network size."
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import scaling
-
-SIZES = (25, 63, 100)
+from repro.experiments.scenarios import sweep
 
 
 def test_scaling(benchmark):
-    def run():
-        grid = [
-            (n, spec) for n, specs in scaling(sizes=SIZES) for spec in specs
-        ]
-        results = run_specs([spec for _, spec in grid])
-        table = {}
-        for (n, spec), result in zip(grid, results):
-            table.setdefault(n, {})[spec.workload] = result
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "scaling")
     rows = []
-    for n in SIZES:
-        real = table[n]["real"]
-        rand = table[n]["random"]
+    for n, cell in sweep(by_label(out)).items():
+        real, rand = cell["scoop/real"], cell["scoop/random"]
         rows.append(
             [
                 n,
@@ -47,22 +34,4 @@ def test_scaling(benchmark):
             "Section 6: Scoop total cost and storage success vs network size",
         ),
     )
-
-    # Cost grows with network size for both workloads...
-    assert (
-        table[SIZES[-1]]["real"].total_messages
-        > table[SIZES[0]]["real"].total_messages
-    )
-    # ...but RANDOM (no locality; data crosses the network) grows at least
-    # as fast as REAL in absolute terms.
-    real_growth = (
-        table[SIZES[-1]]["real"].total_messages
-        - table[SIZES[0]]["real"].total_messages
-    )
-    rand_growth = (
-        table[SIZES[-1]]["random"].total_messages
-        - table[SIZES[0]]["random"].total_messages
-    )
-    assert rand_growth > 0.5 * real_growth
-    # Loss rates stay workable at 100 nodes ("scaled well up to 100 nodes").
-    assert table[SIZES[-1]]["real"].storage_success_rate > 0.75
+    assert_claims(out)

@@ -7,32 +7,17 @@ the index-maintenance-vs-scale question the related storage-index
 literature asks, answered on Scoop's own substrate.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
-from repro.experiments.scenarios import XL_NETWORK_CAPACITY, scaling_xl
 from repro.experiments.reporting import format_table
-
-SIZES = (64, 128, 192, 256)
+from repro.experiments.scenarios import sweep
 
 
 def test_scaling_xl(benchmark):
-    def run():
-        grid = [(n, spec) for n, specs in scaling_xl(sizes=SIZES) for spec in specs]
-        # The whole series runs under the widened 256-node bitmap: every
-        # query is priced at 32 bytes, not the paper's 16.
-        for _n, spec in grid:
-            assert spec.scoop.max_network_size == XL_NETWORK_CAPACITY
-            assert spec.scoop.query_bitmap_bytes == 32
-        results = run_specs([spec for _, spec in grid])
-        table = {}
-        for (n, spec), result in zip(grid, results):
-            table.setdefault(n, {})[spec.policy] = result
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "scaling_xl")
     rows = []
-    for n in SIZES:
-        scoop, local = table[n]["scoop"], table[n]["local"]
+    for n, cell in sweep(by_label(out)).items():
+        scoop, local = cell["scoop"], cell["local"]
         rows.append(
             [
                 n,
@@ -50,14 +35,4 @@ def test_scaling_xl(benchmark):
             "E13: SCOOP vs LOCAL at 64..256 nodes (32-byte query bitmap)",
         ),
     )
-
-    # Cost grows with population for both policies, at every step.
-    for policy in ("scoop", "local"):
-        totals = [table[n][policy].total_messages for n in SIZES]
-        assert all(a < b for a, b in zip(totals, totals[1:])), (policy, totals)
-    for n in SIZES:
-        # The index keeps beating the flood as the network doubles past
-        # the paper's scale...
-        assert table[n]["scoop"].total_messages < table[n]["local"].total_messages
-    # ...and the storage pipeline still works at 256 nodes.
-    assert table[SIZES[-1]]["scoop"].storage_success_rate > 0.8
+    assert_claims(out)

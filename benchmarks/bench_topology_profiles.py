@@ -7,31 +7,17 @@ testbed's 63-node size: Scoop's placement advantage should survive a
 change of geometry, not just the deployment it was tuned on.
 """
 
-from _harness import emit, run_specs
+from _harness import assert_claims, by_label, emit, run_scenario
 
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import topology_profiles
-
-KINDS = ("line", "grid", "geometric", "testbed")
+from repro.experiments.scenarios import sweep
 
 
 def test_topology_profiles(benchmark):
-    def run():
-        grid = [
-            (kind, spec)
-            for kind, specs in topology_profiles(kinds=KINDS)
-            for spec in specs
-        ]
-        results = run_specs([spec for _, spec in grid])
-        table = {}
-        for (kind, spec), result in zip(grid, results):
-            table.setdefault(kind, {})[spec.policy] = result
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = run_scenario(benchmark, "topology_profiles")
     rows = []
-    for kind in KINDS:
-        scoop, local = table[kind]["scoop"], table[kind]["local"]
+    for kind, cell in sweep(by_label(out)).items():
+        scoop, local = cell["scoop"], cell["local"]
         rows.append(
             [
                 kind,
@@ -49,22 +35,4 @@ def test_topology_profiles(benchmark):
             "E11: SCOOP vs LOCAL total cost across topology profiles",
         ),
     )
-
-    for kind in KINDS:
-        scoop, local = table[kind]["scoop"], table[kind]["local"]
-        # Both policies actually ran on every profile.
-        assert scoop.total_messages > 0 and local.total_messages > 0
-        # LOCAL's census is pure query/reply by construction: no data,
-        # summary, or mapping traffic under any topology.
-        for category in ("data", "summary", "mapping"):
-            assert local.breakdown[category] == 0, (kind, category)
-        # Scoop keeps storing reliably on every geometry.
-        assert scoop.storage_success_rate > 0.85, kind
-    # On the 2-D profiles (where floods fan out), the index pays for
-    # itself; the 1-D line is excluded — a chain flood is nearly free, so
-    # the margin there is noise.
-    for kind in ("grid", "geometric", "testbed"):
-        assert (
-            table[kind]["scoop"].total_messages
-            < table[kind]["local"].total_messages
-        ), kind
+    assert_claims(out)

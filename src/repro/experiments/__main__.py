@@ -25,9 +25,11 @@ results are identical to a serial run. Completed trials land in the
 persistent result cache (keys salted with a source-tree hash, so code
 edits self-invalidate), so re-running a campaign is free. ``--export``
 writes the campaign's canonical JSON document under
-``benchmarks/results/campaigns/``; ``report`` renders the markdown figure
-table and ``plot`` the Figure-3/4/5-style charts of the latest (or a
-given) export — neither re-runs anything. ``serve`` boots a scenario's
+``benchmarks/results/campaigns/`` and records the scale it ran at;
+``report`` renders the markdown figure table of the latest (or a given)
+export and checks the scenario's registered claims on it (exit 1 when a
+claim fails), and ``plot`` renders its Figure-3/4/5-style charts —
+neither re-runs anything. ``serve`` boots a scenario's
 spec as resident deployments (one per tenant), shards them across
 ``--workers`` worker processes, and answers framed-protocol queries over
 TCP (E16's serving layer; clients connect with
@@ -59,6 +61,7 @@ from repro.experiments.scenarios import (
     SCENARIOS,
     bench_scale,
     canonical_scenario_name,
+    check_export,
     scenario_names,
     scenario_trials,
     unknown_scenario_error,
@@ -104,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     report = sub.add_parser(
-        "report", help="render the markdown figure table of a campaign export"
+        "report",
+        help="render the markdown figure table of a campaign export and "
+        "check its scenario's claims (exit 1 if one fails)",
     )
     report.add_argument(
         "target",
@@ -298,7 +303,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 out,
                 jobs=args.jobs,
                 elapsed_s=elapsed,
-                scale=args.scale,
+                scale=args.scale if args.scale is not None else bench_scale(),
                 out_dir=Path(args.export_dir) if args.export_dir else None,
             )
             print(f"export: {path}")
@@ -323,6 +328,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"({execution.get('executed', '?')} executed, "
         f"{execution.get('cached', '?')} cached) — {path}"
     )
+    scenario = SCENARIOS.get(str(doc.get("name")))
+    if scenario is None or scenario.check is None:
+        return 0
+    if doc.get("scale") is None:
+        print(
+            f"error: {path} records no scale, so the bounds of the "
+            f"{scenario.name} check are unknown; re-run it with --export",
+            file=sys.stderr,
+        )
+        return 2
+    failed = check_export(doc)
+    for claim in failed:
+        print(f"claim failed: {claim}")
+    if failed:
+        return 1
+    print(f"every claim of the {scenario.name} check holds")
     return 0
 
 

@@ -15,9 +15,7 @@ a campaign run with ``jobs=N`` is bit-identical to ``jobs=1``.
 
 from __future__ import annotations
 
-import math
 import os
-import statistics
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -25,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments import registry
 from repro.experiments.cache import ResultCache
+from repro.experiments.reporting import sample_stats
 from repro.experiments.runner import (
     ExperimentResult,
     ExperimentSpec,
@@ -63,52 +62,6 @@ class TrialResult:
     result: ExperimentResult
     #: True when served from the cache without executing a simulation.
     from_cache: bool = False
-
-
-#: Two-sided 95% Student-t critical values by degrees of freedom (CRC
-#: table); beyond the table the normal approximation 1.96 is used. Kept
-#: inline so confidence intervals need no scipy dependency.
-# fmt: off
-_T95 = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
-    6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
-    11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145, 15: 2.131,
-    16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
-    21: 2.080, 22: 2.074, 23: 2.069, 24: 2.064, 25: 2.060,
-    26: 2.056, 27: 2.052, 28: 2.048, 29: 2.045, 30: 2.042,
-    40: 2.021, 60: 2.000, 120: 1.980,
-}
-# fmt: on
-
-
-def t_critical_95(df: int) -> float:
-    """Two-sided 95% t critical value for ``df`` degrees of freedom.
-
-    Between table rows the value for the largest tabulated df **at or
-    below** the requested one is used — rounding df down keeps the
-    interval conservative (slightly wide), never anti-conservative.
-    """
-    if df < 1:
-        return 0.0
-    if df in _T95:
-        return _T95[df]
-    floor = max(entry for entry in _T95 if entry <= df)
-    return _T95[floor]
-
-
-def sample_stats(values: Sequence[float]) -> Tuple[float, float, float]:
-    """(mean, sample stdev, 95% CI half-width) of ``values``.
-
-    One sample has no spread estimate: stdev and CI are 0 (the figure
-    tables then show a bare mean, as the single-seed campaigns always
-    did).
-    """
-    n = len(values)
-    mean = statistics.fmean(values)
-    if n < 2:
-        return mean, 0.0, 0.0
-    sd = statistics.stdev(values)
-    return mean, sd, t_critical_95(n - 1) * sd / math.sqrt(n)
 
 
 @dataclass

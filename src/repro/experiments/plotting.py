@@ -35,8 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
-from repro.experiments.campaign import sample_stats
-from repro.experiments.reporting import CATEGORIES
+from repro.experiments.reporting import CATEGORIES, Reader, label_stats, metric_reader
 
 # ----------------------------------------------------------------------
 # Palette (light mode): fixed categorical slots, assigned per entity
@@ -321,7 +320,7 @@ def breakdown_svg(doc: Dict[str, object]) -> str:
 
 def parse_series(
     doc: Dict[str, object],
-    labels: Optional[List[Dict[str, object]]] = None,
+    stats: Optional[Dict[str, Tuple[float, float]]] = None,
 ) -> Optional[
     Tuple[str, Dict[str, List[Tuple[float, float, float]]], Dict[float, str]]
 ]:
@@ -335,17 +334,23 @@ def parse_series(
     indices back to the raw values for the axis (empty for numeric
     sweeps). Returns ``None`` when the labels don't form a sweep (e.g.
     ``fig3_middle``), in which case only the breakdown chart applies.
-    ``labels`` overrides the document's aggregates (used to chart a
-    different statistic, e.g. retrieval completeness, over the same
-    sweep structure).
+    ``stats`` (``{label: (mean, ci95)}``, as :func:`label_stats` returns)
+    overrides the document's total-message aggregates, to chart another
+    statistic, e.g. retrieval completeness, over the same sweep.
     """
-    if labels is None:
-        labels = list(doc.get("labels") or [])
+    if stats is None:
+        stats = {
+            str(entry.get("label", "")): (
+                float(entry.get("total", {}).get("mean", 0.0)),
+                float(entry.get("total", {}).get("ci95", 0.0)),
+            )
+            for entry in doc.get("labels") or []
+        }
     series: Dict[str, List[Tuple[float, float, float]]] = {}
     param: Optional[str] = None
     cat_index: Dict[str, int] = {}
-    for entry in labels:
-        match = _SERIES_LABEL.match(str(entry.get("label", "")))
+    for label, (mean, ci95) in stats.items():
+        match = _SERIES_LABEL.match(label)
         if match is None:
             return None
         if param is None:
@@ -357,10 +362,7 @@ def parse_series(
             x = float(raw)
         except ValueError:
             x = float(cat_index.setdefault(raw, len(cat_index)))
-        total = entry.get("total", {})
-        series.setdefault(match.group("series"), []).append(
-            (x, float(total.get("mean", 0.0)), float(total.get("ci95", 0.0)))
-        )
+        series.setdefault(match.group("series"), []).append((x, mean, ci95))
     if param is None or not series:
         return None
     for points in series.values():
@@ -371,14 +373,14 @@ def parse_series(
 
 def series_svg(
     doc: Dict[str, object],
-    labels: Optional[List[Dict[str, object]]] = None,
+    stats: Optional[Dict[str, Tuple[float, float]]] = None,
     metric: str = "total messages",
 ) -> str:
     """Figure-4/5-style chart: ``metric`` vs the swept parameter, one
     line per policy with markers and 95%-CI whiskers. By default the
-    campaign's total-message aggregates are charted; ``labels``
-    substitutes another per-label statistic in the same shape."""
-    parsed = parse_series(doc, labels=labels)
+    campaign's total-message aggregates are charted; ``stats``
+    substitutes another per-label statistic (see :func:`parse_series`)."""
+    parsed = parse_series(doc, stats)
     if parsed is None:
         raise ValueError(
             f"export {doc.get('name')!r} is not a sweep campaign "
@@ -473,77 +475,19 @@ def series_svg(
     return svg.render()
 
 
-# ----------------------------------------------------------------------
-# Chart 3 — retrieval completeness under churn (E14)
-# ----------------------------------------------------------------------
-
-
-def completeness_labels(
-    doc: Dict[str, object],
-) -> Optional[List[Dict[str, object]]]:
-    """Per-label aggregates of retrieval completeness, computed from the
-    export's per-trial survival breakdowns (mean and 95% CI across
-    seeds, same shape as the document's ``labels`` entries). ``None``
-    when no simulated trial carries survival data — exports written
-    before the churn pipeline, or all-analytical campaigns."""
-    by_label: Dict[str, List[float]] = {}
-    for trial in doc.get("trials") or []:
-        metrics = (trial.get("result") or {}).get("metrics") or {}
-        survival = metrics.get("survival") or {}
-        if "completeness" in survival:
-            by_label.setdefault(str(trial.get("label")), []).append(
-                float(survival["completeness"])
-            )
-    if not by_label:
-        return None
-    # Keep the document's label order so series charts stay comparable.
-    ordered = [
-        str(entry.get("label"))
-        for entry in doc.get("labels") or []
-        if str(entry.get("label")) in by_label
-    ] or sorted(by_label)
-    out: List[Dict[str, object]] = []
-    for label in ordered:
-        mean, _sd, ci95 = sample_stats(by_label[label])
-        out.append({"label": label, "total": {"mean": mean, "ci95": ci95}})
-    return out
-
-
-def service_labels(
-    doc: Dict[str, object], metric: str
-) -> Optional[List[Dict[str, object]]]:
-    """Per-label aggregates of one serving-layer metric (``latency_p95_s``,
-    ``cache_hit_rate``, ``shed_rate``, ...), computed from the export's
-    per-trial ``metrics.service`` scorecards — mean and 95% CI across
-    seeds, same shape as the document's ``labels`` entries. ``None`` when
-    no trial carries the metric (non-E16 campaigns)."""
-    by_label: Dict[str, List[float]] = {}
-    for trial in doc.get("trials") or []:
-        metrics = (trial.get("result") or {}).get("metrics") or {}
-        service = metrics.get("service") or {}
-        if metric in service:
-            by_label.setdefault(str(trial.get("label")), []).append(
-                float(service[metric])
-            )
-    if not by_label:
-        return None
-    ordered = [
-        str(entry.get("label"))
-        for entry in doc.get("labels") or []
-        if str(entry.get("label")) in by_label
-    ] or sorted(by_label)
-    out: List[Dict[str, object]] = []
-    for label in ordered:
-        mean, _sd, ci95 = sample_stats(by_label[label])
-        out.append({"label": label, "total": {"mean": mean, "ci95": ci95}})
-    return out
-
-
-#: The E16 headline charts: (file-stem suffix, service metric, axis name).
-SERVICE_CHARTS: Tuple[Tuple[str, str, str], ...] = (
-    ("latency", "latency_p95_s", "p95 latency (simulated s)"),
-    ("cache-hit", "cache_hit_rate", "cache hit rate"),
-    ("shed", "shed_rate", "shed rate"),
+#: Per-trial metrics charted as series over a sweep when the trials
+#: carry them: (file-stem suffix, reader, axis name). Retrieval
+#: completeness comes from the E14 survival breakdowns, the rest from
+#: the E16 serving scorecards.
+METRIC_CHARTS: Tuple[Tuple[str, Reader, str], ...] = (
+    (
+        "completeness",
+        metric_reader("survival", "completeness"),
+        "retrieval completeness",
+    ),
+    ("latency", metric_reader("service", "latency_p95_s"), "p95 latency (simulated s)"),
+    ("cache-hit", metric_reader("service", "cache_hit_rate"), "cache hit rate"),
+    ("shed", metric_reader("service", "shed_rate"), "shed rate"),
 )
 
 
@@ -570,14 +514,10 @@ def plot_campaign(
     charts: List[Tuple[str, str]] = [("breakdown", breakdown_svg(doc))]
     if parse_series(doc) is not None:
         charts.append(("series", series_svg(doc)))
-        completeness = completeness_labels(doc)
-        if completeness is not None and parse_series(doc, completeness) is not None:
-            chart = series_svg(doc, completeness, "retrieval completeness")
-            charts.append(("completeness", chart))
-        for suffix, metric, axis in SERVICE_CHARTS:
-            labels = service_labels(doc, metric)
-            if labels is not None and parse_series(doc, labels) is not None:
-                charts.append((suffix, series_svg(doc, labels, axis)))
+        for suffix, read, axis in METRIC_CHARTS:
+            stats = label_stats(doc, read)
+            if stats and parse_series(doc, stats) is not None:
+                charts.append((suffix, series_svg(doc, stats, axis)))
     written: List[Path] = []
     for kind, svg_text in charts:
         path = out_dir / f"{base}-{kind}.svg"

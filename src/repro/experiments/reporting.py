@@ -1,17 +1,98 @@
-"""Text rendering of experiment results in the paper's format.
+"""Text rendering of experiment results in the paper's format, and the
+across-seed statistics every reader of a campaign export shares.
 
 The benchmarks print these tables so a run of ``pytest benchmarks/``
 regenerates the same rows/series the paper's figures report.
+:func:`label_stats` is the one reader of per-label values from an
+export: ``report``'s tables, ``plot``'s charts and the scenarios' claim
+checks all go through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+import math
+import statistics
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentResult
 
 #: Figure 3's stacked-bar categories, in the paper's legend order.
 CATEGORIES = ("data", "summary", "mapping", "query/reply")
+
+#: Reads one value from a trial's ``result`` dict in an export, or
+#: ``None`` to leave the trial out.
+Reader = Callable[[Dict[str, object]], Optional[float]]
+
+
+#: Two-sided 95% Student-t critical values by degrees of freedom (CRC
+#: table); beyond the table the normal approximation 1.96 is used. Kept
+#: inline so confidence intervals need no scipy dependency.
+# fmt: off
+_T95 = {
+    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
+    6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
+    11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145, 15: 2.131,
+    16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
+    21: 2.080, 22: 2.074, 23: 2.069, 24: 2.064, 25: 2.060,
+    26: 2.056, 27: 2.052, 28: 2.048, 29: 2.045, 30: 2.042,
+    40: 2.021, 60: 2.000, 120: 1.980,
+}
+# fmt: on
+
+
+def t_critical_95(df: int) -> float:
+    """Two-sided 95% t critical value for ``df`` degrees of freedom.
+
+    Between table rows the value for the largest tabulated df **at or
+    below** the requested one is used — rounding df down keeps the
+    interval conservative (slightly wide), never anti-conservative.
+    """
+    if df < 1:
+        return 0.0
+    if df in _T95:
+        return _T95[df]
+    floor = max(entry for entry in _T95 if entry <= df)
+    return _T95[floor]
+
+
+def sample_stats(values: Sequence[float]) -> Tuple[float, float, float]:
+    """(mean, sample stdev, 95% CI half-width) of ``values``.
+
+    One sample has no spread estimate: stdev and CI are 0 (the figure
+    tables then show a bare mean, as the single-seed campaigns always
+    did).
+    """
+    n = len(values)
+    mean = statistics.fmean(values)
+    if n < 2:
+        return mean, 0.0, 0.0
+    sd = statistics.stdev(values)
+    return mean, sd, t_critical_95(n - 1) * sd / math.sqrt(n)
+
+
+
+
+def label_stats(doc: Dict[str, object], read: Reader) -> Dict[str, Tuple[float, float]]:
+    """``{label: (mean, 95% CI half-width)}`` of ``read(result)`` across
+    the seeds of each trial label in export ``doc``, in first-seen
+    order. Trials for which ``read`` returns ``None`` are left out, so a
+    value no trial carries yields an empty dict."""
+    values: Dict[str, List[float]] = {}
+    for trial in doc.get("trials") or []:
+        value = read(trial.get("result") or {})
+        if value is not None:
+            values.setdefault(str(trial.get("label")), []).append(float(value))
+    stats: Dict[str, Tuple[float, float]] = {}
+    for label, samples in values.items():
+        mean, _sd, ci95 = sample_stats(samples)
+        stats[label] = (mean, ci95)
+    return stats
+
+
+def metric_reader(group: str, key: str) -> Reader:
+    """A :data:`Reader` of ``result["metrics"][group][key]`` (``None``
+    where the trial has no such metric, e.g. an analytical trial)."""
+    return lambda result: ((result.get("metrics") or {}).get(group) or {}).get(key)
 
 
 def format_table(
@@ -156,54 +237,36 @@ def figure_table_markdown(doc: Dict[str, object]) -> str:
     return table
 
 
+#: The serving scorecard's columns: (header, ``metrics.service`` key,
+#: number format).
+_SERVICE_COLUMNS: Tuple[Tuple[str, str, str], ...] = (
+    ("qps offered", "qps_offered", ".3f"),
+    ("qps served", "qps_served", ".3f"),
+    ("p50 (s)", "latency_p50_s", ".2f"),
+    ("p95 (s)", "latency_p95_s", ".2f"),
+    ("p99 (s)", "latency_p99_s", ".2f"),
+    ("hit rate", "cache_hit_rate", ".2f"),
+    ("shed rate", "shed_rate", ".2f"),
+)
+
+
 def _service_table(doc: Dict[str, object]) -> str:
     """Serving scorecard table for query-service campaigns (E16): per
     label, the across-seed mean offered/served rates, latency
     percentiles, cache hit rate and shed rate (from
     ``TrialMetrics.service``; empty string for non-serving campaigns)."""
-    by_label: Dict[str, List[Dict[str, float]]] = {}
-    for trial in doc.get("trials", []):
-        metrics = (trial.get("result") or {}).get("metrics") or {}
-        service = metrics.get("service") or {}
-        if service:
-            by_label.setdefault(str(trial.get("label")), []).append(service)
-    if not by_label:
-        return ""
-    ordered = [
-        str(entry.get("label"))
-        for entry in doc.get("labels", [])
-        if str(entry.get("label")) in by_label
-    ] or sorted(by_label)
-
-    def mean_of(snaps: List[Dict[str, float]], key: str) -> float:
-        values = [float(s.get(key, 0.0)) for s in snaps]
-        return sum(values) / len(values) if values else 0.0
-
-    headers = [
-        "trial",
-        "qps offered",
-        "qps served",
-        "p50 (s)",
-        "p95 (s)",
-        "p99 (s)",
-        "hit rate",
-        "shed rate",
+    columns = [
+        (fmt, label_stats(doc, metric_reader("service", key)))
+        for _head, key, fmt in _SERVICE_COLUMNS
     ]
-    rows = []
-    for label in ordered:
-        snaps = by_label[label]
-        rows.append(
-            [
-                label,
-                f"{mean_of(snaps, 'qps_offered'):.3f}",
-                f"{mean_of(snaps, 'qps_served'):.3f}",
-                f"{mean_of(snaps, 'latency_p50_s'):.2f}",
-                f"{mean_of(snaps, 'latency_p95_s'):.2f}",
-                f"{mean_of(snaps, 'latency_p99_s'):.2f}",
-                f"{mean_of(snaps, 'cache_hit_rate'):.2f}",
-                f"{mean_of(snaps, 'shed_rate'):.2f}",
-            ]
-        )
+    labels = columns[0][1]
+    if not labels:
+        return ""
+    headers = ["trial", *(head for head, _key, _fmt in _SERVICE_COLUMNS)]
+    rows = [
+        [label, *(format(stats[label][0], fmt) for fmt, stats in columns)]
+        for label in labels
+    ]
     return (
         "Serving scorecard (simulated-time latencies, mean across seeds):\n\n"
         + markdown_table(headers, rows)

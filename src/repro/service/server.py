@@ -43,6 +43,7 @@ from repro.service.api import (
     QueryRequest,
     ServiceFault,
     ServiceStats,
+    ServiceUnavailableError,
     exception_to_error,
 )
 from repro.service.protocol import (
@@ -169,6 +170,12 @@ class ScoopServer:
                         # Readiness handshake: WELCOME only once every
                         # shard reports ready.
                         await self.gateway.ready.wait()
+                        if self.gateway.closed:
+                            exc = ServiceUnavailableError("gateway is closed")
+                            await self._send(
+                                writer, lock, error_frame(exception_to_error(exc))
+                            )
+                            return
                         greeted = True
                         await self._send(
                             writer,

@@ -469,6 +469,8 @@ class ShardedGateway:
             raise ServiceUnavailableError(
                 f"shards not ready within {timeout}s"
             ) from None
+        if self._closed:
+            raise ServiceUnavailableError("gateway is closed")
         if self._boot_error is not None:
             raise ServiceUnavailableError(self._boot_error)
 
@@ -764,16 +766,17 @@ class ShardedGateway:
         while the shard's worker is being respawned or its tenants
         re-placed, and :class:`ServiceUnavailableError` when the shard
         is terminally gone. Called before the gateway is :attr:`ready`,
-        it waits — the HELLO handshake normally makes that impossible.
+        it waits — the HELLO handshake normally makes that impossible —
+        and a :meth:`close` meanwhile fails it as closed.
         """
-        if self._closed:
-            raise ServiceUnavailableError("gateway is closed", seq=request.seq)
         if request.tenant not in self._shard_of:
             raise MalformedRequestError(
                 f"unknown tenant {request.tenant!r}; one of {self.tenants}",
                 seq=request.seq,
             )
         await self.ready.wait()
+        if self._closed:
+            raise ServiceUnavailableError("gateway is closed", seq=request.seq)
         shard = self._shards[self._shard_of[request.tenant]]
         if shard.state != READY:
             fault = self._death_exception(shard)
@@ -843,10 +846,16 @@ class ShardedGateway:
             },
         )
 
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     async def close(self) -> None:
         if self._closed:
             return
         self._closed = True
+        # Wake every waiter on readiness; each re-checks ``closed``.
+        self.ready.set()
         for shard in self._shards.values():
             shard.queue.put_nowait(None)
         supervisors = [

@@ -306,6 +306,45 @@ class TestShardedGateway:
 
         asyncio.run(program())
 
+    def test_close_during_boot_fails_every_readiness_waiter(self):
+        """close() while shards still boot wakes everything parked on
+        readiness — answer(), wait_ready() and a client's HELLO — with
+        ServiceUnavailableError within 1 s, instead of leaving them
+        parked for good."""
+
+        async def program():
+            gateway = one_worker_gateway()
+            await gateway.start()
+            server = await serve_framed(gateway)
+            client = AsyncScoopClient(port=server.port)
+            try:
+                await asyncio.sleep(0.05)
+                waiters = [
+                    asyncio.create_task(
+                        gateway.answer(_request(gateway, "tenant0", seq=1))
+                    ),
+                    asyncio.create_task(gateway.wait_ready()),
+                    asyncio.create_task(client.connect()),
+                ]
+                await asyncio.sleep(0.05)  # the HELLO reaches the server
+                assert not gateway.ready.is_set()
+                closing = asyncio.create_task(gateway.close())
+                done, pending = await asyncio.wait(waiters, timeout=1.0)
+                await closing
+                assert not pending
+                for task in done:
+                    with pytest.raises(
+                        ServiceUnavailableError, match="gateway is closed"
+                    ):
+                        task.result()
+            finally:
+                await client.aclose()
+                await server.close()
+                await gateway.close()
+                assert_no_zombies(gateway)
+
+        asyncio.run(program())
+
 
 class TestSocketLoadDriver:
     """``drive_socket_load``'s outcome counting and chaos hook."""

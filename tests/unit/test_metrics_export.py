@@ -12,13 +12,7 @@ import pytest
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.experiments import __main__ as cli
 from repro.experiments import salt
-from repro.experiments.campaign import (
-    CampaignResult,
-    Trial,
-    TrialResult,
-    sample_stats,
-    t_critical_95,
-)
+from repro.experiments.campaign import CampaignResult, Trial, TrialResult
 from repro.experiments.export import (
     EXPORT_SCHEMA_VERSION,
     campaign_to_dict,
@@ -27,7 +21,12 @@ from repro.experiments.export import (
     list_exports,
     load_campaign_export,
 )
-from repro.experiments.reporting import figure_table_markdown, plus_minus
+from repro.experiments.reporting import (
+    figure_table_markdown,
+    plus_minus,
+    sample_stats,
+    t_critical_95,
+)
 from repro.experiments.runner import ExperimentResult, ExperimentSpec, spec_key
 from repro.sim.metrics import TrialMetrics
 

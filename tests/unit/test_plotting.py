@@ -12,12 +12,12 @@ from repro.experiments.campaign import Campaign
 from repro.experiments.export import EXPORT_KIND, EXPORT_SCHEMA_VERSION
 from repro.experiments.plotting import (
     breakdown_svg,
-    completeness_labels,
     parse_series,
     plot_campaign,
     policy_color,
     series_svg,
 )
+from repro.experiments.reporting import label_stats, metric_reader
 from repro.experiments.scenarios import SCENARIOS, canonical_scenario_name
 
 
@@ -198,18 +198,19 @@ class TestSeriesChart:
             series_svg(BAR_DOC)
 
 
+COMPLETENESS = metric_reader("survival", "completeness")
+
+
 class TestCompletenessChart:
     def test_labels_aggregate_across_seeds(self):
-        labels = completeness_labels(CHURN_DOC)
-        assert labels is not None
-        by_label = {entry["label"]: entry["total"] for entry in labels}
+        stats = label_stats(CHURN_DOC, COMPLETENESS)
         # Mean of the two seeds (0.95 - 0.01, 0.95 - 0.02) = 0.935.
-        assert by_label["churn=0/scoop"]["mean"] == pytest.approx(0.935)
-        assert by_label["churn=0.3/local"]["mean"] == pytest.approx(0.735)
-        assert by_label["churn=0/scoop"]["ci95"] > 0
+        assert stats["churn=0/scoop"][0] == pytest.approx(0.935)
+        assert stats["churn=0.3/local"][0] == pytest.approx(0.735)
+        assert stats["churn=0/scoop"][1] > 0
 
-    def test_no_survival_data_is_none(self):
-        assert completeness_labels(SWEEP_DOC) is None
+    def test_no_survival_data_is_empty(self):
+        assert label_stats(SWEEP_DOC, COMPLETENESS) == {}
 
     def test_renders_series_chart_with_metric_title(self, tmp_path):
         plot_campaign(CHURN_DOC, tmp_path, stem="churn")
