@@ -3,7 +3,8 @@
 Run after two consecutive ``run smoke --seeds 2 --export`` invocations:
 the first export must record six executed trials, the second must be
 served entirely from the persistent result cache (0 executed, 6 hits)
-with every trial's metric breakdown intact. Asserting on the JSON export
+with every trial's metric breakdown intact and the same per-label total
+message statistics as the first run. Asserting on the JSON export
 replaces the old ``grep`` of CLI stdout, which silently passed when the
 pipeline's first command failed.
 """
@@ -11,6 +12,7 @@ pipeline's first command failed.
 import sys
 
 from repro.experiments.export import list_exports, load_campaign_export
+from repro.experiments.reporting import TOTAL, label_stats
 
 
 def main() -> int:
@@ -28,8 +30,8 @@ def main() -> int:
         assert metrics["energy_j"]["radio_tx"] > 0, trial["label"]
         total = trial["result"]["total_messages"]
         assert sum(trial["result"]["breakdown"].values()) == total, trial["label"]
-    for label in replay["labels"]:
-        assert {"mean", "stdev", "ci95"} <= set(label["total"]), label
+    replayed = label_stats(replay, TOTAL)
+    assert replayed == label_stats(first, TOTAL), replayed
     print("cache replay OK:", replay["execution"])
     return 0
 

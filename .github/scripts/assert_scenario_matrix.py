@@ -37,7 +37,7 @@ def check_scenario(name: str) -> dict:
     assert first["cache_salt"] == replay["cache_salt"], name
     for trial in replay["trials"]:
         result = trial["result"]
-        if not trial["analytical"]:
+        if not result["analytical"]:
             assert result["metrics"], (name, trial["label"])
             assert result["metrics"]["messages_sent"], (name, trial["label"])
     return replay["execution"]

@@ -1,38 +1,24 @@
-"""E16 — past the paper: the serving layer under an offered-load sweep.
+"""E16 — past the paper: the sharded serving stack end to end.
 
-The ROADMAP's north star is a system *serving* heavy query traffic, not
-just replaying batch campaigns. This grid drives one resident deployment
-per cell through the query gateway's batch discipline
-(`repro.service.loadtest`): Poisson request arrivals against a bounded
-admission queue, bucket-coalesced basestation queries once per interval,
-and an epoch-keyed hot-answer cache. The scenario's registered check
-holds the qualitative shape as load sweeps past the batch capacity: tail
-latency (p95/p99) and the shed rate only rise with offered load, the
-cache earns hits, and the oracle's precision check stays clean — cached
-serving must never fabricate a reading. The median is deliberately not
-gated: at high load most requests are cache hits served at ~zero
-latency, so p50 *improves* while the tails collapse — that inversion is
-the scenario's most instructive output.
-
-A second benchmark exercises the *sharded* serving stack end to end:
-real worker processes behind a real TCP server, driven by concurrent
-client connections (`repro.service.loadtest.drive_socket_load`). Its
-hard gate is the tentpole invariant — per-tenant answer transcripts are
+Real worker processes behind a real TCP server, driven by concurrent
+client connections (`repro.service.loadtest.drive_socket_load`). The
+hard gate is the tentpole invariant: per-tenant answer transcripts are
 bit-identical across worker counts. The throughput scaling gate (4
 workers ≥ 2x 1 worker on the committed load point) only arms on hosts
 with ≥4 CPUs; on smaller boxes extra processes cannot speed anything up
-and the assertion would test the scheduler, not the system.
+and the assertion would test the scheduler, not the system. E16's
+offered-load sweep through the query gateway (the `query_service`
+scenario and its registered check) runs in `bench_scenarios.py`.
 """
 
 import asyncio
 import os
 
-from _harness import assert_claims, by_label, emit, run_scenario
+from _harness import emit
 
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentSpec
-from repro.experiments.scenarios import sweep
 from repro.service import ShardedGateway, drive_socket_load, serve_framed
 
 #: The committed load point for the socket benchmark: worker counts
@@ -47,44 +33,6 @@ SOCKET_SEED = 11
 #: Required 4-vs-1 worker speedup on the committed load point — only
 #: gated where the host actually has the cores to show it.
 MIN_SPEEDUP = 2.0
-
-
-def test_query_service(benchmark):
-    out = run_scenario(benchmark, "query_service")
-    rows = []
-    for qps, cell in sweep(by_label(out)).items():
-        scoop = cell["scoop"].metrics.service
-        local = cell["local"].metrics.service
-        rows.append(
-            [
-                qps,
-                f"{scoop['qps_served']:.2f}",
-                f"{scoop['latency_p50_s']:.1f}",
-                f"{scoop['latency_p95_s']:.1f}",
-                f"{scoop['cache_hit_rate']:.0%}",
-                f"{scoop['shed_rate']:.0%}",
-                f"{local['latency_p95_s']:.1f}",
-                f"{local['cache_hit_rate']:.0%}",
-            ]
-        )
-    emit(
-        "query_service",
-        format_table(
-            [
-                "qps",
-                "SCOOP served",
-                "SCOOP p50",
-                "SCOOP p95",
-                "SCOOP hits",
-                "SCOOP shed",
-                "LOCAL p95",
-                "LOCAL hits",
-            ],
-            rows,
-            "E16: serving latency, cache hits and shedding vs offered load",
-        ),
-    )
-    assert_claims(out)
 
 
 def _socket_spec() -> ExperimentSpec:

@@ -9,7 +9,6 @@ from repro.experiments.cache import ResultCache, default_cache_root
 from repro.experiments.campaign import (
     Campaign,
     CampaignResult,
-    LabelAggregate,
     Trial,
     TrialResult,
     run_campaign,
@@ -47,7 +46,6 @@ __all__ = [
     "CampaignResult",
     "ExperimentResult",
     "ExperimentSpec",
-    "LabelAggregate",
     "ResultCache",
     "Trial",
     "TrialResult",

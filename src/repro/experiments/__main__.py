@@ -19,17 +19,17 @@ Usage:
 
 Scenarios are the named grids of ``scenarios.py`` (E/A experiment ids from
 DESIGN.md work as aliases; ``list`` prints the registry). ``--seeds K``
-replicates every trial over K seeds and reports mean/stdev/95% CI per
+replicates every trial over K seeds and reports the mean ± 95% CI per
 trial label; ``--jobs N`` fans the runs out over N worker processes —
 results are identical to a serial run. Completed trials land in the
 persistent result cache (keys salted with a source-tree hash, so code
-edits self-invalidate), so re-running a campaign is free. ``--export``
-writes the campaign's canonical JSON document under
-``benchmarks/results/campaigns/`` and records the scale it ran at;
-``report`` renders the markdown figure table of the latest (or a given)
-export and checks the scenario's registered claims on it (exit 1 when a
-claim fails), and ``plot`` renders its Figure-3/4/5-style charts —
-neither re-runs anything. ``serve`` boots a scenario's
+edits self-invalidate), so re-running a campaign is free. ``run`` prints
+the markdown tables of the campaign's export document, and ``--export``
+writes that document under ``benchmarks/results/campaigns/``, with the
+scale it ran at; ``report`` prints the same tables for the latest (or a
+given) export and checks the scenario's registered claims on it (exit 1
+when a claim fails), and ``plot`` renders its Figure-3/4/5-style charts
+— neither re-runs anything. ``serve`` boots a scenario's
 spec as resident deployments (one per tenant), shards them across
 ``--workers`` worker processes, and answers framed-protocol queries over
 TCP (E16's serving layer; clients connect with
@@ -49,13 +49,14 @@ from typing import List, Optional, Tuple
 from repro.experiments.cache import ResultCache, default_cache_root
 from repro.experiments.campaign import Campaign, run_campaign
 from repro.experiments.export import (
+    campaign_to_dict,
     default_export_root,
     export_campaign,
     latest_export,
     load_campaign_export,
 )
 from repro.experiments.plotting import plot_campaign
-from repro.experiments.reporting import campaign_table, figure_table_markdown
+from repro.experiments.reporting import figure_table_markdown
 from repro.experiments.scenarios import (
     SCENARIO_ALIASES,
     SCENARIOS,
@@ -96,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--export",
         action="store_true",
-        help="write the campaign's JSON export (aggregates with 95%% CI "
-        "plus every trial's metric breakdowns)",
+        help="write the campaign's JSON export (every trial's metric "
+        "breakdowns plus the run's provenance)",
     )
     run.add_argument(
         "--export-dir",
@@ -288,23 +289,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
             status = 1
             continue
         elapsed = time.perf_counter() - started
-        print(
-            campaign_table(
-                out.aggregates(),
-                f"campaign {name}: seeds {list(seeds)}, jobs {args.jobs}",
-            )
+        doc = campaign_to_dict(
+            out,
+            jobs=args.jobs,
+            elapsed_s=elapsed,
+            scale=args.scale if args.scale is not None else bench_scale(),
         )
+        print(figure_table_markdown(doc))
         print(
-            f"{len(out.trials)} trials: {out.executed} executed, "
+            f"\n{len(out.trials)} trials: {out.executed} executed, "
             f"{out.cached} cache hits, {elapsed:.1f}s"
         )
         if args.export:
             path = export_campaign(
-                out,
-                jobs=args.jobs,
-                elapsed_s=elapsed,
-                scale=args.scale if args.scale is not None else bench_scale(),
-                out_dir=Path(args.export_dir) if args.export_dir else None,
+                doc, out_dir=Path(args.export_dir) if args.export_dir else None
             )
             print(f"export: {path}")
         print()

@@ -2,9 +2,11 @@
 
 A :class:`Campaign` is a batch of :class:`Trial`\\ s — scenario expansion ×
 seeds — executed through one pipeline that (1) consults the persistent
-:class:`~repro.experiments.cache.ResultCache` before simulating anything,
-(2) optionally fans misses out over a ``ProcessPoolExecutor``, and (3)
-aggregates per-label mean/stdev across seeds.
+:class:`~repro.experiments.cache.ResultCache` before simulating anything
+and (2) optionally fans misses out over a ``ProcessPoolExecutor``. The
+across-seed summary of a campaign is read from its export document
+(:func:`repro.experiments.export.campaign_to_dict`) by
+:func:`repro.experiments.reporting.label_stats`.
 
 Determinism: every trial is fully specified by its spec (the RNG seed is a
 spec field), and serial and parallel execution share one code path — the
@@ -23,7 +25,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments import registry
 from repro.experiments.cache import ResultCache
-from repro.experiments.reporting import sample_stats
 from repro.experiments.runner import (
     ExperimentResult,
     ExperimentSpec,
@@ -43,8 +44,6 @@ class Trial:
     #: Stable trial identity *within* the campaign; seeds sharing a label
     #: aggregate together.
     label: str = ""
-    #: Scenario this trial came from ("" for ad-hoc campaigns).
-    scenario: str = ""
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -65,44 +64,6 @@ class TrialResult:
 
 
 @dataclass
-class LabelAggregate:
-    """Across-seed statistics for one trial label."""
-
-    label: str
-    n: int
-    seeds: Tuple[int, ...]
-    mean_total: float
-    stdev_total: float
-    mean_breakdown: Dict[str, float]
-    #: 95% confidence half-width of the total (Student t; 0 for one seed).
-    ci95_total: float = 0.0
-    stdev_breakdown: Dict[str, float] = field(default_factory=dict)
-    ci95_breakdown: Dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form used by the campaign export (grouped per
-        statistic so plotting code reads ``total.mean``/``total.ci95``)."""
-        return {
-            "label": self.label,
-            "n": self.n,
-            "seeds": list(self.seeds),
-            "total": {
-                "mean": self.mean_total,
-                "stdev": self.stdev_total,
-                "ci95": self.ci95_total,
-            },
-            "breakdown": {
-                cat: {
-                    "mean": self.mean_breakdown[cat],
-                    "stdev": self.stdev_breakdown.get(cat, 0.0),
-                    "ci95": self.ci95_breakdown.get(cat, 0.0),
-                }
-                for cat in self.mean_breakdown
-            },
-        }
-
-
-@dataclass
 class CampaignResult:
     name: str
     trials: List[TrialResult] = field(default_factory=list)
@@ -119,40 +80,6 @@ class CampaignResult:
     @property
     def cached(self) -> int:
         return sum(1 for t in self.trials if t.from_cache)
-
-    def by_label(self) -> Dict[str, List[TrialResult]]:
-        """Trial results grouped by label, in first-seen order."""
-        groups: Dict[str, List[TrialResult]] = {}
-        for tr in self.trials:
-            groups.setdefault(tr.trial.label, []).append(tr)
-        return groups
-
-    def aggregates(self) -> List[LabelAggregate]:
-        """Per-label mean/stdev/95% CI across seeds (0 spread for one
-        seed)."""
-        out: List[LabelAggregate] = []
-        for label, group in self.by_label().items():
-            totals = [tr.result.total_messages for tr in group]
-            categories: Dict[str, List[float]] = {}
-            for tr in group:
-                for cat, count in tr.result.breakdown.items():
-                    categories.setdefault(cat, []).append(count)
-            mean_total, stdev_total, ci95_total = sample_stats(totals)
-            per_cat = {cat: sample_stats(vals) for cat, vals in categories.items()}
-            out.append(
-                LabelAggregate(
-                    label=label,
-                    n=len(group),
-                    seeds=tuple(tr.trial.spec.seed for tr in group),
-                    mean_total=mean_total,
-                    stdev_total=stdev_total,
-                    ci95_total=ci95_total,
-                    mean_breakdown={cat: s[0] for cat, s in per_cat.items()},
-                    stdev_breakdown={cat: s[1] for cat, s in per_cat.items()},
-                    ci95_breakdown={cat: s[2] for cat, s in per_cat.items()},
-                )
-            )
-        return out
 
 
 @contextmanager
@@ -198,7 +125,7 @@ class Campaign:
         with _scale_override(scale):
             for seed in seeds:
                 for label, spec in scenario_trials(scenario, seed=seed):
-                    trials.append(Trial(spec=spec, label=label, scenario=scenario))
+                    trials.append(Trial(spec=spec, label=label))
         return cls(name=scenario, trials=trials)
 
     @classmethod

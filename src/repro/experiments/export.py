@@ -4,19 +4,18 @@ One campaign run → one self-describing JSON document under
 ``benchmarks/results/campaigns/`` (``REPRO_EXPORT_DIR`` overrides),
 containing
 
-* per-label aggregates — mean / sample stdev / 95% confidence half-width
-  for the total and for every Figure-3 category;
-* every trial, losslessly: the full :class:`ExperimentResult` dict
-  including its :class:`~repro.sim.metrics.TrialMetrics` breakdown
-  (messages by type, energy by component, per-node load, planner
-  counters, timing), the trial's cache key, and whether it was served
-  from the cache;
+* every trial, losslessly: its label and seed, the full
+  :class:`ExperimentResult` dict including its
+  :class:`~repro.sim.metrics.TrialMetrics` breakdown (messages by type,
+  energy by component, per-node load, planner counters, timing), the
+  trial's cache key, and whether it was served from the cache;
 * provenance — the code salt the keys were computed under, schema
-  versions, seed list, and execution statistics.
+  versions, seed list, scale, and execution statistics.
 
-The export is the machine-readable sibling of the text tables in
-:mod:`repro.experiments.reporting`; ``python -m repro.experiments report``
-renders a markdown figure table from it without re-running anything.
+Nothing derived from the trials is stored: every per-label statistic is
+read from them by :func:`repro.experiments.reporting.label_stats`, and
+``python -m repro.experiments report`` renders the markdown tables from
+the document without re-running anything.
 """
 
 from __future__ import annotations
@@ -29,11 +28,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.campaign import CampaignResult
-from repro.experiments.runner import SPEC_SCHEMA_VERSION, is_analytical
+from repro.experiments.runner import SPEC_SCHEMA_VERSION
 from repro.experiments.salt import cache_salt
 
-#: Version of the export document format.
-EXPORT_SCHEMA_VERSION = 1
+#: Version of the export document format (2: trials and provenance
+#: only, no per-label aggregates).
+EXPORT_SCHEMA_VERSION = 2
 
 #: The ``kind`` tag every export document carries.
 EXPORT_KIND = "repro-campaign"
@@ -78,14 +78,11 @@ def campaign_to_dict(
             "jobs": jobs,
             "elapsed_s": elapsed_s,
         },
-        "labels": [agg.to_dict() for agg in result.aggregates()],
         "trials": [
             {
                 "label": tr.trial.label,
-                "scenario": tr.trial.scenario,
                 "seed": tr.trial.spec.seed,
                 "spec_key": tr.trial.key,
-                "analytical": is_analytical(tr.trial.spec),
                 "from_cache": tr.from_cache,
                 "result": tr.result.to_dict(),
             }
@@ -94,15 +91,9 @@ def campaign_to_dict(
     }
 
 
-def export_campaign(
-    result: CampaignResult,
-    jobs: int = 1,
-    elapsed_s: float = 0.0,
-    scale: Optional[float] = None,
-    out_dir: Optional[Path] = None,
-    generated_at: Optional[datetime] = None,
-) -> Path:
-    """Write the campaign's JSON export; returns the file written.
+def export_campaign(doc: Dict[str, object], out_dir: Optional[Path] = None) -> Path:
+    """Write export document ``doc`` (:func:`campaign_to_dict`); returns
+    the file written.
 
     Files are named ``<campaign>-<UTC timestamp>.json`` so a directory
     listing sorts chronologically per scenario; a second export within
@@ -111,14 +102,7 @@ def export_campaign(
     """
     root = Path(out_dir) if out_dir is not None else default_export_root()
     root.mkdir(parents=True, exist_ok=True)
-    doc = campaign_to_dict(
-        result,
-        jobs=jobs,
-        elapsed_s=elapsed_s,
-        scale=scale,
-        generated_at=generated_at,
-    )
-    stem = f"{result.name}-{doc['generated_at'].replace(':', '')}"
+    stem = f"{doc['name']}-{str(doc['generated_at']).replace(':', '')}"
     path = root / f"{stem}.json"
     counter = 1
     while path.exists():

@@ -30,12 +30,19 @@ same numbers as a table.
 from __future__ import annotations
 
 import math
-import re
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
-from repro.experiments.reporting import CATEGORIES, Reader, label_stats, metric_reader
+from repro.experiments.reporting import (
+    CATEGORIES,
+    TOTAL,
+    Reader,
+    breakdown_stats,
+    label_stats,
+    metric_reader,
+    sweep_point,
+)
 
 # ----------------------------------------------------------------------
 # Palette (light mode): fixed categorical slots, assigned per entity
@@ -75,9 +82,6 @@ TEXT_PRIMARY = "#0b0b0b"
 TEXT_SECONDARY = "#52514e"
 GRID = "#e8e7e3"
 FONT = "system-ui, 'Segoe UI', 'Helvetica Neue', sans-serif"
-
-#: Matches sweep labels: ``<param>=<x>/<series...>`` (e.g. ``n=64/scoop``).
-_SERIES_LABEL = re.compile(r"^(?P<param>[^=/]+)=(?P<x>[^/]+)/(?P<series>.+)$")
 
 
 def _entity_color(name: str, table: Dict[str, str], fallback: Dict[str, str]) -> str:
@@ -209,27 +213,18 @@ def breakdown_svg(doc: Dict[str, object]) -> str:
     """Figure-3-style stacked bars: one bar per trial label, segments in
     category order, a 95%-CI whisker on the total, and the total as a
     direct label above each bar."""
-    labels: List[Dict[str, object]] = list(doc.get("labels") or [])
-    if not labels:
-        raise ValueError(f"export {doc.get('name')!r} has no label aggregates")
-    extra = sorted(
-        {
-            cat
-            for entry in labels
-            for cat in entry.get("breakdown", {})
-            if cat not in CATEGORIES
-        }
-    )
-    categories = [*CATEGORIES, *extra]
+    totals = label_stats(doc, TOTAL)
+    if not totals:
+        raise ValueError(f"export {doc.get('name')!r} has no trials")
+    labels = list(totals)
+    categories = breakdown_stats(doc)
 
     margin_l, margin_r, margin_t, margin_b = 64, 16, 64, 96
     plot_w = max(420, 56 * len(labels))
     plot_h = 300
     svg = _Svg(margin_l + plot_w + margin_r, margin_t + plot_h + margin_b)
 
-    tops = [
-        entry["total"]["mean"] + entry["total"].get("ci95", 0.0) for entry in labels
-    ]
+    tops = [mean + ci95 for mean, ci95 in totals.values()]
     ticks = _nice_ticks(max(tops) * 1.08)
     y_max = ticks[-1]
 
@@ -245,7 +240,7 @@ def breakdown_svg(doc: Dict[str, object]) -> str:
     )
     _legend(
         svg,
-        [(c, category_color(c)) for c in categories],
+        [(c, category_color(c)) for c in CATEGORIES],
         margin_l,
         44,
     )
@@ -263,12 +258,11 @@ def breakdown_svg(doc: Dict[str, object]) -> str:
     slot = plot_w / len(labels)
     bar_w = min(40.0, slot * 0.62)
     gap = 2.0  # surface gap between stacked segments
-    for i, entry in enumerate(labels):
+    for i, label in enumerate(labels):
         x = margin_l + slot * i + (slot - bar_w) / 2
-        breakdown: Dict[str, Dict[str, float]] = entry.get("breakdown", {})
         stacked = 0.0
-        for cat in categories:
-            mean = float(breakdown.get(cat, {}).get("mean", 0.0))
+        for cat, stats in categories.items():
+            mean = stats.get(label, (0.0, 0.0))[0]
             if mean <= 0:
                 continue
             y_lo, y_hi = y_of(stacked), y_of(stacked + mean)
@@ -276,8 +270,7 @@ def breakdown_svg(doc: Dict[str, object]) -> str:
             y_top = y_lo - (0.0 if not stacked else gap) - height
             svg.rect(x, y_top, bar_w, height, category_color(cat), rx=2)
             stacked += mean
-        total = entry["total"]
-        mean, ci = float(total["mean"]), float(total.get("ci95", 0.0))
+        mean, ci = totals[label]
         if ci > 0:
             # Few-seed CIs can dwarf the mean; whiskers clamp to the
             # plot area rather than spilling past the axes.
@@ -297,7 +290,7 @@ def breakdown_svg(doc: Dict[str, object]) -> str:
         svg.text(
             x + bar_w / 2,
             margin_t + plot_h + 16,
-            entry.get("label", ""),
+            label,
             size=11,
             fill=TEXT_SECONDARY,
             anchor="end",
@@ -335,34 +328,28 @@ def parse_series(
     sweeps). Returns ``None`` when the labels don't form a sweep (e.g.
     ``fig3_middle``), in which case only the breakdown chart applies.
     ``stats`` (``{label: (mean, ci95)}``, as :func:`label_stats` returns)
-    overrides the document's total-message aggregates, to chart another
-    statistic, e.g. retrieval completeness, over the same sweep.
+    replaces the total message counts, to chart another statistic, e.g.
+    retrieval completeness, over the same sweep.
     """
     if stats is None:
-        stats = {
-            str(entry.get("label", "")): (
-                float(entry.get("total", {}).get("mean", 0.0)),
-                float(entry.get("total", {}).get("ci95", 0.0)),
-            )
-            for entry in doc.get("labels") or []
-        }
+        stats = label_stats(doc, TOTAL)
     series: Dict[str, List[Tuple[float, float, float]]] = {}
     param: Optional[str] = None
     cat_index: Dict[str, int] = {}
     for label, (mean, ci95) in stats.items():
-        match = _SERIES_LABEL.match(label)
-        if match is None:
+        point = sweep_point(label)
+        if point is None:
             return None
+        point_param, raw, name = point
         if param is None:
-            param = match.group("param")
-        elif param != match.group("param"):
+            param = point_param
+        elif param != point_param:
             return None
-        raw = match.group("x")
         try:
             x = float(raw)
         except ValueError:
             x = float(cat_index.setdefault(raw, len(cat_index)))
-        series.setdefault(match.group("series"), []).append((x, mean, ci95))
+        series.setdefault(name, []).append((x, mean, ci95))
     if param is None or not series:
         return None
     for points in series.values():
@@ -378,8 +365,8 @@ def series_svg(
 ) -> str:
     """Figure-4/5-style chart: ``metric`` vs the swept parameter, one
     line per policy with markers and 95%-CI whiskers. By default the
-    campaign's total-message aggregates are charted; ``stats``
-    substitutes another per-label statistic (see :func:`parse_series`)."""
+    trials' total message counts are charted; ``stats`` substitutes
+    another per-label statistic (see :func:`parse_series`)."""
     parsed = parse_series(doc, stats)
     if parsed is None:
         raise ValueError(

@@ -1,17 +1,18 @@
 """Text rendering of experiment results in the paper's format, and the
 across-seed statistics every reader of a campaign export shares.
 
-The benchmarks print these tables so a run of ``pytest benchmarks/``
-regenerates the same rows/series the paper's figures report.
 :func:`label_stats` is the one reader of per-label values from an
-export: ``report``'s tables, ``plot``'s charts and the scenarios' claim
-checks all go through it.
+export: ``report``'s tables (:func:`figure_table_markdown`), ``plot``'s
+charts and the scenarios' claim checks all go through it, and
+:func:`sweep_point` is the one parser of their sweep labels.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import statistics
+from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentResult
@@ -22,6 +23,9 @@ CATEGORIES = ("data", "summary", "mapping", "query/reply")
 #: Reads one value from a trial's ``result`` dict in an export, or
 #: ``None`` to leave the trial out.
 Reader = Callable[[Dict[str, object]], Optional[float]]
+
+#: One label's (mean, 95% CI half-width) across seeds.
+Stats = Tuple[float, float]
 
 
 #: Two-sided 95% Student-t critical values by degrees of freedom (CRC
@@ -72,7 +76,7 @@ def sample_stats(values: Sequence[float]) -> Tuple[float, float, float]:
 
 
 
-def label_stats(doc: Dict[str, object], read: Reader) -> Dict[str, Tuple[float, float]]:
+def label_stats(doc: Dict[str, object], read: Reader) -> Dict[str, Stats]:
     """``{label: (mean, 95% CI half-width)}`` of ``read(result)`` across
     the seeds of each trial label in export ``doc``, in first-seen
     order. Trials for which ``read`` returns ``None`` are left out, so a
@@ -82,17 +86,54 @@ def label_stats(doc: Dict[str, object], read: Reader) -> Dict[str, Tuple[float, 
         value = read(trial.get("result") or {})
         if value is not None:
             values.setdefault(str(trial.get("label")), []).append(float(value))
-    stats: Dict[str, Tuple[float, float]] = {}
+    stats: Dict[str, Stats] = {}
     for label, samples in values.items():
         mean, _sd, ci95 = sample_stats(samples)
         stats[label] = (mean, ci95)
     return stats
 
 
-def metric_reader(group: str, key: str) -> Reader:
-    """A :data:`Reader` of ``result["metrics"][group][key]`` (``None``
-    where the trial has no such metric, e.g. an analytical trial)."""
-    return lambda result: ((result.get("metrics") or {}).get(group) or {}).get(key)
+def result_reader(*path: str) -> Reader:
+    """A :data:`Reader` of ``result[path[0]][path[1]]...`` (``None``
+    where the trial has no such value, e.g. an analytical trial's
+    metrics)."""
+
+    def read(result: Dict[str, object]) -> Optional[float]:
+        value: object = result
+        for key in path:
+            if not isinstance(value, dict):
+                return None
+            value = value.get(key)
+        return value
+
+    return read
+
+
+def metric_reader(*path: str) -> Reader:
+    """A :data:`Reader` of ``result["metrics"][path[0]]...``."""
+    return result_reader("metrics", *path)
+
+
+#: Every trial's total message count, the paper's cost metric.
+TOTAL = result_reader("total_messages")
+
+
+def breakdown_stats(doc: Dict[str, object]) -> Dict[str, Dict[str, Stats]]:
+    """``{category: label_stats}`` of each Figure-3 category."""
+    return {
+        cat: label_stats(doc, result_reader("breakdown", cat)) for cat in CATEGORIES
+    }
+
+
+#: A sweep label: ``<param>=<x>/<series...>`` (e.g. ``n=64/scoop``).
+_SWEEP_LABEL = re.compile(r"^([^=/]+)=([^/]+)/(.+)$")
+
+
+def sweep_point(label: str) -> Optional[Tuple[str, str, str]]:
+    """``(param, x, series)`` of a sweep label (``n=64/scoop`` is
+    ``("n", "64", "scoop")``), or ``None`` for any other label."""
+    match = _SWEEP_LABEL.match(label)
+    return match.groups() if match else None
 
 
 def format_table(
@@ -129,50 +170,6 @@ def breakdown_table(results: Sequence[ExperimentResult], title: str) -> str:
     return format_table(headers, [breakdown_row(r) for r in results], title=title)
 
 
-def series_table(
-    x_label: str,
-    series: Dict[str, List[float]],
-    x_values: Sequence[object],
-    title: str,
-) -> str:
-    """A figure-4/5 style table: one row per x value, one column per policy."""
-    headers = [x_label] + [f"{name} (messages)" for name in series]
-    rows = []
-    for i, x in enumerate(x_values):
-        rows.append([x] + [int(series[name][i]) for name in series])
-    return format_table(headers, rows, title=title)
-
-
-def campaign_table(aggregates, title: str) -> str:
-    """Per-label campaign summary: seeds, mean/sd/95% CI total, category
-    means.
-
-    ``aggregates`` is the output of
-    :meth:`repro.experiments.campaign.CampaignResult.aggregates`.
-    """
-    headers = [
-        "trial",
-        "seeds",
-        "total (mean)",
-        "total (sd)",
-        "total (ci95)",
-        *CATEGORIES,
-    ]
-    rows = []
-    for agg in aggregates:
-        rows.append(
-            [
-                agg.label,
-                agg.n,
-                f"{agg.mean_total:.0f}",
-                f"{agg.stdev_total:.1f}",
-                f"{agg.ci95_total:.1f}",
-                *[f"{agg.mean_breakdown.get(c, 0.0):.0f}" for c in CATEGORIES],
-            ]
-        )
-    return format_table(headers, rows, title=title)
-
-
 def plus_minus(mean: float, ci95: float) -> str:
     """``mean ± ci`` rendering; a bare mean when there is no spread
     estimate (single seed)."""
@@ -191,86 +188,112 @@ def markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> 
 
 
 def figure_table_markdown(doc: Dict[str, object]) -> str:
-    """The campaign's figure table in markdown, from an export document
+    """The campaign's report in markdown, from an export document
     (:func:`repro.experiments.export.load_campaign_export`): per label,
     the across-seed total and per-category means with 95% confidence
-    half-widths."""
-    labels: List[Dict[str, object]] = doc.get("labels", [])
-    categories: List[str] = [c for c in CATEGORIES]
-    extra = sorted(
-        {
-            cat
-            for entry in labels
-            for cat in entry.get("breakdown", {})
-            if cat not in CATEGORIES
-        }
-    )
-    categories += extra
-    headers = ["trial", "seeds", "total (messages)", *categories]
-    rows = []
-    for entry in labels:
-        total = entry.get("total", {})
-        breakdown = entry.get("breakdown", {})
-        row: List[object] = [
-            entry.get("label", ""),
-            entry.get("n", 0),
-            plus_minus(total.get("mean", 0.0), total.get("ci95", 0.0)),
+    half-widths, then the outcome, root-load and serving tables of the
+    simulated trials and the simulator's throughput."""
+    seeds = Counter(str(trial.get("label")) for trial in doc.get("trials") or [])
+    categories = breakdown_stats(doc)
+    rows = [
+        [
+            label,
+            seeds[label],
+            plus_minus(*total),
+            *(
+                plus_minus(*stats[label]) if label in stats else "—"
+                for stats in categories.values()
+            ),
         ]
-        for cat in categories:
-            stats = breakdown.get(cat)
-            row.append(
-                plus_minus(stats["mean"], stats.get("ci95", 0.0)) if stats else "—"
-            )
-        rows.append(row)
+        for label, total in label_stats(doc, TOTAL).items()
+    ]
     title = (
         f"**Campaign `{doc.get('name', '?')}`** — seeds {doc.get('seeds', [])}, "
         f"generated {doc.get('generated_at', '?')} "
         f"(mean ± 95% CI across seeds)"
     )
-    table = title + "\n\n" + markdown_table(headers, rows)
-    service = _service_table(doc)
-    if service:
-        table += "\n\n" + service
-    throughput = _throughput_line(doc)
-    if throughput:
-        table += "\n\n" + throughput
-    return table
+    headers = ["trial", "seeds", "total (messages)", *CATEGORIES]
+    parts = [title, markdown_table(headers, rows)]
+    for heading, columns in _METRIC_TABLES:
+        parts.append(_metric_table(doc, heading, columns))
+    parts.append(_throughput_line(doc))
+    return "\n\n".join(part for part in parts if part)
 
 
-#: The serving scorecard's columns: (header, ``metrics.service`` key,
-#: number format).
-_SERVICE_COLUMNS: Tuple[Tuple[str, str, str], ...] = (
-    ("qps offered", "qps_offered", ".3f"),
-    ("qps served", "qps_served", ".3f"),
-    ("p50 (s)", "latency_p50_s", ".2f"),
-    ("p95 (s)", "latency_p95_s", ".2f"),
-    ("p99 (s)", "latency_p99_s", ".2f"),
-    ("hit rate", "cache_hit_rate", ".2f"),
-    ("shed rate", "shed_rate", ".2f"),
+#: One column of a metric table: (header, reader, number format).
+Column = Tuple[str, Reader, str]
+
+#: The per-label metric tables ``report`` prints under the figure
+#: table: (heading, columns). Each covers the simulated trials only.
+_METRIC_TABLES: Tuple[Tuple[str, Tuple[Column, ...]], ...] = (
+    (
+        "Outcomes (mean across seeds):",
+        (
+            ("stored", result_reader("storage_success_rate"), ".2f"),
+            ("at owner", result_reader("owner_hit_rate"), ".2f"),
+            ("replies", result_reader("query_reply_rate"), ".2f"),
+            ("completeness", metric_reader("survival", "completeness"), ".2f"),
+            ("recall", metric_reader("oracle", "recall_weighted"), ".2f"),
+            ("reassigned", metric_reader("planner", "owners_reassigned"), ".0f"),
+        ),
+    ),
+    (
+        "Root load (node 0, mean across seeds):",
+        (
+            ("root sent", result_reader("root_sent"), ".0f"),
+            ("root received", result_reader("root_received"), ".0f"),
+            ("root J", result_reader("root_energy_j"), ".2f"),
+            ("root rx J", metric_reader("root_energy_j", "radio_rx"), ".2f"),
+            ("mean node J", result_reader("mean_node_energy_j"), ".2f"),
+            ("load skew", metric_reader("load_skew"), ".2f"),
+        ),
+    ),
+    (
+        "Serving scorecard (simulated-time latencies, mean across seeds):",
+        (
+            ("qps offered", metric_reader("service", "qps_offered"), ".3f"),
+            ("qps served", metric_reader("service", "qps_served"), ".3f"),
+            ("p50 (s)", metric_reader("service", "latency_p50_s"), ".2f"),
+            ("p95 (s)", metric_reader("service", "latency_p95_s"), ".2f"),
+            ("p99 (s)", metric_reader("service", "latency_p99_s"), ".2f"),
+            ("hit rate", metric_reader("service", "cache_hit_rate"), ".2f"),
+            ("shed rate", metric_reader("service", "shed_rate"), ".2f"),
+        ),
+    ),
 )
 
 
-def _service_table(doc: Dict[str, object]) -> str:
-    """Serving scorecard table for query-service campaigns (E16): per
-    label, the across-seed mean offered/served rates, latency
-    percentiles, cache hit rate and shed rate (from
-    ``TrialMetrics.service``; empty string for non-serving campaigns)."""
-    columns = [
-        (fmt, label_stats(doc, metric_reader("service", key)))
-        for _head, key, fmt in _SERVICE_COLUMNS
-    ]
-    labels = columns[0][1]
+def _metric_table(
+    doc: Dict[str, object], heading: str, columns: Sequence[Column]
+) -> str:
+    """One markdown table of per-label means over the simulated trials
+    (analytical ones have no simulator to measure): a row per label the
+    first column reads, "—" where no trial of the label carries a value,
+    and an empty string when the first column reads nothing (the serving
+    table of a batch campaign)."""
+    simulated = {
+        "trials": [
+            trial
+            for trial in doc.get("trials") or []
+            if not (trial.get("result") or {}).get("analytical")
+        ]
+    }
+    stats = [(fmt, label_stats(simulated, read)) for _head, read, fmt in columns]
+    labels = stats[0][1]
     if not labels:
         return ""
-    headers = ["trial", *(head for head, _key, _fmt in _SERVICE_COLUMNS)]
     rows = [
-        [label, *(format(stats[label][0], fmt) for fmt, stats in columns)]
+        [
+            label,
+            *(
+                format(values[label][0], fmt) if label in values else "—"
+                for fmt, values in stats
+            ),
+        ]
         for label in labels
     ]
-    return (
-        "Serving scorecard (simulated-time latencies, mean across seeds):\n\n"
-        + markdown_table(headers, rows)
-    )
+    headers = ["trial", *(head for head, _read, _fmt in columns)]
+    return heading + "\n\n" + markdown_table(headers, rows)
 
 
 def _throughput_line(doc: Dict[str, object]) -> str:
@@ -293,13 +316,3 @@ def _throughput_line(doc: Dict[str, object]) -> str:
     if rates:
         line += f", mean {sum(rates) / len(rates):,.0f} events/sec per trial"
     return line
-
-
-def rates_table(result: ExperimentResult, title: str) -> str:
-    headers = ["metric", "measured", "paper"]
-    rows = [
-        ["data stored successfully", f"{result.storage_success_rate:.0%}", "~93%"],
-        ["stored at mapped owner", f"{result.owner_hit_rate:.0%}", "~85%"],
-        ["query results retrieved", f"{result.query_reply_rate:.0%}", "~78%"],
-    ]
-    return format_table(headers, rows, title=title)

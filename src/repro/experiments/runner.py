@@ -42,12 +42,7 @@ from repro.sim.topology import (
     random_geometric,
 )
 from repro.experiments.oracle import score_trial
-from repro.workloads import (
-    WORKLOAD_NAMES,
-    MultiAttributeWorkload,
-    Workload,
-    make_workload,
-)
+from repro.workloads import WORKLOAD_NAMES, MultiAttributeWorkload, Workload
 from repro.workloads.queries import QueryPlanConfig
 
 #: The storage policies of the paper's experiments (Section 6 table). The
@@ -324,21 +319,13 @@ def scale_spec(spec: ExperimentSpec, factor: float) -> ExperimentSpec:
 
 
 def build_workload(spec: ExperimentSpec, topology: Topology) -> Workload:
-    """The trial's data source: the named single-attribute family, or the
-    correlated multi-attribute wrapper when the config registers several
-    attributes (E15)."""
+    """The trial's data source: the named family over every registered
+    attribute (E15). At one attribute, attribute 0 is the named family's
+    own stream, sample for sample."""
     config = spec.scoop
-    if config.n_attributes > 1:
-        return MultiAttributeWorkload(
-            spec.workload,
-            config.attribute_specs,
-            config.n_nodes,
-            seed=spec.seed,
-            positions=topology.positions,
-        )
-    return make_workload(
+    return MultiAttributeWorkload(
         spec.workload,
-        config.domain,
+        config.attribute_specs,
         config.n_nodes,
         seed=spec.seed,
         positions=topology.positions,

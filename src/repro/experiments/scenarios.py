@@ -24,7 +24,14 @@ import sys
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.config import AttributeSpec, ScoopConfig, ValueDomain
-from repro.experiments.reporting import Reader, label_stats, metric_reader
+from repro.experiments.reporting import (
+    TOTAL,
+    Reader,
+    label_stats,
+    metric_reader,
+    result_reader,
+    sweep_point,
+)
 from repro.experiments.runner import ExperimentSpec, scale_spec
 from repro.workloads.queries import QueryPlanConfig
 
@@ -555,8 +562,11 @@ def sweep(values: Dict[str, T]) -> Dict[str, Dict[str, T]]:
     order: label ``n=64/scoop`` is ``x`` ``"64"``, series ``"scoop"``."""
     grid: Dict[str, Dict[str, T]] = {}
     for label, value in values.items():
-        point, _, series = label.partition("/")
-        grid.setdefault(point.partition("=")[2], {})[series] = value
+        point = sweep_point(label)
+        if point is None:
+            raise ValueError(f"{label!r} is not a sweep label")
+        _param, x, series = point
+        grid.setdefault(x, {})[series] = value
     return grid
 
 
@@ -570,12 +580,7 @@ def _means(doc: Dict[str, object], read: Reader) -> Dict[str, float]:
     return {label: mean for label, (mean, _ci) in label_stats(doc, read).items()}
 
 
-def _field(name: str) -> Reader:
-    return lambda result: result[name]
-
-
-_total = _field("total_messages")
-_stored = _field("storage_success_rate")
+_stored = result_reader("storage_success_rate")
 
 
 def _sent(result: Dict[str, object], kind: str) -> float:
@@ -630,7 +635,7 @@ def check_export(doc: Dict[str, object]) -> List[str]:
 
 
 def _check_fig3_left(doc: Dict[str, object]) -> List[str]:
-    total = _means(doc, _total)
+    total = _means(doc, TOTAL)
     unique, gaussian = total["scoop/unique"], total["scoop/gaussian"]
     local, base = total["local/gaussian"], total["base/gaussian"]
     cost_kinds = ("data", "summary", "mapping", "query", "reply")
@@ -691,7 +696,7 @@ def _pays_for_its_index(result: Dict[str, object]) -> bool:
 
 
 def _check_fig3_middle(doc: Dict[str, object]) -> List[str]:
-    total = _means(doc, _total)
+    total = _means(doc, TOTAL)
     scoop, local, hash_, base = (
         total[f"{policy}/real"] for policy in ("scoop", "local", "hash", "base")
     )
@@ -725,7 +730,7 @@ def _scn_fig3_middle(seed: int) -> LabelledSpecs:
 
 
 def _check_fig3_right(doc: Dict[str, object]) -> List[str]:
-    total = _means(doc, _total)
+    total = _means(doc, TOTAL)
     unique, equal, gaussian, random = (
         total[f"scoop/{source}"] for source in ("unique", "equal", "gaussian", "random")
     )
@@ -769,7 +774,7 @@ def _scn_fig3_right(seed: int) -> LabelledSpecs:
 
 
 def _check_fig4(doc: Dict[str, object]) -> List[str]:
-    grid = sweep(_means(doc, _total))
+    grid = sweep(_means(doc, TOTAL))
     scoop, local, base = (_series(grid, p) for p in ("scoop", "local", "base"))
     return _failed(
         _claim(
@@ -810,7 +815,7 @@ def _scn_fig4(seed: int) -> LabelledSpecs:
 
 
 def _check_fig5(doc: Dict[str, object]) -> List[str]:
-    grid = sweep(_means(doc, _total))
+    grid = sweep(_means(doc, TOTAL))
     scoop, local, base = (
         _series(grid, f"{p}/real") for p in ("scoop", "local", "base")
     )
@@ -846,8 +851,8 @@ def _check_loss_rates(doc: Dict[str, object]) -> List[str]:
     # Wide bounds: the paper's testbed regime (~93% stored, ~85% at the
     # owner, ~78% retrieved), not its third digit.
     stored = _means(doc, _stored)["scoop/real"]
-    owner = _means(doc, _field("owner_hit_rate"))["scoop/real"]
-    replies = _means(doc, _field("query_reply_rate"))["scoop/real"]
+    owner = _means(doc, result_reader("owner_hit_rate"))["scoop/real"]
+    replies = _means(doc, result_reader("query_reply_rate"))["scoop/real"]
     return (
         _failed(
             _claim(stored > 0.85, "over 85% of readings are stored", stored),
@@ -871,9 +876,9 @@ def _scn_loss_rates(seed: int) -> LabelledSpecs:
 
 
 def _check_root_skew(doc: Dict[str, object]) -> List[str]:
-    received = _means(doc, _field("root_received"))
-    root_rx = _means(doc, lambda r: r["metrics"]["root_energy_j"]["radio_rx"])
-    node_j = _means(doc, _field("mean_node_energy_j"))
+    received = _means(doc, result_reader("root_received"))
+    root_rx = _means(doc, metric_reader("root_energy_j", "radio_rx"))
+    node_j = _means(doc, result_reader("mean_node_energy_j"))
     scoop, base, local = "scoop/real", "base/real", "local/real"
     return (
         _failed(
@@ -921,7 +926,7 @@ def _scn_root_skew(seed: int) -> LabelledSpecs:
 
 
 def _check_scaling(doc: Dict[str, object]) -> List[str]:
-    grid = sweep(_means(doc, _total))
+    grid = sweep(_means(doc, TOTAL))
     real, random = _series(grid, "scoop/real"), _series(grid, "scoop/random")
     stored = _series(sweep(_means(doc, _stored)), "scoop/real")[-1]
     return _failed(
@@ -948,7 +953,7 @@ def _scn_scaling(seed: int) -> LabelledSpecs:
 
 
 def _check_sample_interval(doc: Dict[str, object]) -> List[str]:
-    grid = sweep(_means(doc, _total))
+    grid = sweep(_means(doc, TOTAL))
     spread = [max(cell.values()) - min(cell.values()) for cell in grid.values()]
     random = _series(grid, "scoop/random")
     return _failed(
@@ -983,7 +988,7 @@ def _every_label_stores(doc: Dict[str, object], floor: float) -> List[str]:
 
 
 def _check_ablation_extensions(doc: Dict[str, object]) -> List[str]:
-    mapping = _means(doc, lambda r: r["breakdown"]["mapping"])
+    mapping = _means(doc, result_reader("breakdown", "mapping"))
     ranged, single = mapping["range-width-10"], mapping["single-owner"]
     return _every_label_stores(doc, 0.8) + _failed(
         _claim(
@@ -1015,7 +1020,7 @@ def _scn_ablation_statistics(seed: int) -> LabelledSpecs:
 
 
 def _check_topology_profiles(doc: Dict[str, object]) -> List[str]:
-    total = sweep(_means(doc, _total))
+    total = sweep(_means(doc, TOTAL))
     stored = sweep(_means(doc, _stored))
     claims = [
         _claim(cell["scoop"] > 0.85, f"SCOOP stores over 85% on {kind}", cell["scoop"])
@@ -1055,7 +1060,7 @@ def _scn_topology_profiles(seed: int) -> LabelledSpecs:
 
 
 def _check_loss_sweep(doc: Dict[str, object]) -> List[str]:
-    total = sweep(_means(doc, _total))
+    total = sweep(_means(doc, TOTAL))
     stored = sweep(_means(doc, _stored))
     scoop = _series(total, "scoop")
     claims = [
@@ -1096,7 +1101,7 @@ def _runs_at_xl_capacity(result: Dict[str, object]) -> bool:
 
 
 def _check_scaling_xl(doc: Dict[str, object]) -> List[str]:
-    total = sweep(_means(doc, _total))
+    total = sweep(_means(doc, TOTAL))
     stored = _series(sweep(_means(doc, _stored)), "scoop")[-1]
     # One 256-node trial stored over 0.8 at bench scale; the mean over
     # paper-scale seeds is held to 0.75.
@@ -1232,7 +1237,7 @@ def _indexes_every_attribute(result: Dict[str, object]) -> bool:
 
 
 def _check_multi_attribute(doc: Dict[str, object]) -> List[str]:
-    total = sweep(_means(doc, _total))
+    total = sweep(_means(doc, TOTAL))
     upkeep = sweep(
         _means(doc, lambda r: r["breakdown"]["summary"] + r["breakdown"]["mapping"])
     )

@@ -21,13 +21,7 @@ from repro.core.config import (
 )
 from repro.experiments import __main__ as cli
 from repro.experiments.cache import CACHE_SCHEMA_VERSION, ResultCache
-from repro.experiments.campaign import (
-    Campaign,
-    CampaignResult,
-    Trial,
-    TrialResult,
-    run_campaign,
-)
+from repro.experiments.campaign import Campaign, run_campaign
 from repro.experiments.registry import (
     is_registered,
     known_policies,
@@ -293,21 +287,6 @@ class TestCampaignExpansion:
         # The variable is restored after expansion.
         import os
         assert os.environ["REPRO_BENCH_SCALE"] == "1"
-
-    def test_aggregates_mean_stdev(self):
-        spec1, spec2 = small_spec(seed=1), small_spec(seed=2)
-        result = CampaignResult(
-            name="x",
-            trials=[
-                TrialResult(Trial(spec1, label="a"), fake_result(spec1, 10.0)),
-                TrialResult(Trial(spec2, label="a"), fake_result(spec2, 14.0)),
-            ],
-        )
-        (agg,) = result.aggregates()
-        assert agg.label == "a" and agg.n == 2 and agg.seeds == (1, 2)
-        assert agg.mean_total == pytest.approx(12.0)
-        assert agg.stdev_total == pytest.approx(2.828, abs=0.01)
-        assert agg.mean_breakdown["data"] == pytest.approx(6.0)
 
 
 class TestCampaignExecution:

@@ -164,7 +164,6 @@ def synthetic_export(name, scale=0.05, seeds=(1,), doctor=None):
         "seeds": list(seeds),
         "scale": scale,
         "execution": {"trials": len(trials), "executed": 0, "cached": len(trials)},
-        "labels": [],
         "trials": trials,
     }
 

@@ -87,7 +87,7 @@ def fake_campaign_result(name="smoke", totals=(100.0, 140.0)):
         spec = small_spec(seed=seed)
         trials.append(
             TrialResult(
-                Trial(spec, label="scoop/gaussian", scenario=name),
+                Trial(spec, label="scoop/gaussian"),
                 fake_result(spec, total=total, metrics=sample_metrics()),
             )
         )
@@ -154,16 +154,6 @@ class TestConfidenceIntervals:
         assert values == sorted(values, reverse=True)
         assert min(values) >= 1.960
 
-    def test_aggregates_carry_ci(self):
-        result = fake_campaign_result(totals=(100.0, 140.0))
-        (agg,) = result.aggregates()
-        assert agg.mean_total == pytest.approx(120.0)
-        assert agg.ci95_total > 0
-        assert agg.ci95_breakdown["data"] > 0
-        assert agg.stdev_breakdown["data"] == pytest.approx(
-            agg.stdev_total / 2
-        )
-
 
 class TestCampaignExport:
     def test_document_shape(self):
@@ -174,17 +164,18 @@ class TestCampaignExport:
         assert doc["seeds"] == [1, 2]
         assert doc["cache_salt"] == salt.cache_salt()
         assert doc["execution"]["trials"] == 2
-        (label,) = doc["labels"]
-        assert set(label["total"]) == {"mean", "stdev", "ci95"}
-        assert set(label["breakdown"]["data"]) == {"mean", "stdev", "ci95"}
+        # Trials and provenance only: per-label statistics are read from
+        # the trials, never stored next to them.
+        assert "labels" not in doc
         for trial in doc["trials"]:
+            assert set(trial) == {"label", "seed", "spec_key", "from_cache", "result"}
             assert trial["spec_key"] == spec_key(
                 ExperimentSpec.from_dict(trial["result"]["spec"])
             )
 
     def test_export_write_load_round_trip(self, tmp_path):
         result = fake_campaign_result()
-        path = export_campaign(result, out_dir=tmp_path)
+        path = export_campaign(campaign_to_dict(result), out_dir=tmp_path)
         assert path.parent == tmp_path and path.suffix == ".json"
         doc = load_campaign_export(path)
         # Every trial's result deserializes back to the exact original,
@@ -198,9 +189,9 @@ class TestCampaignExport:
         from datetime import datetime, timezone
 
         stamp = datetime(2026, 7, 30, 12, 0, 0, tzinfo=timezone.utc)
-        result = fake_campaign_result()
-        first = export_campaign(result, out_dir=tmp_path, generated_at=stamp)
-        second = export_campaign(result, out_dir=tmp_path, generated_at=stamp)
+        doc = campaign_to_dict(fake_campaign_result(), generated_at=stamp)
+        first = export_campaign(doc, out_dir=tmp_path)
+        second = export_campaign(doc, out_dir=tmp_path)
         assert first != second and first.exists() and second.exists()
         assert latest_export("smoke", root=tmp_path) == second
         assert list_exports("smoke", root=tmp_path) == [first, second]
@@ -214,7 +205,7 @@ class TestCampaignExport:
         os.utime(second, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert list_exports("smoke", root=tmp_path) == [first, second]
         assert latest_export("smoke", root=tmp_path) == second
-        third = export_campaign(result, out_dir=tmp_path, generated_at=stamp)
+        third = export_campaign(doc, out_dir=tmp_path)
         assert latest_export("smoke", root=tmp_path) == third
 
     def test_load_rejects_foreign_and_stale_documents(self, tmp_path):
@@ -228,6 +219,12 @@ class TestCampaignExport:
         )
         with pytest.raises(ValueError, match="schema"):
             load_campaign_export(stale)
+        # Schema 1 stored per-label aggregates next to the trials.
+        schema1 = tmp_path / "z.json"
+        doc = dict(campaign_to_dict(fake_campaign_result()), schema=1, labels=[])
+        schema1.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="export schema 1"):
+            load_campaign_export(schema1)
 
     def test_latest_export_empty_dir(self, tmp_path):
         assert latest_export(root=tmp_path / "missing") is None
@@ -239,6 +236,39 @@ class TestCampaignExport:
         assert "±" in text
         assert text.count("|") >= 10  # a real markdown table
         assert "`smoke`" in text
+        # Mean ± 95% CI of the two seeds' totals, and of each category.
+        half = 12.706 * math.sqrt(800.0) / math.sqrt(2.0)
+        assert f"| scoop/gaussian | 2 | {plus_minus(120.0, half)} |" in text
+
+    def test_outcome_and_root_tables_leave_out_analytical_trials(self):
+        scoop, hashed = small_spec(), small_spec(policy="hash")
+        trials = [
+            TrialResult(
+                Trial(scoop),
+                fake_result(
+                    scoop,
+                    metrics=sample_metrics(),
+                    storage_success_rate=0.9,
+                    root_sent=7,
+                ),
+            ),
+            TrialResult(Trial(hashed), fake_result(hashed, analytical=True)),
+        ]
+        text = figure_table_markdown(campaign_to_dict(CampaignResult("x", trials)))
+        # Both labels have a figure-table row ...
+        assert "| scoop/gaussian | 1 | 100 |" in text
+        assert "| hash/gaussian | 1 | 100 |" in text
+        # ... but only the simulated one an outcome and a root-load row.
+        outcomes = text.split("Outcomes")[1].split("Root load")[0]
+        root = text.split("Root load")[1]
+        assert "| scoop/gaussian | 0.90 |" in outcomes
+        assert "| scoop/gaussian | 7 |" in root
+        assert "1.80 |" in root  # load skew, from the trial's metrics
+        assert "hash/gaussian" not in outcomes + root
+        # A campaign of analytical trials alone has neither table.
+        only_hash = CampaignResult("x", trials[1:])
+        text = figure_table_markdown(campaign_to_dict(only_hash))
+        assert "Outcomes" not in text and "Root load" not in text
 
     def test_plus_minus_single_seed_is_bare_mean(self):
         assert plus_minus(120.0, 0.0) == "120"
@@ -319,9 +349,8 @@ class TestCLIExportAndReport:
         doc = load_campaign_export(exports[0])
         assert doc["execution"]["executed"] == 6
         assert doc["seeds"] == [1, 2]
-        # Acceptance criteria: per-label CI stats + per-trial breakdowns.
-        assert all("ci95" in label["total"] for label in doc["labels"])
-        simulated = [t for t in doc["trials"] if not t["analytical"]]
+        # Every trial carries its metric breakdowns.
+        simulated = [t for t in doc["trials"] if not t["result"]["analytical"]]
         assert simulated
         for trial in simulated:
             metrics = trial["result"]["metrics"]
@@ -347,8 +376,23 @@ class TestCLIExportAndReport:
         out = capsys.readouterr().out
         assert "scoop/gaussian" in out and "±" in out
 
+    def test_run_prints_the_report_of_its_export(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out_dir = str(tmp_path / "exports")
+        run = ["run", "smoke", "--seeds", "2", "--export", "--export-dir", out_dir]
+        assert cli.main(run) == 0
+        printed = capsys.readouterr().out
+        assert cli.main(["report", "smoke", "--export-dir", out_dir]) == 0
+        reported = capsys.readouterr().out
+        doc = load_campaign_export(latest_export("smoke", root=tmp_path / "exports"))
+        table = figure_table_markdown(doc)
+        assert "Outcomes" in table and "Root load" in table
+        assert printed.startswith(table + "\n")
+        assert reported.startswith(table + "\n")
+
     def test_report_accepts_explicit_path(self, tmp_path, capsys):
-        path = export_campaign(fake_campaign_result(), out_dir=tmp_path)
+        doc = campaign_to_dict(fake_campaign_result())
+        path = export_campaign(doc, out_dir=tmp_path)
         assert cli.main(["report", str(path)]) == 0
         assert "scoop/gaussian" in capsys.readouterr().out
 

@@ -18,89 +18,81 @@ from repro.experiments.plotting import (
     series_svg,
 )
 from repro.experiments.reporting import label_stats, metric_reader
-from repro.experiments.scenarios import SCENARIOS, canonical_scenario_name
+from repro.experiments.scenarios import (
+    SCENARIOS,
+    canonical_scenario_name,
+    scenario_trials,
+)
 
 
-def label_entry(label, mean, ci=0.0, breakdown=None):
-    breakdown = breakdown or {"data": mean / 2, "query/reply": mean / 2}
-    return {
-        "label": label,
-        "n": 2,
-        "seeds": [1, 2],
-        "total": {"mean": mean, "stdev": ci / 2, "ci95": ci},
-        "breakdown": {
-            cat: {"mean": value, "stdev": 0.0, "ci95": 0.0}
-            for cat, value in breakdown.items()
-        },
-    }
+def trial(label, total, seed=1, breakdown=None, **metrics):
+    """One export trial: its total, a Figure-3 breakdown (half data, half
+    query/reply unless given) and any ``metrics`` groups."""
+    breakdown = breakdown or {"data": total / 2, "query/reply": total / 2}
+    result = {"total_messages": total, "breakdown": breakdown, "metrics": metrics}
+    return {"label": label, "seed": seed, "from_cache": False, "result": result}
 
 
-def make_doc(labels, name="smoke"):
+def seeds(label, mean, spread=0.0, **metrics):
+    """Two seeds of ``label`` whose totals average to ``mean``."""
+    return [
+        trial(label, mean - spread, seed=1, **metrics),
+        trial(label, mean + spread, seed=2, **metrics),
+    ]
+
+
+def make_doc(trials, name="smoke"):
     return {
         "schema": EXPORT_SCHEMA_VERSION,
         "kind": EXPORT_KIND,
         "name": name,
         "generated_at": "2026-07-30T00:00:00Z",
         "seeds": [1, 2],
-        "execution": {"trials": len(labels), "executed": 0, "cached": len(labels)},
-        "labels": labels,
-        "trials": [],
+        "execution": {"trials": len(trials), "executed": 0, "cached": len(trials)},
+        "trials": trials,
     }
 
 
 BAR_DOC = make_doc(
     [
-        label_entry("scoop/real", 1200.0, ci=80.0),
-        label_entry("local/real", 4100.0),
-        label_entry("base/real", 6300.0, ci=9000.0),  # CI dwarfing the mean
+        *seeds("scoop/real", 1200.0, spread=5.0),
+        *seeds("local/real", 4100.0),
+        *seeds("base/real", 6300.0, spread=700.0),  # CI dwarfing the mean
     ]
 )
 
 SWEEP_DOC = make_doc(
     [
-        label_entry(f"n={n}/{policy}", total, ci=30.0)
+        entry
         for n, mean in ((64, 1000.0), (128, 2000.0), (256, 3500.0))
         for policy, total in (("scoop", mean), ("local", mean * 3))
+        for entry in seeds(f"n={n}/{policy}", total, spread=2.0)
     ],
     name="scaling_xl",
 )
 
 CATEGORICAL_DOC = make_doc(
     [
-        label_entry(f"topo={kind}/scoop", 1000.0 + 10 * i)
+        trial(f"topo={kind}/scoop", 1000.0 + 10 * i)
         for i, kind in enumerate(("line", "grid", "testbed"))
     ],
     name="topology_profiles",
 )
 
-
-def churn_trial(label, seed, completeness):
-    return {
-        "label": label,
-        "scenario": "node_churn",
-        "seed": seed,
-        "analytical": False,
-        "from_cache": False,
-        "result": {"metrics": {"survival": {"completeness": completeness}}},
-    }
-
-
 #: An E14-shaped export: sweep labels plus per-trial survival metrics.
-CHURN_DOC = dict(
-    make_doc(
-        [
-            label_entry(f"churn={rate:g}/{policy}", 1000.0)
-            for rate in (0.0, 0.3)
-            for policy in ("scoop", "local")
-        ],
-        name="node_churn",
-    ),
-    trials=[
-        churn_trial(f"churn={rate:g}/{policy}", seed, completeness - seed * 0.01)
+CHURN_DOC = make_doc(
+    [
+        trial(
+            f"churn={rate:g}/{policy}",
+            1000.0,
+            seed=seed,
+            survival={"completeness": completeness - seed * 0.01},
+        )
         for rate, completeness in ((0.0, 0.95), (0.3, 0.75))
         for policy in ("scoop", "local")
         for seed in (1, 2)
     ],
+    name="node_churn",
 )
 
 
@@ -151,10 +143,14 @@ class TestSeriesParsing:
         assert parse_series(BAR_DOC) is None
 
     def test_mixed_params_are_not_a_sweep(self):
-        doc = make_doc(
-            [label_entry("n=64/scoop", 10.0), label_entry("qi=5/scoop", 20.0)]
-        )
+        doc = make_doc([trial("n=64/scoop", 10.0), trial("qi=5/scoop", 20.0)])
         assert parse_series(doc) is None
+
+    def test_reads_the_trials_across_seeds(self):
+        _param, series, _x_names = parse_series(SWEEP_DOC)
+        x, mean, ci95 = series["local"][0]
+        assert (x, mean) == (64.0, 3000.0)
+        assert ci95 == pytest.approx(12.706 * 2.0)  # sd 2*sqrt(2), n 2
 
 
 class TestSeriesChart:
@@ -181,7 +177,7 @@ class TestSeriesChart:
         # must not render as identically colored lines.
         doc = make_doc(
             [
-                label_entry(f"n={n}/scoop/{workload}", mean)
+                trial(f"n={n}/scoop/{workload}", mean)
                 for n, mean in ((25, 900.0), (63, 1800.0))
                 for workload, mean in (("real", mean), ("random", mean * 2))
             ],
@@ -327,4 +323,5 @@ class TestScenarioRegistry:
         # which is the glob `report E13`/`plot scaling_xl` both search.
         campaign = Campaign.from_scenario("E13", seeds=(1,), scale=0.05)
         assert campaign.name == "scaling_xl"
-        assert all(t.scenario == "scaling_xl" for t in campaign.trials)
+        grid = [label for label, _spec in scenario_trials("scaling_xl")]
+        assert [t.label for t in campaign.trials] == grid

@@ -11,8 +11,6 @@ from repro.experiments.reporting import (
     breakdown_row,
     breakdown_table,
     format_table,
-    rates_table,
-    series_table,
 )
 from repro.experiments.runner import (
     POLICIES,
@@ -151,14 +149,6 @@ class TestReporting:
     def test_breakdown_table_contains_all_rows(self):
         text = breakdown_table([self._result(), self._result("local")], "X")
         assert "scoop/real" in text and "local/real" in text
-
-    def test_series_table(self):
-        text = series_table("x", {"scoop": [1, 2], "base": [3, 4]}, ["a", "b"], "T")
-        assert "scoop (messages)" in text and "base (messages)" in text
-
-    def test_rates_table_mentions_paper_targets(self):
-        text = rates_table(self._result(), "rates")
-        assert "~93%" in text and "~85%" in text and "~78%" in text
 
 
 class TestMoteDispatch:
