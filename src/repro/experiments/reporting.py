@@ -74,8 +74,6 @@ def sample_stats(values: Sequence[float]) -> Tuple[float, float, float]:
     return mean, sd, t_critical_95(n - 1) * sd / math.sqrt(n)
 
 
-
-
 def label_stats(doc: Dict[str, object], read: Reader) -> Dict[str, Stats]:
     """``{label: (mean, 95% CI half-width)}`` of ``read(result)`` across
     the seeds of each trial label in export ``doc``, in first-seen
