@@ -18,6 +18,8 @@ from repro.analysis.core import FileContext, Finding, Rule
 HOT_MODULES: Tuple[str, ...] = (
     "src/repro/sim/kernel.py",
     "src/repro/sim/radio.py",
+    "src/repro/sim/rngstream.py",
+    "src/repro/sim/energy.py",
     "src/repro/sim/packets.py",
     "src/repro/sim/mote.py",
     "src/repro/sim/linkest.py",

@@ -96,12 +96,21 @@ class Basestation(ScoopNode):
     # ------------------------------------------------------------------
     # Statistics ingestion
     # ------------------------------------------------------------------
-    def _observe(self, frame: Frame) -> None:
-        super()._observe(frame)
-        if frame.kind is not FrameKind.ACK:
+    # Every heard frame's origin/parent header, ahead of the mote's own
+    # bookkeeping (the two touch disjoint state) and of any handler.
+    def on_receive(self, frame: Frame) -> None:
+        if self.booted:
             self.stats.observe_packet_header(
                 frame.origin, frame.origin_parent, self.sim.now
             )
+        super().on_receive(frame)
+
+    def on_snoop(self, frame: Frame) -> None:
+        if self.booted and frame.kind is not FrameKind.ACK:
+            self.stats.observe_packet_header(
+                frame.origin, frame.origin_parent, self.sim.now
+            )
+        super().on_snoop(frame)
 
     def _ingest_summary(self, frame: Frame) -> None:
         summary: SummaryMessage = frame.payload

@@ -60,6 +60,8 @@ class NodeEnergy:
 class EnergyMeter:
     """Network-wide per-node energy ledger, fed by the radio and flash."""
 
+    __slots__ = ("_nodes",)
+
     def __init__(self) -> None:
         self._nodes: Dict[int, NodeEnergy] = {}
 

@@ -17,8 +17,15 @@ and cached on the ``__slots__`` neighbor record, where the routing tree
 reads them. The sender joins :attr:`LinkEstimator.changed`, the set of
 neighbors the routing tree re-ranks at its next beacon (it clears the
 set). An insert scans the table for silent entries only when a lower
-bound on the oldest ``last_heard`` says one may have timed out, and finds
-the worst entry with one ``min`` over the records.
+bound on the oldest ``last_heard`` says one may have timed out.
+
+The entry an insert into a full table evicts is the first one of minimal
+quality in table order. Quality is at most 1.0, and on a dense network
+nearly every entry sits at exactly 1.0, so the estimator keeps the few
+records below 1.0 apart, each with its insertion stamp (table order is
+insertion order). The victim is the lowest of those, ties going to the
+oldest stamp, or the table's first entry when there are none, so no
+insert scans the whole table.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ import math
 from operator import attrgetter
 from typing import Dict, List, Set, Tuple
 
-_quality = attrgetter("quality")
+#: eviction order among the records below quality 1.0: worst first, ties
+#: to the record inserted first (the first in table order)
+_eviction_rank = attrgetter("quality", "stamp")
 
 
 class _NeighborRecord:
@@ -41,9 +50,12 @@ class _NeighborRecord:
         "last_heard",
         "quality",
         "etx",
+        "stamp",
     )
 
-    def __init__(self, neighbor: int, last_seqno: int, last_heard: float):
+    def __init__(
+        self, neighbor: int, last_seqno: int, last_heard: float, stamp: int
+    ):
         self.neighbor = neighbor
         self.last_seqno = last_seqno
         self.received = 1.0
@@ -53,6 +65,8 @@ class _NeighborRecord:
         self.quality = 1.0
         #: cached ``1 / quality^2`` (see :meth:`LinkEstimator.etx`).
         self.etx = 1.0
+        #: insertion count at insert: later records have larger stamps
+        self.stamp = stamp
 
 
 class LinkEstimator:
@@ -76,6 +90,8 @@ class LinkEstimator:
         "silence_timeout",
         "decay",
         "_table",
+        "_below",
+        "_inserts",
         "_heard_floor",
         "changed",
     )
@@ -90,6 +106,11 @@ class LinkEstimator:
         self.silence_timeout = silence_timeout
         self.decay = decay
         self._table: Dict[int, _NeighborRecord] = {}
+        #: the records whose quality is below 1.0, the only candidates for
+        #: eviction ahead of the table's first entry
+        self._below: Dict[int, _NeighborRecord] = {}
+        #: records inserted so far (the next record's stamp)
+        self._inserts = 0
         #: at most the oldest ``last_heard`` in the table (lowered on every
         #: write below it, so it holds even if ``now`` goes backwards)
         self._heard_floor = math.inf
@@ -103,7 +124,10 @@ class LinkEstimator:
         record = self._table.get(neighbor)
         if record is None:
             self._maybe_evict(now)
-            self._table[neighbor] = _NeighborRecord(neighbor, seqno, now)
+            self._table[neighbor] = _NeighborRecord(
+                neighbor, seqno, now, self._inserts
+            )
+            self._inserts += 1
             if now < self._heard_floor:
                 self._heard_floor = now
             return
@@ -121,6 +145,10 @@ class LinkEstimator:
         if now < self._heard_floor:
             self._heard_floor = now
         quality = received / (received + missed)
+        if quality < 1.0:
+            self._below[neighbor] = record
+        elif record.quality < 1.0:
+            del self._below[neighbor]
         record.quality = quality
         record.etx = 1.0 / (quality * quality)
 
@@ -132,9 +160,14 @@ class LinkEstimator:
         table = self._table
         if len(table) < self.max_neighbors:
             return
-        # The first minimal record in table order, as a min over the keys
-        # would pick.
-        worst = min(table.values(), key=_quality).neighbor
+        # The first record of minimal quality in table order: every record
+        # outside ``_below`` is at the maximum, 1.0.
+        below = self._below
+        if below:
+            worst = min(below.values(), key=_eviction_rank).neighbor
+            del below[worst]
+        else:
+            worst = next(iter(table))
         del table[worst]
         self.changed.add(worst)
 
@@ -142,6 +175,7 @@ class LinkEstimator:
         """Forget every neighbor (a cold reboot loses the RAM table)."""
         self.changed.update(self._table)
         self._table.clear()
+        self._below.clear()
         self._heard_floor = math.inf
 
     def expire(self, now: float) -> None:
@@ -149,8 +183,10 @@ class LinkEstimator:
         timeout = self.silence_timeout
         table = self._table
         stale = [nbr for nbr, rec in table.items() if now - rec.last_heard > timeout]
+        below = self._below
         for nbr in stale:
             del table[nbr]
+            below.pop(nbr, None)
         self.changed.update(stale)
         self._heard_floor = min(
             (rec.last_heard for rec in table.values()), default=math.inf

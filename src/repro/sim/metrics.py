@@ -41,7 +41,6 @@ class MessageCensus:
             lambda: defaultdict(int)
         )
         self.sent_bits: Dict[int, int] = defaultdict(int)
-        self.received_bits: Dict[int, int] = defaultdict(int)
 
     # -- recording hooks (wired to the radio) ---------------------------
     def record_transmit(self, node: int, kind: FrameKind, bits: int) -> None:
@@ -50,18 +49,13 @@ class MessageCensus:
 
     def record_delivery(self, sender: int, receiver: int, frame: Frame) -> None:
         self.received[receiver][frame.kind] += 1
-        self.received_bits[receiver] += frame.size_bits()
 
-    def record_deliveries(
-        self, receivers: Iterable[int], kind: FrameKind, bits: int
-    ) -> None:
+    def record_deliveries(self, receivers: Iterable[int], kind: FrameKind) -> None:
         """Batch form of :meth:`record_delivery`: one transmission's whole
         reception fan-out (the per-delivery hook tax dominated trials)."""
         received = self.received
-        received_bits = self.received_bits
         for receiver in receivers:
             received[receiver][kind] += 1
-            received_bits[receiver] += bits
 
     # -- aggregate views -------------------------------------------------
     def total_sent(self, kinds: Optional[Iterable[FrameKind]] = None) -> int:

@@ -12,7 +12,9 @@ or snooped, except link-layer ACKs) feeds the link estimator and the
 origin/parent header feeds the descendants list, exactly as Section 5.2
 describes the basestation and nodes learning topology from Scoop's custom
 packet header. A snooped frame does nothing else: beacons are broadcast,
-and the radio hands every broadcast to :meth:`on_receive`.
+and the radio hands every broadcast to :meth:`on_receive`. The radio
+consumes the ACKs addressed to a node itself, so only :meth:`on_snoop`
+ever sees an ACK.
 """
 
 from __future__ import annotations
@@ -208,16 +210,6 @@ class Mote:
     # ------------------------------------------------------------------
     # Receiving (RadioListener interface)
     # ------------------------------------------------------------------
-    def _observe(self, frame: Frame) -> None:
-        if frame.kind is FrameKind.ACK:
-            return
-        self.linkest.hear(frame.src, frame.seqno, self.sim.now)
-        # note_origin_header only acts when the origin's parent is us; the
-        # guard is hoisted here because it is false for nearly every frame
-        # and this runs once per heard frame.
-        if frame.origin_parent == self.node_id:
-            self.tree.note_origin_header(frame.origin, frame.origin_parent)
-
     def _is_duplicate(self, frame: Frame) -> bool:
         if frame.frame_id in self._seen_frames:
             return True
@@ -229,7 +221,12 @@ class Mote:
     def on_receive(self, frame: Frame) -> None:
         if not self.booted:
             return
-        self._observe(frame)
+        self.linkest.hear(frame.src, frame.seqno, self.sim.now)
+        # note_origin_header only acts when the origin's parent is us; the
+        # guard is hoisted here because it is false for nearly every frame
+        # and this runs once per heard frame.
+        if frame.origin_parent == self.node_id:
+            self.tree.note_origin_header(frame.origin, frame.origin_parent)
         if frame.kind is FrameKind.BEACON:
             self.tree.on_beacon(frame.src, frame.payload)
             return
@@ -249,8 +246,10 @@ class Mote:
         self.handle_frame(frame)
 
     def on_snoop(self, frame: Frame) -> None:
-        if self.booted:
-            self._observe(frame)
+        if self.booted and frame.kind is not FrameKind.ACK:
+            self.linkest.hear(frame.src, frame.seqno, self.sim.now)
+            if frame.origin_parent == self.node_id:
+                self.tree.note_origin_header(frame.origin, frame.origin_parent)
 
     # ------------------------------------------------------------------
     # Subclass hooks

@@ -31,8 +31,8 @@ The reception fan-out is the single hottest loop in a trial, so the radio
 derives from the topology's loss array, once per topology at construction:
 
 * ``_audible_ids[src]`` — the audible receivers of ``src``, ascending;
-* ``_loss_rows[src]`` — the aligned per-link loss probabilities, as a
-  numpy array;
+* ``_loss_rows[src]`` — the aligned per-link loss probabilities, as an
+  ``array("d")``;
 * ``_audible_sets[src]`` — the same receivers as a frozenset, for
   membership and shared-receiver tests.
 
@@ -50,13 +50,24 @@ dedicated :class:`~repro.sim.rngstream.BatchedUniformStream` seeded from
 the trial seed, not from ``sim.rng``. Loss draws obey a fixed discipline:
 **every transmission consumes exactly ``len(_audible_ids[src])`` uniforms,
 in ascending receiver id order, regardless of collision or failure
-outcomes** — one ``take(k)`` block compared against ``_loss_rows[src]``.
-The number of draws is thus a function of the sender alone, which keeps
-the stream's position independent of what happens to each frame.
+outcomes** — one ``take(k)`` list of Python floats, each compared with
+its receiver's entry of ``_loss_rows[src]``. The number of draws is thus
+a function of the sender alone, which keeps the stream's position
+independent of what happens to each frame.
+
+A transmission's end settles its reception in one pass. Each audible
+receiver is first classified as dead, collided (or sending itself), lost
+or delivered; the delivered ones are then handed the frame in ascending
+id order, with the handler chosen once for the frame's kind: every
+receiver of a broadcast gets ``on_receive``; the destination of a
+unicast gets its ACK scheduled and then ``on_receive``, the destination
+of an ACK completes the acknowledged send, and every other receiver gets
+``on_snoop``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Protocol, Set
 
@@ -215,8 +226,11 @@ class Radio:
         """Precompute audibility/loss lookups (the topology is immutable).
 
         Built from the topology's loss array with array operations, but the
-        receiver ids are kept as Python lists and sets: the per-frame loops
-        index and probe those far faster than numpy arrays."""
+        per-frame loops read Python containers: receiver ids as lists and
+        sets, which they index and probe far faster than numpy arrays, and
+        loss rows as ``array("d")``, whose items arrive as Python floats
+        for the compare with the stream's draws at a quarter of a float
+        list's memory."""
         loss = self.topology.loss
         self._audible_ids: List[List[int]] = [
             np.flatnonzero(row).tolist() for row in loss < OUT_OF_RANGE
@@ -224,8 +238,9 @@ class Radio:
         self._audible_sets: List[FrozenSet[int]] = [
             frozenset(ids) for ids in self._audible_ids
         ]
-        self._loss_rows: List[np.ndarray] = [
-            loss[src, ids] for src, ids in enumerate(self._audible_ids)
+        self._loss_rows: List[array[float]] = [
+            array("d", loss[src, ids].tolist())
+            for src, ids in enumerate(self._audible_ids)
         ]
 
     # ------------------------------------------------------------------
@@ -370,6 +385,16 @@ class Radio:
         frame = tx.frame
         src = tx.src
         self._air.remove(tx)
+        receivers = self._audible_ids[src]
+        # Draw-count discipline: exactly len(receivers) loss uniforms per
+        # transmission, ascending receiver order, consumed before any
+        # outcome is known.
+        draws = self._stream.take(len(receivers))
+
+        # Settle every receiver's outcome first. It depends only on the
+        # draws, the overlaps and which radios are live, and no handler
+        # run below changes any of them.
+        live = self._live
         overlaps = tx.overlaps
         if overlaps:
             # Dropped so that finished transmissions do not keep each other
@@ -379,57 +404,54 @@ class Radio:
             missed = sending.union(*[self._audible_sets[s] for s in sending])
         else:
             sending = missed = set()
-
-        receivers = self._audible_ids[src]
-        # Draw-count discipline: exactly len(receivers) loss uniforms per
-        # transmission, ascending receiver order, consumed before any
-        # outcome is known.
-        lost = (self._stream.take(len(receivers)) < self._loss_rows[src]).tolist()
-
-        live = self._live
-        stats = self.stats
         delivered: List[int] = []
-        dst = frame.dst
-        is_broadcast = dst == BROADCAST
-        is_ack = frame.kind is FrameKind.ACK
-        delivered_to_dst = False
         n_collisions = 0
         n_losses = 0
-        for idx, receiver in enumerate(receivers):
-            listener = live[receiver]
-            if listener is None:
+        for receiver, draw, loss in zip(receivers, draws, self._loss_rows[src]):
+            if live[receiver] is None:
                 continue  # unregistered or dead radios hear nothing
-
             if receiver in missed:
                 # A receiver that was itself sending misses the frame without
                 # a collision being counted (half-duplex); any other that
                 # hears an overlapping sender has it corrupted there.
                 if receiver not in sending:
                     n_collisions += 1
-                continue
-            if lost[idx]:
+            elif draw < loss:
                 n_losses += 1
-                continue
-
-            delivered.append(receiver)
-            if is_broadcast:
-                listener.on_receive(frame)
-            elif dst == receiver:
-                delivered_to_dst = True
-                if is_ack:
-                    self._handle_ack_arrival(receiver, frame)
-                else:
-                    self._schedule_ack(receiver, src, frame)
-                    listener.on_receive(frame)
             else:
-                listener.on_snoop(frame)
-        stats.frames_delivered += len(delivered)
+                delivered.append(receiver)
+        stats = self.stats
         if n_collisions:
             stats.collisions += n_collisions
         if n_losses:
             stats.bernoulli_losses += n_losses
+
+        # Then hand the frame over, in ascending receiver order, with the
+        # handler picked once for the transmission's kind.
+        dst = frame.dst
+        is_broadcast = dst == BROADCAST
+        is_ack = frame.kind is FrameKind.ACK
+        delivered_to_dst = False
+        if is_broadcast:
+            for receiver in delivered:
+                live[receiver].on_receive(frame)
+        elif is_ack:
+            for receiver in delivered:
+                if receiver == dst:
+                    self._handle_ack_arrival(receiver, frame)
+                else:
+                    live[receiver].on_snoop(frame)
+        else:
+            for receiver in delivered:
+                if receiver == dst:
+                    delivered_to_dst = True
+                    self._schedule_ack(receiver, src, frame)
+                    live[receiver].on_receive(frame)
+                else:
+                    live[receiver].on_snoop(frame)
         if delivered:
-            self._census.record_deliveries(delivered, frame.kind, tx.bits)
+            stats.frames_delivered += len(delivered)
+            self._census.record_deliveries(delivered, frame.kind)
             self._energy.radio_rx_batch(delivered, tx.bits)
 
         if is_ack:

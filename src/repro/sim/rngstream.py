@@ -4,7 +4,10 @@ The radio consumes randomness at very high rate (every transmission draws
 per-receiver loss outcomes plus CSMA backoffs). Drawing those one at a time
 from :class:`random.Random` dominated profile time, so the radio uses this
 dedicated stream, which fills fixed-size blocks from numpy's PCG64 and
-serves draws out of the block.
+serves draws out of the block. A block is converted to Python floats
+once, when it is generated, so a draw is a list index and ``take(k)`` a
+list slice: the radio compares each loss draw in Python, where a numpy
+call per transmission costs more than it saves.
 
 Determinism contract (the "stream-refill discipline")
 -----------------------------------------------------
@@ -23,6 +26,8 @@ doomed the frame.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 #: Mixed into the seed so the radio stream never aliases ``Simulator.rng``
@@ -40,36 +45,38 @@ class BatchedUniformStream:
     def __init__(self, seed: int):
         self.seed = seed
         self._pos = _BLOCK  # empty: first draw triggers a refill
-        self._block = np.empty(0)
+        self._block: List[float] = []
         entropy = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, _STREAM_DOMAIN])
         self._gen = np.random.Generator(np.random.PCG64(entropy))
 
     def _refill(self) -> None:
-        self._block = self._gen.random(_BLOCK)
+        self._block = self._gen.random(_BLOCK).tolist()
         self._pos = 0
 
     def random(self) -> float:
-        """The next uniform in the sequence, as a Python float."""
+        """The next uniform in the sequence."""
         if self._pos >= _BLOCK:
             self._refill()
         value = self._block[self._pos]
         self._pos += 1
-        return float(value)
+        return value
 
     def uniform(self, lo: float, hi: float) -> float:
         """One draw scaled to ``[lo, hi)``."""
         return lo + (hi - lo) * self.random()
 
-    def take(self, k: int) -> np.ndarray:
-        """The next ``k`` uniforms as an array — identical draws to ``k``
+    def take(self, k: int) -> List[float]:
+        """The next ``k`` uniforms as a list — identical draws to ``k``
         successive :meth:`random` calls."""
-        out = np.empty(max(k, 0))
-        filled = 0
-        while filled < k:
-            if self._pos >= _BLOCK:
-                self._refill()
-            n = min(_BLOCK - self._pos, k - filled)
-            out[filled : filled + n] = self._block[self._pos : self._pos + n]
-            self._pos += n
-            filled += n
+        pos = self._pos
+        end = pos + k
+        if end <= _BLOCK:
+            self._pos = end
+            return self._block[pos:end]
+        out = self._block[pos:]
+        while len(out) < k:
+            self._refill()
+            n = min(_BLOCK, k - len(out))
+            out += self._block[:n]
+            self._pos = n
         return out

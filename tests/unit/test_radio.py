@@ -230,12 +230,14 @@ class TestAccountingHooks:
     def test_on_delivery_reports_receiver(self):
         census, energy = MessageCensus(), EnergyMeter()
         sim, radio, _ = build(perfect(3), census=census, energy=energy)
-        radio.broadcast(data_frame(0, BROADCAST))
+        frame = data_frame(0, BROADCAST)
+        radio.broadcast(frame)
         sim.run(1.0)
         for receiver in (1, 2):
-            assert census.received[receiver][FrameKind.DATA] == 1
+            received = census.received[receiver][FrameKind.DATA]
+            assert received == 1
             rx_nj = energy.node_energy(receiver).radio_rx_nj
-            assert rx_nj == census.received_bits[receiver] * RADIO_NJ_PER_BIT
+            assert rx_nj == received * frame.size_bits() * RADIO_NJ_PER_BIT
 
 
 class StreamSpy:
