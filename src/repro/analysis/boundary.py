@@ -43,7 +43,8 @@ class BoundaryConfig:
 
 #: The serving API boundary (PR 8): the typed request/response vocabulary
 #: of ``repro.service.api`` plus the supported entry points. Internal
-#: plumbing — tickets, tenant services, caches, frame structs — stays in.
+#: plumbing — tickets, serving fronts, window executors, caches, frame
+#: structs — stays in.
 SERVICE_BOUNDARY = BoundaryConfig(
     package="repro.service",
     public_names=frozenset(
@@ -89,7 +90,9 @@ SERVICE_BOUNDARY = BoundaryConfig(
             "repro.service.shard",
         }
     ),
-    internal_names=frozenset({"ServiceTicket", "TenantService", "AnswerCache"}),
+    internal_names=frozenset(
+        {"ServiceTicket", "ServingFront", "TenantService", "AnswerCache", "run_window"}
+    ),
 )
 
 #: Every boundary the checker enforces. Adding a package boundary means

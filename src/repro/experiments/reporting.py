@@ -116,6 +116,26 @@ def metric_reader(*path: str) -> Reader:
 TOTAL = result_reader("total_messages")
 
 
+def replies_owed(result: Dict[str, object]) -> Optional[float]:
+    """``query_reply_rate`` of a trial whose queries targeted nodes.
+    ``None`` where they targeted none (BASE answers from the root), so
+    the table prints "—" rather than a rate of 0 for replies never
+    owed."""
+    if not result.get("mean_nodes_targeted"):
+        return None
+    return result.get("query_reply_rate")
+
+
+def owners_reassigned(result: Dict[str, object]) -> Optional[float]:
+    """The planner's ``owners_reassigned``: 0 where a planner ran but
+    never moved an owner (the counter records no 0), ``None`` where no
+    planner ran (LOCAL, BASE)."""
+    planner = (result.get("metrics") or {}).get("planner")
+    if not planner:
+        return None
+    return planner.get("owners_reassigned", 0)
+
+
 def breakdown_stats(doc: Dict[str, object]) -> Dict[str, Dict[str, Stats]]:
     """``{category: label_stats}`` of each Figure-3 category."""
     return {
@@ -229,10 +249,10 @@ _METRIC_TABLES: Tuple[Tuple[str, Tuple[Column, ...]], ...] = (
         (
             ("stored", result_reader("storage_success_rate"), ".2f"),
             ("at owner", result_reader("owner_hit_rate"), ".2f"),
-            ("replies", result_reader("query_reply_rate"), ".2f"),
+            ("replies", replies_owed, ".2f"),
             ("completeness", metric_reader("survival", "completeness"), ".2f"),
             ("recall", metric_reader("oracle", "recall_weighted"), ".2f"),
-            ("reassigned", metric_reader("planner", "owners_reassigned"), ".0f"),
+            ("reassigned", owners_reassigned, ".0f"),
         ),
     ),
     (

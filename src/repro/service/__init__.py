@@ -42,8 +42,8 @@ from repro.service.loadtest import (
 from repro.service.server import ScoopServer, serve_framed
 from repro.service.shard import BackoffPolicy, ShardedGateway
 
-# ServiceTicket / TenantService / AnswerCache are deliberately NOT
-# re-exported: they are gateway internals, and a test
+# ServiceTicket / ServingFront / TenantService / AnswerCache / run_window
+# are deliberately NOT re-exported: they are gateway internals, and a test
 # (tests/unit/test_api_boundary.py) fails any outside import of them.
 
 __all__ = [

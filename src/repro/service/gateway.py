@@ -1,6 +1,6 @@
-"""The per-tenant serving core: admission control, batching, caching.
+"""The per-tenant serving core: a serving front and a window executor.
 
-Two layers, separable so the serving logic stays testable without an
+Three parts, separable so the serving logic stays testable without an
 event loop or a worker process:
 
 * :class:`AnswerCache` — an LRU of recent query answers keyed on
@@ -11,18 +11,24 @@ event loop or a worker process:
   query. The epoch in the key is the basestation's remap epoch: the
   moment a remap disseminates new indexes every cached answer
   self-invalidates — the same trick as the source-salted result cache.
-* :class:`TenantService` — the synchronous serving core around one
-  resident :class:`~repro.service.deployment.Deployment`: per-tenant
-  admission control (a bounded queue; requests beyond it are shed with
-  an explicit status, never silently dropped), per-window batching
-  (queued misses coalesce by cache bucket and at most
-  ``batch_capacity`` basestation queries go out per batch), and the
-  latency/staleness/shed accounting exported as service metrics.
+* :class:`ServingFront` — everything a request meets before the
+  network: validation, bucket quantization, the answer cache,
+  per-tenant admission control (a bounded queue; requests beyond it are
+  shed with an explicit status, never silently dropped), grouping
+  queued misses into windows of at most ``batch_capacity`` bucket
+  queries, and the latency/staleness/shed accounting exported as
+  service metrics. It holds no deployment: it settles requests against
+  its record of the tenant's clock and index epoch, which each window's
+  result moves on.
+* :func:`run_window` — the window executor: one basestation query per
+  bucket group of a window, then one reply window of simulated time.
 
-Two drivers run a ``TenantService``: each worker process of
-:class:`~repro.service.shard.ShardedGateway` hosts one per tenant it
-owns, and :func:`~repro.service.loadtest.drive_load` replays a batch
-trial's offered load through one.
+:class:`TenantService` is a front and its executor in one process,
+around one resident :class:`~repro.service.deployment.Deployment`:
+:func:`~repro.service.loadtest.drive_load` replays a batch trial's
+offered load through one. :class:`~repro.service.shard.ShardedGateway`
+keeps one front per tenant in the parent and runs only the executor in
+its worker processes, so a cache hit never crosses a pipe.
 
 All serving metrics are *simulated-time* quantities (arrival-to-answer
 latency on the deployment clock, answer staleness, shed counts), so a
@@ -35,9 +41,9 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import ValueDomain
+from repro.core.config import ScoopConfig, ValueDomain
 from repro.core.messages import WireReading
 from repro.experiments.runner import ExperimentSpec
 
@@ -171,25 +177,39 @@ class ServiceTicket:
     bucket: Optional[Tuple[int, int]] = None
 
 
-class TenantService:
-    """The synchronous serving core around one resident deployment.
+#: One bucket query of a window: ``(attr, bucket_lo, bucket_hi)``.
+Group = Tuple[int, int, int]
 
-    ``submit`` admits (or sheds, or answers from cache) one request;
-    ``process_batch`` drains up to ``batch_capacity`` coalesced bucket
-    queries through the deployment and advances the kernel through one
-    reply window. Single-threaded by design: a shard worker calls both
-    from its command loop, the batch load driver from a plain loop.
+#: What the executor returns for one window: the index epoch before its
+#: advance (the cache key of its answers), the clock after the advance,
+#: the epoch after it, and each group's bucket readings in window order.
+WindowResult = Tuple[int, float, int, List[List[WireReading]]]
+
+
+class ServingFront:
+    """One tenant's serving front: admission, cache and accounting.
+
+    ``submit`` answers one request from the cache, queues it for a
+    window, or sheds it; ``windows`` groups the queued misses into
+    windows for the executor, and ``settle`` answers them from a
+    window's result. ``now`` and ``epoch`` are the tenant's simulated
+    clock and index epoch as the last window (or the deployment's boot)
+    left them: the front never advances the clock itself.
     """
 
     def __init__(
         self,
         name: str,
-        deployment,
-        limits: Optional[ServiceLimits] = None,
+        config: ScoopConfig,
+        limits: ServiceLimits,
+        now: float = 0.0,
+        epoch: int = 0,
     ):
         self.name = name
-        self.deployment = deployment
-        self.limits = limits or ServiceLimits.from_spec(deployment.spec)
+        self.config = config
+        self.limits = limits
+        self.now = now
+        self.epoch = epoch
         self.cache = AnswerCache(
             buckets=self.limits.cache_buckets,
             capacity=self.limits.cache_capacity,
@@ -209,7 +229,7 @@ class TenantService:
 
     @property
     def backlog(self) -> int:
-        """Admitted requests still waiting for a batch window."""
+        """Admitted requests still waiting for their window's answer."""
         return len(self._queue)
 
     # ------------------------------------------------------------------
@@ -223,17 +243,16 @@ class TenantService:
         arrival: Optional[float] = None,
     ) -> ServiceTicket:
         """Admit one request: answer it from cache, queue it for the
-        next batch, or shed it.
+        next window, or shed it.
 
         Malformed requests (unregistered attribute, out-of-domain or
         empty range) raise ``ValueError`` — rejection is an error the
         client hears about, shedding is an overload signal; the two are
         never conflated. ``arrival`` backdates the request (the load
         driver stamps precomputed arrival times that may fall inside a
-        reply-window advance); it is clamped to the deployment clock.
+        reply-window advance); it is clamped to the tenant's clock.
         """
-        dep = self.deployment
-        domain = dep.config.domain_of(attr)  # unknown attr raises here
+        domain = self.config.domain_of(attr)  # unknown attr raises here
         lo = domain.lo if lo is None else int(lo)
         hi = domain.hi if hi is None else int(hi)
         if hi < lo or lo not in domain or hi not in domain:
@@ -241,7 +260,7 @@ class TenantService:
                 f"malformed request: value range [{lo}, {hi}] outside "
                 f"attribute {attr}'s domain [{domain.lo}, {domain.hi}]"
             )
-        now = dep.now
+        now = self.now
         if arrival is None or arrival > now:
             arrival = now
         self._seq += 1
@@ -256,7 +275,7 @@ class TenantService:
         )
         blo, bhi = self.cache.bucket_range(domain, lo, hi)
         ticket.bucket = (blo, bhi)
-        entry = self.cache.get(attr, blo, bhi, dep.index_epoch)
+        entry = self.cache.get(attr, blo, bhi, self.epoch)
         if entry is not None:
             self._answer(ticket, entry, cache_hit=True)
             return ticket
@@ -268,46 +287,41 @@ class TenantService:
         return ticket
 
     # ------------------------------------------------------------------
-    # Batch processing
+    # Windows
     # ------------------------------------------------------------------
-    def process_batch(self) -> List[ServiceTicket]:
-        """Serve queued requests: coalesce by bucket, issue up to
-        ``batch_capacity`` basestation queries, advance the kernel one
-        reply window, answer everything those queries cover."""
-        if not self._queue:
-            return []
-        dep = self.deployment
-        groups: "OrderedDict[Tuple[int, Tuple[int, int]], List[ServiceTicket]]" = (
-            OrderedDict()
-        )
-        for ticket in self._queue:
-            groups.setdefault((ticket.attr, ticket.bucket), []).append(ticket)
-        taken = list(groups.items())[: self.limits.batch_capacity]
-        epoch = dep.index_epoch
-        issued = []
-        for (attr, (blo, bhi)), tickets in taken:
-            result = dep.query(attr=attr, lo=blo, hi=bhi, wait=False)
-            issued.append(((attr, blo, bhi), result, tickets))
+    def windows(self) -> List[List[Group]]:
+        """The queued misses as windows: one group per distinct
+        ``(attr, bucket)`` in arrival order of its first request, at most
+        ``batch_capacity`` groups per window."""
+        groups = list(dict.fromkeys((t.attr, *t.bucket) for t in self._queue))
+        size = self.limits.batch_capacity
+        return [groups[i : i + size] for i in range(0, len(groups), size)]
+
+    def settle(self, window: List[Group], result: WindowResult) -> List[ServiceTicket]:
+        """Cache each group's readings under the window's epoch and answer
+        every queued request the window covers; the clock and epoch move
+        to where the window left them."""
+        epoch, self.now, self.epoch, readings = result
         self.batches += 1
-        self.queries_issued += len(issued)
-        dep.advance(dep.config.query_reply_window)
+        self.queries_issued += len(window)
+        waiting: Dict[Group, List[ServiceTicket]] = {}
+        for ticket in self._queue:
+            waiting.setdefault((ticket.attr, *ticket.bucket), []).append(ticket)
         answered: List[ServiceTicket] = []
-        for (attr, blo, bhi), result, tickets in issued:
-            entry = self.cache.put(
-                attr, blo, bhi, epoch, result.readings, stored_at=dep.now
-            )
+        for group, group_readings in zip(window, readings):
+            entry = self.cache.put(*group, epoch, group_readings, stored_at=self.now)
+            tickets = waiting[group]
             self.coalesced += len(tickets) - 1
             for ticket in tickets:
                 self._answer(ticket, entry, cache_hit=False)
                 answered.append(ticket)
-        served = {id(t) for t in answered}
-        self._queue = [t for t in self._queue if id(t) not in served]
+        self._queue = [t for t in self._queue if t.status == "pending"]
         return answered
 
     def _answer(
         self, ticket: ServiceTicket, entry: CacheEntry, cache_hit: bool
     ) -> None:
-        now = self.deployment.now
+        now = self.now
         ticket.readings = [
             r for r in entry.readings if ticket.lo <= r[0] <= ticket.hi
         ]
@@ -353,3 +367,56 @@ class TenantService:
             "staleness_p95_s": percentile(self.staleness, 0.95),
             "epochs_seen": float(len(self.epochs_seen)),
         }
+
+
+def run_window(deployment, window: Sequence[Group]) -> WindowResult:
+    """The window executor: issue one basestation query per group, advance
+    the deployment one reply window, and report what
+    :meth:`ServingFront.settle` needs."""
+    epoch = deployment.index_epoch
+    results = [
+        deployment.query(attr=attr, lo=blo, hi=bhi, wait=False)
+        for attr, blo, bhi in window
+    ]
+    deployment.advance(deployment.config.query_reply_window)
+    return epoch, deployment.now, deployment.index_epoch, [r.readings for r in results]
+
+
+class TenantService(ServingFront):
+    """A front and its window executor in one process, around one
+    resident deployment: the serving core E16's batch trials run.
+
+    ``process_batch`` runs the first window of the queued misses. The
+    driver moves the deployment's clock between windows too, so
+    ``submit`` reads the clock and epoch from the deployment first.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        deployment,
+        limits: Optional[ServiceLimits] = None,
+    ):
+        super().__init__(
+            name, deployment.config, limits or ServiceLimits.from_spec(deployment.spec)
+        )
+        self.deployment = deployment
+
+    def submit(
+        self,
+        attr: int = 0,
+        lo: Optional[int] = None,
+        hi: Optional[int] = None,
+        arrival: Optional[float] = None,
+    ) -> ServiceTicket:
+        self.now = self.deployment.now
+        self.epoch = self.deployment.index_epoch
+        return super().submit(attr, lo, hi, arrival)
+
+    def process_batch(self) -> List[ServiceTicket]:
+        """Serve the first window: issue up to ``batch_capacity`` bucket
+        queries, advance one reply window, answer what they cover."""
+        windows = self.windows()
+        if not windows:
+            return []
+        return self.settle(windows[0], run_window(self.deployment, windows[0]))

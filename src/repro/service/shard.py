@@ -8,17 +8,30 @@ pool uses (specs cross the process boundary as
 :meth:`ExperimentSpec.to_dict` payloads, plug-in policies re-register in
 each worker) — so tenant deployments boot and serve concurrently.
 
-Each worker owns its tenants outright: their resident deployments and
-:class:`~repro.service.gateway.TenantService` state never leave the
-process, and a tenant's trajectory depends only on its own ordered
-request stream. That is the sharding invariant the determinism tests
-pin: for a fixed client program, per-tenant answers are identical at
-``--workers 1`` and ``--workers 4`` (when no faults are injected).
+Each tenant is served in two halves (:mod:`repro.service.gateway`). Its
+:class:`~repro.service.gateway.ServingFront` lives in the parent:
+validation, the answer cache, admission and shedding, window grouping
+and the scorecard. Its resident deployment lives in one worker, which
+only executes windows of bucket queries
+(:func:`~repro.service.gateway.run_window`). A cache hit is therefore
+answered in the parent and never crosses the pipe. A tenant's
+trajectory depends only on its own ordered request stream. That is the
+sharding invariant the determinism tests pin: for a fixed client
+program, per-tenant answers are identical at ``--workers 1`` and
+``--workers 4`` (when no faults are injected).
+
+The front settles each request against exactly the state the worker
+would hold for it. A request whose tenant has nothing queued or in
+flight is settled at once: a hit or a shed returns without touching the
+pump, a miss is queued for the next command. Any other request is held
+on the shard's queue and settled, in arrival order, when the pump builds
+its tenant's next command — after the in-flight windows have moved the
+tenant's clock, epoch and cache.
 
 The parent ↔ worker protocol is deliberately lockstep (one command in
 flight per shard, over one :func:`multiprocessing.Pipe`): the parent
-pump task batches concurrently arriving requests per shard, ships one
-``batch`` command, and awaits the answers — so worker replies can never
+pump task ships every touched tenant's queued windows as one ``batch``
+command and awaits the per-window results — so worker replies can never
 interleave and the pipe needs no framing of its own. The pump waits on
 the pipe through an event-loop reader, so the parent runs no threads.
 Shards are independent; concurrency comes from running one pump per
@@ -29,15 +42,12 @@ Placement lives in one table, tenant → shard name
 maps to it, in tenant order, and a re-placement only flips their entries.
 
 Workers announce ``ready`` after their deployments finish boot +
-stabilization. :attr:`ShardedGateway.ready` is the one readiness event:
-it gates the server's HELLO handshake so first queries can never race
-warmup, and :meth:`ShardedGateway.answer` waits on it too.
-
-Replies carry answers only. A tenant scorecard sorts every latency the
-tenant has served, so workers build scorecards only when a ``stats``
-probe asks, and the parent folds each shard's last probe into its shard
-scorecard in one place (:meth:`ShardedGateway._scorecard`), keeping
-only the tenants placed on that shard now.
+stabilization, with each tenant's starting clock and epoch.
+:attr:`ShardedGateway.ready` is the one readiness event: it gates the
+server's HELLO handshake so first queries can never race warmup, and
+:meth:`ShardedGateway.answer` waits on it too. Scorecards are read from
+the fronts, so :meth:`ShardedGateway.service_stats` asks no worker
+anything.
 
 Supervision
 -----------
@@ -66,12 +76,13 @@ re-creates its tenants from the stored spec payloads via the same
 deterministic seed ladder. When the respawn budget runs out, the dead
 shard's tenants are *re-placed*: surviving workers ``adopt`` them
 (booting fresh deployments from the same specs) and the routing table
-flips — the service degrades instead of dying. Per-shard ``restarts`` /
-``replacements`` / ``last_exit`` counters surface in
-``ServiceStats.shards`` and the METRICS push. A restarting shard reports
-its last probe with them; a retired shard reports no tenants, and a
-re-placed tenant's scorecard restarts at 0 on its adopter, which boots
-it afresh.
+flips — the service degrades instead of dying. A fresh deployment
+restarts at epoch 0, so the ``ready`` of a respawned worker and the
+``adopted`` of an adopter reset the tenants' fronts: no old cache entry
+answers for the new incarnation, and the scorecard restarts at 0.
+Per-shard ``restarts`` / ``replacements`` / ``last_exit`` counters
+surface in ``ServiceStats.shards`` and the METRICS push; a retired
+shard reports no tenants.
 """
 
 from __future__ import annotations
@@ -80,6 +91,7 @@ import asyncio
 import dataclasses
 import functools
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -87,13 +99,17 @@ from repro.service.api import (
     MalformedRequestError,
     QueryAnswer,
     QueryRequest,
-    ServiceError,
     ServiceFault,
     ServiceStats,
     ServiceUnavailableError,
     ShardRestartingError,
     aggregate_shard_stats,
-    error_to_exception,
+)
+from repro.service.gateway import (
+    ServiceLimits,
+    ServiceTicket,
+    ServingFront,
+    run_window,
 )
 
 #: Start method for shard workers: ``spawn`` everywhere, for identical
@@ -162,20 +178,24 @@ def _boot_tenants(
     tenant_payloads: Sequence[Tuple[str, Dict[str, object]]],
 ):
     """Boot + stabilize one deployment per payload; returns the
-    ``{tenant: TenantService}`` dict (shared by initial boot and
+    ``{tenant: Deployment}`` dict (shared by initial boot and
     re-placement adoption)."""
     from repro.experiments.runner import ExperimentSpec
     from repro.service.deployment import Deployment
-    from repro.service.gateway import TenantService
 
-    services = {}
+    deployments = {}
     for tenant, spec_dict in tenant_payloads:
-        spec = ExperimentSpec.from_dict(spec_dict)
-        deployment = Deployment.create(spec)
+        deployment = Deployment.create(ExperimentSpec.from_dict(spec_dict))
         deployment.boot()
         deployment.stabilize()
-        services[tenant] = TenantService(tenant, deployment)
-    return services
+        deployments[tenant] = deployment
+    return deployments
+
+
+def _starts(deployments) -> Dict[str, Tuple[float, int]]:
+    """Each tenant's starting ``(clock, index epoch)``: what the parent
+    resets the tenant's front to."""
+    return {t: (d.now, d.index_epoch) for t, d in deployments.items()}
 
 
 def _shard_worker_main(
@@ -184,26 +204,27 @@ def _shard_worker_main(
     tenant_payloads: List[Tuple[str, Dict[str, object]]],
     plugins: Dict[str, object],
 ) -> None:
-    """One shard worker: boot the assigned tenants, announce readiness,
-    then serve lockstep commands until ``close``.
+    """One shard worker: boot the assigned tenants, announce readiness
+    with ``("ready", shard, {tenant: (clock, epoch)})``, then execute
+    lockstep commands until ``close``.
 
     Commands (parent → worker):
-      ``("batch", [(req_id, tenant, attr, lo, hi), ...])`` →
-      ``("answers", [(req_id, kind, payload)])`` with
-      ``kind`` of ``ok``/``shed`` (payload = answer wire dict) or
-      ``error`` (payload = (code, message));
-      ``("stats",)`` → ``("stats", {tenant: scorecard})``, the only
-      reply that builds scorecards;
+      ``("batch", [(tenant, [window, ...]), ...])`` →
+      ``("windows", [[result, ...], ...])``: each window is a list of
+      ``(attr, bucket_lo, bucket_hi)`` groups, and each result is
+      :func:`~repro.service.gateway.run_window`'s ``(epoch before the
+      advance, clock after it, epoch after it, readings per group)``,
+      in command order;
       ``("adopt", [(tenant, spec_dict), ...])`` → boot the re-placed
-      tenants and reply ``("adopted", [tenant, ...])``
+      tenants and reply ``("adopted", {tenant: (clock, epoch)})``
       (``("adopt_error", message)`` on a boot failure — the worker
       survives, only the adoption fails);
-      ``("close",)`` → worker exits.
+      ``("close",)`` → ``("closed", shard)``, and the worker exits.
 
-    Any exception outside per-request handling is reported as
-    ``("fatal", repr)`` before the worker dies — the parent converts
-    in-flight requests into the retryable
-    :class:`~repro.service.api.ShardRestartingError` and respawns.
+    Any exception outside adoption is reported as ``("fatal", repr)``
+    before the worker dies — the parent converts in-flight requests into
+    the retryable :class:`~repro.service.api.ShardRestartingError` and
+    respawns.
     """
     try:
         from repro.experiments import registry
@@ -214,7 +235,7 @@ def _shard_worker_main(
             if not registry.is_registered(name):
                 registry.register_policy(name, factory)
 
-        services = _boot_tenants(tenant_payloads)
+        deployments = _boot_tenants(tenant_payloads)
     except BaseException as exc:  # noqa: BLE001 — reported to the parent
         try:
             conn.send(("boot_error", shard, f"{type(exc).__name__}: {exc}"))
@@ -222,62 +243,31 @@ def _shard_worker_main(
             conn.close()
         return
 
-    conn.send(("ready", shard))
+    conn.send(("ready", shard, _starts(deployments)))
     try:
         while True:
             command = conn.recv()
             op = command[0]
-            if op == "close":
-                conn.send(("closed", shard))
-                return
-            if op == "stats":
-                cards = {name: svc.snapshot() for name, svc in services.items()}
-                conn.send(("stats", cards))
-                continue
-            if op == "adopt":
+            if op == "batch":
+                results = [
+                    [run_window(deployments[tenant], w) for w in windows]
+                    for tenant, windows in command[1]
+                ]
+                conn.send(("windows", results))
+            elif op == "adopt":
                 try:
                     adopted = _boot_tenants(command[1])
                 except Exception as exc:  # noqa: BLE001 — adoption-scoped
-                    conn.send(
-                        ("adopt_error", f"{type(exc).__name__}: {exc}")
-                    )
+                    conn.send(("adopt_error", f"{type(exc).__name__}: {exc}"))
                     continue
-                services.update(adopted)
-                conn.send(("adopted", sorted(adopted)))
-                continue
-            if op != "batch":
+                deployments.update(adopted)
+                conn.send(("adopted", _starts(adopted)))
+            elif op == "close":
+                conn.send(("closed", shard))
+                return
+            else:
                 conn.send(("fatal", f"unknown shard command {op!r}"))
                 return
-            requests = command[1]
-            tickets: List[Tuple[int, object]] = []  # (req_id, ticket|fault)
-            touched = {}
-            for req_id, tenant, attr, lo, hi in requests:
-                service = services.get(tenant)
-                if service is None:
-                    tickets.append(
-                        (req_id, ("malformed", f"unknown tenant {tenant!r}"))
-                    )
-                    continue
-                try:
-                    ticket = service.submit(attr, lo, hi)
-                except ValueError as exc:
-                    tickets.append((req_id, ("malformed", str(exc))))
-                    continue
-                tickets.append((req_id, ticket))
-                touched[tenant] = service
-            # Drain every touched tenant's backlog: batch capacity may
-            # need several windows for a burst.
-            for service in touched.values():
-                while service.backlog:
-                    service.process_batch()
-            answers = []
-            for req_id, outcome in tickets:
-                if isinstance(outcome, tuple):
-                    answers.append((req_id, "error", outcome))
-                else:
-                    answer = QueryAnswer.from_ticket(outcome, shard=shard)
-                    answers.append((req_id, answer.status, answer.to_wire()))
-            conn.send(("answers", answers))
     except (EOFError, KeyboardInterrupt):
         return
     except BaseException as exc:  # noqa: BLE001 — reported to the parent
@@ -328,8 +318,9 @@ class _Shard:
         #: entries shipped to (or being assembled for) the worker; the
         #: supervisor fails these typed when the worker dies mid-batch.
         self.inflight: List[tuple] = []
-        #: the tenant scorecards of the last ``stats`` probe.
-        self.tenant_stats: Dict[str, Dict[str, float]] = {}
+        #: per tenant, requests queued unsettled because the tenant had
+        #: something queued or in flight when they arrived.
+        self.held: "Counter[str]" = Counter()
         # -- supervision counters (surfaced in ServiceStats.shards) ----
         #: respawns so far, which the backoff budget bounds.
         self.restarts = 0
@@ -376,6 +367,10 @@ class ShardedGateway:
             names, [shard_name(i) for i in range(self.workers)]
         )
         self._shards: Dict[str, _Shard] = {}
+        self._limits = ServiceLimits.from_spec(spec)
+        #: tenant -> serving front, set from each ``ready`` and
+        #: ``adopted`` reply (see the module docstring).
+        self._fronts: Dict[str, ServingFront] = {}
         #: set once every shard's first boot has concluded (ready or
         #: terminal), or early by a boot error.
         self.ready = asyncio.Event()
@@ -539,6 +534,7 @@ class ShardedGateway:
         shard.inflight = []
         while not shard.queue.empty():
             entries.append(shard.queue.get_nowait())
+        shard.held.clear()
         for entry in entries:
             self._fail_entry(entry, fault())
 
@@ -671,9 +667,17 @@ class ShardedGateway:
         return None
 
     # -- pump ----------------------------------------------------------
+    def _reset_fronts(self, starts: Dict[str, Tuple[float, int]]) -> None:
+        """Give each tenant a fresh front at its new deployment's
+        starting clock and epoch."""
+        for tenant, (now, epoch) in starts.items():
+            self._fronts[tenant] = ServingFront(
+                tenant, self.spec.scoop, self._limits, now=now, epoch=epoch
+            )
+
     async def _pump(self, shard: _Shard):
         """One worker incarnation's lockstep driver: readiness first,
-        then batches. Returns ``None`` on clean close or a
+        then commands. Returns ``None`` on clean close or a
         ``(kind, reason)`` death outcome for the supervisor."""
         try:
             message = await self._recv(shard)
@@ -681,6 +685,7 @@ class ShardedGateway:
             return ("died", "worker pipe closed during boot")
         if message[0] != "ready":
             return ("boot_error", str(message[-1]))
+        self._reset_fronts(message[2])
         shard.state = READY
         shard.failed = None
         self._maybe_ready()
@@ -703,21 +708,10 @@ class ShardedGateway:
                     return ("died", extra[1])
                 batch.append(extra)
             queries = [entry for entry in batch if entry[0] == "req"]
-            probes = [entry for entry in batch if entry[0] == "stats"]
             adoptions = [entry for entry in batch if entry[0] == "adopt"]
             try:
                 if queries:
-                    requests = [
-                        (i, r.tenant, r.attr, r.lo, r.hi)
-                        for i, (_kind, _future, r) in enumerate(queries)
-                    ]
-                    _op, answers = await self._exchange(shard, ("batch", requests))
-                    self._settle_batch(queries, answers)
-                if probes:
-                    _op, shard.tenant_stats = await self._exchange(shard, ("stats",))
-                    for _kind, future in probes:
-                        if not future.done():
-                            future.set_result(shard.tenant_stats)
+                    await self._run_queries(shard, queries)
                 for _kind, future, payload in adoptions:
                     reply = await self._exchange(shard, ("adopt", payload))
                     if reply[0] == "adopt_error":
@@ -729,39 +723,70 @@ class ShardedGateway:
                                 )
                             )
                         continue
+                    self._reset_fronts(reply[1])
                     if not future.done():
-                        future.set_result(list(reply[1]))
+                        future.set_result(sorted(reply[1]))
                 shard.inflight = []
             except _WorkerDied as death:
                 return ("died", str(death))
         return None
 
-    def _settle_batch(self, queries, answers) -> None:
-        """Resolve one lockstep batch's futures from the worker's answers."""
-        by_id = {req_id: (kind, payload) for req_id, kind, payload in answers}
-        for i, (_kind, future, request) in enumerate(queries):
-            if future.done():
-                continue
-            kind, payload = by_id.get(
-                i, ("error", ("unavailable", "no answer from shard"))
-            )
-            if kind == "error":
-                code, message = payload
-                future.set_exception(
-                    error_to_exception(
-                        ServiceError(code=code, message=message, seq=request.seq)
-                    )
-                )
-            else:
-                future.set_result(QueryAnswer.from_wire(payload))
+    async def _run_queries(self, shard: _Shard, entries: List[tuple]) -> None:
+        """Settle the held requests in arrival order, ship every touched
+        tenant's queued windows as one ``batch`` command, and answer the
+        misses from the per-window results."""
+        misses = []
+        for _kind, future, request, ticket in entries:
+            if ticket is None:
+                shard.held[request.tenant] -= 1
+                try:
+                    ticket = self._submit(request)
+                except MalformedRequestError as fault:
+                    if not future.done():
+                        future.set_exception(fault)
+                    continue
+                if ticket.status != "pending":
+                    if not future.done():
+                        future.set_result(self._answer_of(shard, request, ticket))
+                    continue
+            misses.append((future, request, ticket))
+        if not misses:
+            return
+        fronts = {r.tenant: self._fronts[r.tenant] for _f, r, _t in misses}
+        plan = [(tenant, front.windows()) for tenant, front in fronts.items()]
+        _op, results = await self._exchange(shard, ("batch", plan))
+        for (tenant, windows), outcomes in zip(plan, results):
+            for window, outcome in zip(windows, outcomes):
+                fronts[tenant].settle(window, outcome)
+        for future, request, ticket in misses:
+            if not future.done():
+                future.set_result(self._answer_of(shard, request, ticket))
 
     # -- serving -------------------------------------------------------
+    def _submit(self, request: QueryRequest) -> ServiceTicket:
+        """Admit ``request`` at its tenant's front (hit, queued miss or
+        shed); a malformed request raises typed."""
+        try:
+            return self._fronts[request.tenant].submit(
+                request.attr, request.lo, request.hi
+            )
+        except ValueError as exc:
+            raise MalformedRequestError(str(exc), seq=request.seq) from None
+
+    @staticmethod
+    def _answer_of(
+        shard: _Shard, request: QueryRequest, ticket: ServiceTicket
+    ) -> QueryAnswer:
+        answer = QueryAnswer.from_ticket(ticket, shard=shard.name)
+        return dataclasses.replace(answer, seq=request.seq)
+
     async def answer(self, request: QueryRequest) -> QueryAnswer:
-        """Route one request to its tenant's shard and await the answer.
+        """Settle one request at its tenant's front, and await the
+        worker only for a miss.
 
         Raises the typed faults: :class:`MalformedRequestError` for
         unknown tenants / invalid ranges, :class:`ShedError` via the
-        shard's admission control,
+        front's admission control,
         :class:`~repro.service.api.ShardRestartingError` (retryable)
         while the shard's worker is being respawned or its tenants
         re-placed, and :class:`ServiceUnavailableError` when the shard
@@ -782,36 +807,33 @@ class ShardedGateway:
             fault = self._death_exception(shard)
             fault.seq = request.seq
             raise fault
+        ticket = None
+        if self._fronts[request.tenant].backlog or shard.held[request.tenant]:
+            # Queued or in flight: the pump settles it after them.
+            shard.held[request.tenant] += 1
+        else:
+            ticket = self._submit(request)
+            if ticket.status != "pending":
+                return self._answer_of(shard, request, ticket)
         future = asyncio.get_running_loop().create_future()
-        shard.queue.put_nowait(("req", future, request))
+        shard.queue.put_nowait(("req", future, request, ticket))
         try:
-            answer = await future
+            return await future
         except ServiceFault as fault:
             if fault.seq == 0:
                 fault.seq = request.seq
             raise
-        if answer.seq != request.seq:
-            answer = dataclasses.replace(answer, seq=request.seq)
-        return answer
 
     # -- telemetry -----------------------------------------------------
-    def _last_probe(self, shard: _Shard) -> Dict[str, Dict[str, float]]:
-        """``shard``'s last probed tenant scorecards, for the tenants
-        placed on it now: a re-placed tenant reports from its adopter, so
-        a retired shard reports none."""
-        return {
-            tenant: card
-            for tenant, card in shard.tenant_stats.items()
-            if self._shard_of[tenant] == shard.name
-        }
-
-    def _scorecard(self, shard: _Shard) -> Dict[str, float]:
-        """One shard's scorecard: its tenants' last probed scorecards,
-        the worker's pid and the supervision counters, which only the
-        parent knows."""
+    def _scorecard(
+        self, shard: _Shard, tenants: Dict[str, Dict[str, float]]
+    ) -> Dict[str, float]:
+        """One shard's scorecard: the scorecards in ``tenants`` of the
+        tenants placed on it now, the worker's pid and the supervision
+        counters."""
         process = shard.process
         card = aggregate_shard_stats(
-            self._last_probe(shard),
+            {t: tenants[t] for t in self._tenants_on(shard) if t in tenants},
             worker_pid=process.pid if process is not None else 0,
         )
         card["restarts"] = float(shard.restarts)
@@ -820,28 +842,15 @@ class ShardedGateway:
         return card
 
     async def service_stats(self) -> ServiceStats:
-        """Probe every ready shard for fresh tenant scorecards (the probe
-        rides the same lockstep pump as queries, so it can never
-        interleave a batch) and build every shard's scorecard. A shard
-        mid-restart reports its last probe and a retired one no tenants;
-        a closed gateway probes nothing."""
-        loop = asyncio.get_running_loop()
-        probes: Dict[str, "asyncio.Future"] = {}
-        for shard in self._shards.values():
-            if shard.state == READY and not self._closed:
-                probes[shard.name] = loop.create_future()
-                shard.queue.put_nowait(("stats", probes[shard.name]))
-        tenants: Dict[str, Dict[str, float]] = {}
-        for name, future in probes.items():
-            try:
-                tenants.update(await future)
-            except ServiceFault:
-                # Died mid-probe: its last probe stands.
-                tenants.update(self._last_probe(self._shards[name]))
+        """Every tenant's scorecard, read from its front, and every
+        shard's. No worker is asked, so this never waits: a restarting
+        shard reports its tenants' fronts as the death left them, a
+        retired one no tenants, and a closed gateway still answers."""
+        tenants = {t: front.snapshot() for t, front in sorted(self._fronts.items())}
         return ServiceStats(
             tenants=tenants,
             shards={
-                name: self._scorecard(shard)
+                name: self._scorecard(shard, tenants)
                 for name, shard in self._shards.items()
             },
         )

@@ -15,11 +15,16 @@ The contract under test, from ISSUE 8:
 * metrics subscribers receive per-shard scorecard pushes.
 
 ISSUE 10 adds the supervision contract (:class:`TestShardSupervision`):
-a worker killed at any point — before ready, mid-batch, mid-stats-probe
-— or answering ``fatal`` is respawned and the service keeps answering;
+a worker killed at any point — before ready or mid-batch — or answering
+``fatal`` is respawned and the service keeps answering;
 with the respawn budget exhausted its tenants are re-placed onto
 survivors; in every case no request hangs (they fail typed and
 retryable) and no worker process outlives its gateway.
+
+:class:`TestServingFront` pins where a request is settled: at its
+tenant's front in the parent, without a worker exchange for a cache hit
+on an idle tenant, after the in-flight window for a request that arrives
+behind one, and against a fresh front after a respawn.
 
 Every test boots real :class:`ShardedGateway` worker processes; the
 protocol-behavior tests use one worker hosting one tenant of
@@ -207,8 +212,8 @@ class TestFramedServer:
                     assert push["shard"] == "shard0"
                     assert push["tick"] == 1
                     assert "requests_offered" in push["stats"]
-                    # Each push probes the shard, so it carries the
-                    # tenant scorecards without any STATS request.
+                    # Each push carries the tenant scorecards from the
+                    # parent's fronts, without any STATS request.
                     assert "requests_offered" in push["tenants"]["tenant0"]
                     assert client.metrics[-1]["tick"] > push["tick"]
                 assert server.counters["metrics_pushed"] >= 1
@@ -533,40 +538,6 @@ class TestShardSupervision:
 
         asyncio.run(program())
 
-    def test_kill_during_stats_probe_does_not_raise(self):
-        """A stats probe racing a worker death falls back to the cached
-        scorecard (with supervision counters) instead of raising."""
-
-        async def program():
-            gateway = ShardedGateway(
-                tiny_spec(),
-                tenants=2,
-                workers=2,
-                backoff=BackoffPolicy(base_s=0.05, cap_s=0.2, budget=3),
-            )
-            await gateway.start()
-            try:
-                await gateway.wait_ready(timeout=60.0)
-                # Prime the cached scorecards, then race kills against
-                # probes: none may raise, every report covers the fleet.
-                await gateway.service_stats()
-                gateway.chaos_kill_worker("shard0")
-                for _ in range(5):
-                    stats = await gateway.service_stats()
-                    assert set(stats.shards) == {"shard0", "shard1"}
-                    assert "restarts" in stats.shards["shard0"]
-                    await asyncio.sleep(0.05)
-                await poll_until(
-                    lambda: gateway.shard_states()["shard0"] == "ready"
-                )
-                stats = await gateway.service_stats()
-                assert stats.shards["shard0"]["restarts"] >= 1
-            finally:
-                await gateway.close()
-                assert_no_zombies(gateway)
-
-        asyncio.run(program())
-
     def test_budget_exhausted_replaces_tenants_onto_survivor(self):
         """With a zero respawn budget, a worker death re-places the dead
         shard's tenants onto the survivor: the routing table flips, the
@@ -588,7 +559,6 @@ class TestShardSupervision:
                     _request(gateway, "tenant0", seq=1)
                 )
                 assert before.shard == "shard0"
-                # shard0's last probe now holds tenant0.
                 probed = await gateway.service_stats()
                 assert probed.shards["shard0"]["tenants"] == 1.0
                 assert gateway.chaos_kill_worker("shard0") == "shard0"
@@ -632,6 +602,119 @@ class TestShardSupervision:
                     await gateway.wait_ready(timeout=0.001)
                 # The boot itself is unharmed: it completes afterwards.
                 await gateway.wait_ready(timeout=60.0)
+            finally:
+                await gateway.close()
+                assert_no_zombies(gateway)
+
+        asyncio.run(program())
+
+
+def recording_exchange(gateway: ShardedGateway, gate=None) -> list:
+    """Wrap ``gateway._exchange`` to record ``(worker pid, command op)``
+    per exchange; with ``gate`` (an ``asyncio.Event``) every ``batch``
+    waits on it before it ships, holding the tenant's miss in flight."""
+    exchange = gateway._exchange
+    seen = []
+
+    async def recorded(shard, command):
+        seen.append((shard.process.pid, command[0]))
+        if gate is not None and command[0] == "batch":
+            await gate.wait()
+        return await exchange(shard, command)
+
+    gateway._exchange = recorded
+    return seen
+
+
+class TestServingFront:
+    """Each tenant's front lives in the parent; the worker only runs
+    windows of bucket queries."""
+
+    def test_idle_repeat_is_a_hit_without_an_exchange(self):
+        async def program():
+            gateway = one_worker_gateway()
+            seen = recording_exchange(gateway)
+            await gateway.start()
+            try:
+                await gateway.wait_ready(timeout=60.0)
+                miss = await gateway.answer(_request(gateway, "tenant0", seq=1))
+                assert not miss.cache_hit
+                assert [op for _pid, op in seen] == ["batch"]
+                hit = await gateway.answer(_request(gateway, "tenant0", seq=2))
+                assert hit.cache_hit and hit.seq == 2 and hit.shard == "shard0"
+                assert hit.readings == miss.readings
+                assert len(seen) == 1
+            finally:
+                await gateway.close()
+                assert_no_zombies(gateway)
+
+        asyncio.run(program())
+
+    def test_repeat_behind_an_inflight_miss_settles_after_it(self):
+        """A repeat that arrives while the first request's window is in
+        flight waits for it, then hits the cache at the epoch the window
+        left: one exchange for both."""
+
+        async def program():
+            gateway = one_worker_gateway()
+            gate = asyncio.Event()
+            seen = recording_exchange(gateway, gate)
+            await gateway.start()
+            try:
+                await gateway.wait_ready(timeout=60.0)
+                first = asyncio.create_task(
+                    gateway.answer(_request(gateway, "tenant0", seq=1))
+                )
+                await poll_until(lambda: seen, interval=0.001)
+                repeat = asyncio.create_task(
+                    gateway.answer(_request(gateway, "tenant0", seq=2))
+                )
+                await asyncio.sleep(0.05)
+                assert not first.done() and not repeat.done()
+                gate.set()
+                miss, hit = await asyncio.wait_for(
+                    asyncio.gather(first, repeat), timeout=30.0
+                )
+                assert not miss.cache_hit and hit.cache_hit
+                assert hit.epoch == miss.epoch and hit.staleness_s == 0.0
+                assert [op for _pid, op in seen] == ["batch"]
+            finally:
+                gate.set()
+                await gateway.close()
+                assert_no_zombies(gateway)
+
+        asyncio.run(program())
+
+    def test_respawn_resets_the_front(self):
+        """After a respawn the fresh deployment restarts at epoch 0, so
+        the tenant's first request is a miss the new worker answers."""
+
+        async def program():
+            gateway = ShardedGateway(
+                tiny_spec(),
+                tenants=1,
+                workers=1,
+                backoff=BackoffPolicy(base_s=0.05, cap_s=0.2, budget=3),
+            )
+            seen = recording_exchange(gateway)
+            await gateway.start()
+            try:
+                await gateway.wait_ready(timeout=60.0)
+                await gateway.answer(_request(gateway, "tenant0", seq=1))
+                hit = await gateway.answer(_request(gateway, "tenant0", seq=2))
+                assert hit.cache_hit
+                old_pid = gateway._shards["shard0"].process.pid
+                assert gateway.chaos_kill_worker("shard0") == "shard0"
+                await poll_until(
+                    lambda: gateway._shards["shard0"].restarts == 1
+                    and gateway.shard_states()["shard0"] == "ready"
+                )
+                new_pid = gateway._shards["shard0"].process.pid
+                after = await gateway.answer(_request(gateway, "tenant0", seq=3))
+                assert after.ok and not after.cache_hit
+                assert seen[-1] == (new_pid, "batch") and new_pid != old_pid
+                stats = await gateway.service_stats()
+                assert stats.tenants["tenant0"]["requests_served"] == 1.0
             finally:
                 await gateway.close()
                 assert_no_zombies(gateway)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import sys
+from typing import List
 
 import pytest
 
@@ -269,6 +270,56 @@ class TestCampaignExport:
         only_hash = CampaignResult("x", trials[1:])
         text = figure_table_markdown(campaign_to_dict(only_hash))
         assert "Outcomes" not in text and "Root load" not in text
+
+    @staticmethod
+    def outcome_row(text: str, label: str) -> List[str]:
+        """The cells of ``label``'s row in the outcomes table."""
+        outcomes = text.split("Outcomes")[1].split("Root load")[0]
+        (line,) = [ln for ln in outcomes.splitlines() if ln.startswith(f"| {label} |")]
+        return [cell.strip() for cell in line.strip("|").split("|")]
+
+    def test_replies_are_blank_where_no_reply_was_owed(self):
+        """BASE answers every query at the root: its 0.0 reply rate
+        stands for no obligation, so the column reads "—", not 0.00."""
+        base, scoop = small_spec(policy="base"), small_spec()
+        trials = [
+            TrialResult(
+                Trial(base, label="base/real"),
+                fake_result(base, metrics=sample_metrics(), query_reply_rate=0.0),
+            ),
+            TrialResult(
+                Trial(scoop, label="scoop/real"),
+                fake_result(
+                    scoop,
+                    metrics=sample_metrics(),
+                    query_reply_rate=0.6,
+                    mean_nodes_targeted=5.3,
+                ),
+            ),
+        ]
+        text = figure_table_markdown(campaign_to_dict(CampaignResult("x", trials)))
+        assert self.outcome_row(text, "base/real")[3] == "—"
+        assert self.outcome_row(text, "scoop/real")[3] == "0.60"
+
+    def test_reassigned_is_zero_where_a_planner_ran(self):
+        """A node_churn row: SCOOP's planner ran but moved no owner (the
+        counter records no 0), so it reads 0; LOCAL ran no planner and
+        reads "—"."""
+        scoop, local = small_spec(), small_spec(policy="local")
+        no_planner = dataclasses.replace(sample_metrics(), planner={})
+        trials = [
+            TrialResult(
+                Trial(scoop, label="churn=0/scoop"),
+                fake_result(scoop, metrics=sample_metrics()),
+            ),
+            TrialResult(
+                Trial(local, label="churn=0/local"),
+                fake_result(local, metrics=no_planner),
+            ),
+        ]
+        text = figure_table_markdown(campaign_to_dict(CampaignResult("x", trials)))
+        assert self.outcome_row(text, "churn=0/scoop")[6] == "0"
+        assert self.outcome_row(text, "churn=0/local")[6] == "—"
 
     def test_plus_minus_single_seed_is_bare_mean(self):
         assert plus_minus(120.0, 0.0) == "120"

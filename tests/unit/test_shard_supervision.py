@@ -5,7 +5,8 @@ plain math, the placement deal is a pure function, and the supervisor
 loop is driven with a scripted ``_pump`` plus a fake clock (the
 injectable ``gateway._sleep``) — so the respawn/replace decisions and
 the queue-drain guarantees are pinned deterministically. The worker's
-command loop runs in a thread over an in-process pipe. The matching
+command loop runs in a thread over an in-process pipe, and the serving
+fronts the parent keeps are plain objects. The matching
 real-process matrix (actual SIGKILLs over real sockets) lives in
 ``tests/integration/test_sharded_serving.py``.
 """
@@ -35,7 +36,8 @@ from repro.service.shard import (
     _shard_worker_main,
     round_robin,
 )
-from repro.service.gateway import TenantService
+from repro.service.deployment import Deployment
+from repro.service.gateway import run_window
 
 
 def tiny_spec(seed: int = 3) -> ExperimentSpec:
@@ -341,7 +343,7 @@ class TestStateBookkeeping:
             shard.restarts = 2
             shard.replacements = 1
             shard.last_exit = -9
-            card = gateway._scorecard(shard)
+            card = gateway._scorecard(shard, {})
             overlay = {k: card[k] for k in ("restarts", "replacements", "last_exit")}
             assert overlay == {
                 "restarts": 2.0,
@@ -351,20 +353,33 @@ class TestStateBookkeeping:
 
         asyncio.run(program())
 
-    def test_closed_gateway_probes_nothing(self):
-        """A METRICS push that outlives close() must not wait on a pump
-        that has stopped: every shard reports its last probe."""
+    def test_closed_gateway_reports_every_tenant(self):
+        """Scorecards live in the parent's fronts: a METRICS push that
+        outlives close() gets every tenant's scorecard at once, and
+        nothing is queued on a pump that has stopped."""
 
         async def program():
             gateway = _bare_gateway()
-            shard = _Shard("shard0")
-            shard.state = READY
-            shard.tenant_stats = {"tenant0": {"requests_served": 3.0}}
-            gateway._shards = {"shard0": shard}
+            shards = {name: _Shard(name) for name in ("shard0", "shard1")}
+            for shard in shards.values():
+                shard.state = READY
+            gateway._shards = shards
+            gateway._reset_fronts({"tenant0": (40.0, 0), "tenant1": (40.0, 0)})
+            front = gateway._fronts["tenant0"]
+            front.submit(attr=0, lo=10, hi=12)
+            (window,) = front.windows()
+            front.settle(window, (0, 48.0, 0, [[(11, 45.0, 3)]]))
+            assert front.submit(attr=0, lo=10, hi=12).cache_hit
             gateway._closed = True
             stats = await asyncio.wait_for(gateway.service_stats(), timeout=5.0)
-            assert shard.queue.empty()
-            assert stats.shards["shard0"]["requests_served"] == 3.0
+            assert all(shard.queue.empty() for shard in shards.values())
+            assert sorted(stats.tenants) == ["tenant0", "tenant1"]
+            assert stats.tenants["tenant0"]["requests_served"] == 2.0
+            assert stats.tenants["tenant0"]["cache_hits"] == 1.0
+            assert stats.tenants["tenant1"]["requests_offered"] == 0.0
+            assert stats.shards["shard0"]["tenants"] == 1.0
+            assert stats.shards["shard0"]["requests_served"] == 2.0
+            assert stats.shards["shard1"]["tenants"] == 1.0
 
         asyncio.run(program())
 
@@ -403,17 +418,13 @@ class TestStateBookkeeping:
 
 class TestWorkerLoop:
     """The worker's command loop, run in a thread over an in-process
-    pipe: scorecards are built for a ``stats`` probe only."""
+    pipe: it executes windows and builds no scorecard."""
 
-    def test_batch_replies_carry_answers_only(self, monkeypatch):
-        snapshots = []
-        snapshot = TenantService.snapshot
-
-        def counted(service):
-            snapshots.append(service.name)
-            return snapshot(service)
-
-        monkeypatch.setattr(TenantService, "snapshot", counted)
+    def test_batch_replies_carry_answers_only(self):
+        """``ready`` carries each tenant's starting clock and epoch; a
+        ``batch`` reply carries one ``(epoch, clock, epoch, readings)``
+        result per window, the same result the window executor gives in
+        process; a ``stats`` command no longer exists."""
         parent, child = multiprocessing.Pipe()
         payloads = [
             ("tenant0", tiny_spec(seed=3).to_dict()),
@@ -423,20 +434,24 @@ class TestWorkerLoop:
             target=_shard_worker_main, args=(child, "shard0", payloads, {})
         )
         worker.start()
+        windows = [[(0, 7, 13), (0, 98, 100)], [(0, 0, 6)]]
         try:
-            assert parent.recv() == ("ready", "shard0")
-            parent.send(("batch", [(0, "tenant0", 0, 10, 60)]))
-            op, answers = parent.recv()
-            assert op == "answers"
-            assert [(req_id, kind) for req_id, kind, _ in answers] == [(0, "ok")]
-            assert snapshots == []
+            op, shard, starts = parent.recv()
+            assert (op, shard) == ("ready", "shard0")
+            assert starts == {"tenant0": (40.0, 0), "tenant1": (40.0, 0)}
+            parent.send(("batch", [("tenant0", windows)]))
+            op, results = parent.recv()
+            assert op == "windows"
+            ((first, second),) = results
+            assert first[:3] == (0, 48.0, 0) and second[:3] == (0, 56.0, 0)
+            assert len(first[3]) == 2 and len(second[3]) == 1
+            reference = Deployment.create(tiny_spec(seed=3))
+            reference.boot()
+            reference.stabilize()
+            assert [run_window(reference, w) for w in windows] == [first, second]
             parent.send(("stats",))
-            op, cards = parent.recv()
-            assert op == "stats" and sorted(cards) == ["tenant0", "tenant1"]
-            assert cards["tenant0"]["requests_served"] == 1
-            assert sorted(snapshots) == ["tenant0", "tenant1"]
-            parent.send(("close",))
-            assert parent.recv() == ("closed", "shard0")
+            op, message = parent.recv()
+            assert op == "fatal" and "unknown shard command 'stats'" in message
         finally:
             # A failed assertion must not leave the worker in recv().
             parent.close()
