@@ -296,7 +296,7 @@ class ServiceStats:
     """Service-wide telemetry: the per-tenant serving scorecards plus
     the per-shard and per-listener (protocol) breakdowns."""
 
-    #: tenant name -> serving scorecard (the ``TenantService.snapshot()``
+    #: tenant name -> serving scorecard (the ``ServingFront.snapshot()``
     #: keys: offered/served/shed, latency percentiles, cache hits, ...).
     tenants: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: shard name (``"shard0"``...) -> aggregate scorecard of the tenants

@@ -22,8 +22,9 @@ The batch runner (:func:`repro.experiments.runner.run_experiment`) is a
 thin driver over this facade and is byte-identical to the pre-facade
 monolith: every simulator call happens in the same order, so trial
 trajectories (and the persistent result cache) are unchanged. The
-service gateway (:mod:`repro.service.gateway`) keeps one ``Deployment``
-per tenant and multiplexes client query streams over it.
+serving layer keeps one ``Deployment`` per tenant (in a shard worker, or
+in process for the load driver) and multiplexes the tenant's client
+query stream over it through :mod:`repro.service.gateway`.
 """
 
 from __future__ import annotations

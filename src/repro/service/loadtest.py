@@ -15,8 +15,9 @@ here touches wall clocks or the simulation's own RNG stream:
   :class:`~repro.service.deployment.Deployment` through a
   :class:`~repro.service.gateway.TenantService`: requests are submitted
   as the clock reaches their arrival times and queued misses are batched
-  once per query interval — the same serving core a shard worker runs,
-  minus the sockets and processes.
+  once per query interval — the same serving front and window executor
+  the sharded gateway splits between its parent and a worker, minus the
+  sockets and processes.
 
 The resulting scorecard lands on ``deployment.service_stats`` and is
 exported as ``TrialMetrics.service``.

@@ -17,13 +17,17 @@ Per-connection lifecycle:
    tenant admission queue. Credits return implicitly with every
    RESPONSE/ERROR.
 3. A HELLO with ``metrics: true`` subscribes the connection to the live
-   telemetry stream: every ``metrics_interval`` seconds the server
-   probes the gateway once (:meth:`ShardedGateway.service_stats`) and
+   telemetry stream: every ``metrics_interval`` seconds the server reads
+   the gateway's stats once (:meth:`ShardedGateway.service_stats`) and
    pushes one METRICS frame per shard (queue depth, hit rate, p95, shed
    count, and that shard's tenant scorecards), interleaved with
-   responses. Workers build scorecards only for a probe, so each
-   subscriber costs one probe per interval; a shard that is restarting
-   or retired pushes its last probe.
+   responses. Scorecards come from the tenants' serving fronts in this
+   process, so a push asks no worker anything; a restarting shard pushes
+   its tenants' fronts as the worker's death left them, and a retired
+   shard pushes no tenants.
+
+Requests go to :meth:`ShardedGateway.answer`, which answers a cache hit
+on an idle tenant in this process and awaits a worker only for a miss.
 
 Framing violations (oversize length prefix, unknown frame type, version
 skew after negotiation, non-JSON payload) poison only the offending
@@ -277,8 +281,8 @@ class ScoopServer:
 
     async def _push_metrics(self, writer, lock) -> None:
         """The live telemetry stream for one subscribed connection: one
-        probe per interval, one METRICS frame per shard, ``tick`` counting
-        this connection's pushes from 1."""
+        stats read per interval, one METRICS frame per shard, ``tick``
+        counting this connection's pushes from 1."""
         tick = 0
         try:
             while True:

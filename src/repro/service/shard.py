@@ -185,7 +185,8 @@ def _boot_tenants(
 
     deployments = {}
     for tenant, spec_dict in tenant_payloads:
-        deployment = Deployment.create(ExperimentSpec.from_dict(spec_dict))
+        spec = ExperimentSpec.from_dict(spec_dict)
+        deployment = Deployment.create(spec)
         deployment.boot()
         deployment.stabilize()
         deployments[tenant] = deployment
