@@ -50,11 +50,26 @@ from repro.experiments.runner import ExperimentSpec
 
 def percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """:func:`percentile` of an already sorted list."""
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
     return ordered[rank - 1]
+
+
+def _catch_up(ordered: List[float], values: List[float]) -> List[float]:
+    """Extend ``ordered``, a sorted copy of a prefix of the append-only
+    ``values``, to a sorted copy of all of it. Timsort takes the sorted
+    prefix as one run and merges the new values into it, so a snapshot
+    after k more requests costs a linear merge, not a full sort."""
+    if len(ordered) < len(values):
+        ordered.extend(values[len(ordered) :])
+        ordered.sort()
+    return ordered
 
 
 @dataclass
@@ -225,6 +240,9 @@ class ServingFront:
         self.batches = 0
         self.latencies: List[float] = []
         self.staleness: List[float] = []
+        #: sorted copies of the two lists as of the last snapshot.
+        self._sorted_latencies: List[float] = []
+        self._sorted_staleness: List[float] = []
         self.epochs_seen: Set[int] = set()
 
     @property
@@ -318,6 +336,12 @@ class ServingFront:
         self._queue = [t for t in self._queue if t.status == "pending"]
         return answered
 
+    def abandon(self) -> None:
+        """Drop the queued misses: the worker that was to run their
+        windows died, and each has failed typed, neither served nor
+        shed."""
+        self._queue = []
+
     def _answer(
         self, ticket: ServiceTicket, entry: CacheEntry, cache_hit: bool
     ) -> None:
@@ -342,8 +366,13 @@ class ServingFront:
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
         """The serving scorecard, JSON-ready (string keys, float values)
-        — what ``TrialMetrics.service`` carries for E16 trials."""
+        — what ``TrialMetrics.service`` carries for E16 trials. Each
+        list is sorted once, and only its new tail since the last
+        snapshot: on the serving parent's event loop this runs for every
+        ``service_stats()``. The means sum the lists in arrival order."""
         served = self.served
+        latencies = _catch_up(self._sorted_latencies, self.latencies)
+        staleness = _catch_up(self._sorted_staleness, self.staleness)
         return {
             "requests_offered": float(self.offered),
             "requests_served": float(served),
@@ -358,13 +387,13 @@ class ServingFront:
             "latency_mean_s": (
                 sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
             ),
-            "latency_p50_s": percentile(self.latencies, 0.50),
-            "latency_p95_s": percentile(self.latencies, 0.95),
-            "latency_p99_s": percentile(self.latencies, 0.99),
+            "latency_p50_s": _nearest_rank(latencies, 0.50),
+            "latency_p95_s": _nearest_rank(latencies, 0.95),
+            "latency_p99_s": _nearest_rank(latencies, 0.99),
             "staleness_mean_s": (
                 sum(self.staleness) / len(self.staleness) if self.staleness else 0.0
             ),
-            "staleness_p95_s": percentile(self.staleness, 0.95),
+            "staleness_p95_s": _nearest_rank(staleness, 0.95),
             "epochs_seen": float(len(self.epochs_seen)),
         }
 

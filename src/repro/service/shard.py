@@ -530,12 +530,16 @@ class ShardedGateway:
         """Fail the in-flight batch and every queued entry, each with its
         own ``fault()`` (``answer()`` stamps its request's seq on it): a
         request sent to a shard that stops serving must never hang until
-        the client's timeout."""
+        the client's timeout. The shard's tenants' fronts drop the misses
+        they queued for it, so their backlog reads 0."""
         entries = shard.inflight
         shard.inflight = []
         while not shard.queue.empty():
             entries.append(shard.queue.get_nowait())
         shard.held.clear()
+        for tenant in self._tenants_on(shard):
+            if tenant in self._fronts:
+                self._fronts[tenant].abandon()
         for entry in entries:
             self._fail_entry(entry, fault())
 

@@ -44,6 +44,7 @@ from repro.service.api import (
     PROTOCOL_VERSION,
     MalformedRequestError,
     ProtocolVersionError,
+    QueryRequest,
     ServiceUnavailableError,
     ShardRestartingError,
     ShedError,
@@ -686,8 +687,10 @@ class TestServingFront:
         asyncio.run(program())
 
     def test_respawn_resets_the_front(self):
-        """After a respawn the fresh deployment restarts at epoch 0, so
-        the tenant's first request is a miss the new worker answers."""
+        """A miss in flight when the worker dies fails typed and leaves
+        no backlog behind. After the respawn the fresh deployment
+        restarts at epoch 0, so the tenant's first request is a miss the
+        new worker answers."""
 
         async def program():
             gateway = ShardedGateway(
@@ -696,21 +699,36 @@ class TestServingFront:
                 workers=1,
                 backoff=BackoffPolicy(base_s=0.05, cap_s=0.2, budget=3),
             )
-            seen = recording_exchange(gateway)
+            gate = asyncio.Event()
+            gate.set()
+            seen = recording_exchange(gateway, gate)
             await gateway.start()
             try:
                 await gateway.wait_ready(timeout=60.0)
                 await gateway.answer(_request(gateway, "tenant0", seq=1))
                 hit = await gateway.answer(_request(gateway, "tenant0", seq=2))
                 assert hit.cache_hit
-                old_pid = gateway._shards["shard0"].process.pid
+                shard = gateway._shards["shard0"]
+                old_pid = shard.process.pid
+                gate.clear()
+                narrow = QueryRequest(tenant="tenant0", attr=0, lo=0, hi=5, seq=3)
+                inflight = asyncio.create_task(gateway.answer(narrow))
+                await poll_until(lambda: len(seen) == 2, interval=0.001)
                 assert gateway.chaos_kill_worker("shard0") == "shard0"
+                await poll_until(shard.exited.done)
+                gate.set()
+                with pytest.raises(ShardRestartingError):
+                    await asyncio.wait_for(inflight, timeout=30.0)
+                assert gateway.shard_states()["shard0"] == "restarting"
+                stats = await gateway.service_stats()
+                assert stats.tenants["tenant0"]["backlog"] == 0.0
+                assert stats.shards["shard0"]["queue_depth"] == 0.0
                 await poll_until(
                     lambda: gateway._shards["shard0"].restarts == 1
                     and gateway.shard_states()["shard0"] == "ready"
                 )
                 new_pid = gateway._shards["shard0"].process.pid
-                after = await gateway.answer(_request(gateway, "tenant0", seq=3))
+                after = await gateway.answer(_request(gateway, "tenant0", seq=4))
                 assert after.ok and not after.cache_hit
                 assert seen[-1] == (new_pid, "batch") and new_pid != old_pid
                 stats = await gateway.service_stats()

@@ -4,6 +4,8 @@ epoch invalidation, shedding, coalescing) is pinned without running a
 simulation.
 """
 
+import random
+
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.service.gateway import (
     AnswerCache,
@@ -185,3 +187,25 @@ class TestSnapshot:
         assert snap["cache_hit_rate"] == 0.5
         assert snap["queries_issued"] == 1.0
         assert snap["latency_p99_s"] >= snap["latency_p95_s"] >= snap["latency_p50_s"]
+
+    def test_repeated_snapshots_match_a_full_sort(self):
+        """A snapshot sorts only what was served since the last one; its
+        percentiles equal a full sort's at every step."""
+        rng = random.Random(5)
+        service = make_service()
+        dep = service.deployment
+        service.submit(attr=0, lo=10, hi=12)
+        service.process_batch()
+        for _ in range(6):
+            for _ in range(rng.randint(0, 40)):
+                dep.advance(rng.choice([0.0, 0.5, 1.5]))
+                arrival = dep.now - rng.uniform(0.0, 9.0)
+                assert service.submit(attr=0, lo=10, hi=12, arrival=arrival).cache_hit
+            snap = service.snapshot()
+            for key, values, q in [
+                ("latency_p50_s", service.latencies, 0.50),
+                ("latency_p95_s", service.latencies, 0.95),
+                ("latency_p99_s", service.latencies, 0.99),
+                ("staleness_p95_s", service.staleness, 0.95),
+            ]:
+                assert snap[key] == percentile(values, q), key

@@ -424,7 +424,7 @@ class TestWorkerLoop:
         """``ready`` carries each tenant's starting clock and epoch; a
         ``batch`` reply carries one ``(epoch, clock, epoch, readings)``
         result per window, the same result the window executor gives in
-        process; a ``stats`` command no longer exists."""
+        process; ``close`` is answered with ``closed``."""
         parent, child = multiprocessing.Pipe()
         payloads = [
             ("tenant0", tiny_spec(seed=3).to_dict()),
@@ -449,11 +449,28 @@ class TestWorkerLoop:
             reference.boot()
             reference.stabilize()
             assert [run_window(reference, w) for w in windows] == [first, second]
+            parent.send(("close",))
+            assert parent.recv() == ("closed", "shard0")
+        finally:
+            # A failed assertion must not leave the worker in recv().
+            parent.close()
+            worker.join(timeout=10.0)
+        assert not worker.is_alive()
+
+    def test_stats_is_an_unknown_command(self):
+        """Scorecards live in the parent's fronts: a worker answers a
+        ``stats`` command as an unknown one, with ``fatal``, and exits."""
+        parent, child = multiprocessing.Pipe()
+        worker = threading.Thread(
+            target=_shard_worker_main, args=(child, "shard1", [], {})
+        )
+        worker.start()
+        try:
+            assert parent.recv() == ("ready", "shard1", {})
             parent.send(("stats",))
             op, message = parent.recv()
             assert op == "fatal" and "unknown shard command 'stats'" in message
         finally:
-            # A failed assertion must not leave the worker in recv().
             parent.close()
             worker.join(timeout=10.0)
         assert not worker.is_alive()
