@@ -79,7 +79,9 @@ shard's tenants are *re-placed*: surviving workers ``adopt`` them
 flips — the service degrades instead of dying. A fresh deployment
 restarts at epoch 0, so the ``ready`` of a respawned worker and the
 ``adopted`` of an adopter reset the tenants' fronts: no old cache entry
-answers for the new incarnation, and the scorecard restarts at 0.
+answers for the new incarnation, and the scorecard restarts at 0. Until
+then a dead shard's fronts keep their scorecards, and the misses the
+sweep failed leave their queues: offered, but neither served nor shed.
 Per-shard ``restarts`` / ``replacements`` / ``last_exit`` counters
 surface in ``ServiceStats.shards`` and the METRICS push; a retired
 shard reports no tenants.
