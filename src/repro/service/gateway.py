@@ -366,10 +366,11 @@ class ServingFront:
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
         """The serving scorecard, JSON-ready (string keys, float values)
-        — what ``TrialMetrics.service`` carries for E16 trials. Each
-        list is sorted once, and only its new tail since the last
-        snapshot: on the serving parent's event loop this runs for every
-        ``service_stats()``. The means sum the lists in arrival order."""
+        — what ``TrialMetrics.service`` carries for E16 trials. It runs
+        on the serving parent's event loop for every ``service_stats()``,
+        so the percentiles read sorted copies of the lists that each call
+        extends by the values served since the last one; the means sum
+        the lists in arrival order."""
         served = self.served
         latencies = _catch_up(self._sorted_latencies, self.latencies)
         staleness = _catch_up(self._sorted_staleness, self.staleness)
