@@ -44,7 +44,7 @@ def synthetic_statistics(n_nodes: int, domain: ValueDomain, seed: int = 7):
             blocks=(
                 AttributeSummary(
                     attr=0,
-                    histogram=Histogram.from_values(values, config.n_bins),
+                    histogram=Histogram.from_values(values),
                     min_value=min(values),
                     max_value=max(values),
                     sum_values=sum(values),

@@ -17,7 +17,7 @@ import os
 from _harness import emit
 
 from repro.core.config import ScoopConfig, ValueDomain
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import markdown_table
 from repro.experiments.runner import ExperimentSpec
 from repro.service import ShardedGateway, drive_socket_load, serve_framed
 
@@ -108,12 +108,9 @@ def test_sharded_socket_serving(benchmark):
         )
     emit(
         "query_service_sockets",
-        format_table(
-            ["workers", "shards", "qps", "ok", "shed", "digest"],
-            rows,
-            "E16: sharded socket serving — worker-count sweep "
-            f"({SOCKET_CLIENTS} clients x {SOCKET_REQUESTS} requests)",
-        ),
+        "E16: sharded socket serving — worker-count sweep "
+        f"({SOCKET_CLIENTS} clients x {SOCKET_REQUESTS} requests)\n\n"
+        + markdown_table(["workers", "shards", "qps", "ok", "shed", "digest"], rows),
     )
 
     expected = SOCKET_CLIENTS * SOCKET_REQUESTS
@@ -156,19 +153,19 @@ def test_sharded_chaos_recovery(benchmark):
 
     emit(
         "query_service_chaos",
-        format_table(
+        "E16: chaos recovery — worker killed mid-load "
+        f"({SOCKET_CLIENTS} clients x {SOCKET_REQUESTS} requests)\n\n"
+        + markdown_table(
             ["killed", "ok", "shed", "retried", "restarts"],
             [
                 [
-                    str(report["chaos"]["killed"]),
-                    str(counts["ok"]),
-                    str(counts["shed"]),
-                    str(counts["retried"]),
+                    report["chaos"]["killed"],
+                    counts["ok"],
+                    counts["shed"],
+                    counts["retried"],
                     f"{restarts:.0f}",
                 ]
             ],
-            "E16: chaos recovery — worker killed mid-load "
-            f"({SOCKET_CLIENTS} clients x {SOCKET_REQUESTS} requests)",
         ),
     )
 

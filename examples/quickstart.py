@@ -14,7 +14,7 @@ Usage:
 import sys
 
 from repro import ExperimentSpec, ScoopConfig, ValueDomain, scale_spec
-from repro.experiments.reporting import breakdown_table
+from repro.experiments.reporting import CATEGORIES, markdown_table
 from repro.experiments.runner import build_topology, run_experiment, run_hash_analytical
 
 
@@ -40,8 +40,18 @@ def main() -> None:
             result = run_experiment(spec, topology=topology)
         results.append(result)
 
-    print()
-    print(breakdown_table(results, "Storage policies on the REAL light trace"))
+    print("\nStorage policies on the REAL light trace\n")
+    print(
+        markdown_table(
+            ["system/source", *CATEGORIES, "total"],
+            [
+                [f"{r.policy}/{r.workload}"]
+                + [int(r.breakdown.get(c, 0)) for c in CATEGORIES]
+                + [int(r.total_messages)]
+                for r in results
+            ],
+        )
+    )
     print()
     scoop = results[0]
     print(f"Scoop storage success: {scoop.storage_success_rate:.0%} (paper ~93%)")

@@ -3,9 +3,11 @@
 Two version counters guard two serialized surfaces:
 
 * ``SPEC_SCHEMA_VERSION`` (``repro.experiments.runner``) — the trial
-  spec/result serialization: :class:`ExperimentSpec` field names *and
-  defaults* (defaults are part of the cache key), plus the field lists
-  of :class:`ExperimentResult` and :class:`TrialMetrics`;
+  spec/result serialization: the field names *and defaults* (defaults
+  are part of the cache key) of :class:`ExperimentSpec` and of the two
+  configs it nests, :class:`ScoopConfig` and :class:`QueryPlanConfig`,
+  plus the field lists of :class:`ExperimentResult` and
+  :class:`TrialMetrics`;
 * ``PROTOCOL_VERSION`` (``repro.service.api``) — the service wire
   vocabulary: the field lists of the four frozen wire dataclasses.
 
@@ -35,6 +37,8 @@ FINGERPRINT_PATH = Path(__file__).with_name("schema_fingerprint.json")
 #: are fingerprinted, classes whose *field lists* are fingerprinted).
 SPEC_FILE = "src/repro/experiments/runner.py"
 SPEC_VERSION_NAME = "SPEC_SCHEMA_VERSION"
+CONFIG_FILE = "src/repro/core/config.py"
+QUERY_PLAN_FILE = "src/repro/workloads/queries.py"
 METRICS_FILE = "src/repro/sim/metrics.py"
 WIRE_FILE = "src/repro/service/api.py"
 WIRE_VERSION_NAME = "PROTOCOL_VERSION"
@@ -90,6 +94,8 @@ def _fields(cls: ast.ClassDef, with_defaults: bool) -> List[Dict[str, object]]:
 def compute_fingerprint(root: Path) -> Dict[str, object]:
     """The live schema fingerprint, computed from source ASTs only."""
     runner = _parse(root, SPEC_FILE)
+    config = _parse(root, CONFIG_FILE)
+    queries = _parse(root, QUERY_PLAN_FILE)
     metrics = _parse(root, METRICS_FILE)
     api = _parse(root, WIRE_FILE)
     spec_version, _ = _int_constant(runner, SPEC_VERSION_NAME, SPEC_FILE)
@@ -99,6 +105,12 @@ def compute_fingerprint(root: Path) -> Dict[str, object]:
         "spec": {
             "ExperimentSpec": _fields(
                 _class_def(runner, "ExperimentSpec", SPEC_FILE), True
+            ),
+            "ScoopConfig": _fields(
+                _class_def(config, "ScoopConfig", CONFIG_FILE), True
+            ),
+            "QueryPlanConfig": _fields(
+                _class_def(queries, "QueryPlanConfig", QUERY_PLAN_FILE), True
             ),
             "ExperimentResult": _fields(
                 _class_def(runner, "ExperimentResult", SPEC_FILE), False
@@ -134,8 +146,9 @@ class SchemaVersionRule(ProjectRule):
 
     rule_id = "SCHEMA01"
     description = (
-        "ExperimentSpec/TrialMetrics/wire-dataclass changes require a "
-        "SPEC_SCHEMA_VERSION / PROTOCOL_VERSION bump"
+        "ExperimentSpec/ScoopConfig/QueryPlanConfig/TrialMetrics/"
+        "wire-dataclass changes require a SPEC_SCHEMA_VERSION / "
+        "PROTOCOL_VERSION bump"
     )
 
     def __init__(self, fingerprint_path: Optional[Path] = None):

@@ -36,6 +36,12 @@ from repro.sim.metrics import DeliveryTracker
 from repro.sim.packets import Frame, FrameKind
 from repro.sim.radio import Radio
 
+#: Suppress dissemination when the new index maps at least this fraction
+#: of the domain identically to the current one (Section 5.3:
+#: "suppressing the dissemination of a new storage index altogether if
+#: it is very similar to the previous storage index").
+SUPPRESSION_SIMILARITY = 0.95
+
 
 class Basestation(ScoopNode):
     """Node 0: the root of the routing tree and the brain of Scoop."""
@@ -221,7 +227,7 @@ class Basestation(ScoopNode):
         current = self.index_for(attr)
         if current is None:
             return False
-        if candidate.similarity(current) < self.config.suppression_similarity:
+        if candidate.similarity(current) < SUPPRESSION_SIMILARITY:
             return False
         if STORE_LOCAL in current.all_owners() or STORE_LOCAL in (
             candidate.all_owners()

@@ -2,8 +2,8 @@
 
 Every default in :class:`ScoopConfig` is taken from the paper's experiment
 table (Section 6) or the inline parameter values the text mentions; the
-docstring on each field cites the source. Experiments override only what the
-corresponding figure varies.
+docstring on each field cites the source. The config holds only what some
+experiment varies; the parameters the paper fixes sit with their readers.
 """
 
 from __future__ import annotations
@@ -164,7 +164,16 @@ def _attribute_specs_from_list(items) -> Tuple[AttributeSpec, ...]:
 
 @dataclass
 class ScoopConfig:
-    """All tunables of a Scoop deployment, defaulted to the paper's values."""
+    """The tunables of a Scoop deployment that some experiment varies,
+    defaulted to the paper's values.
+
+    The parameters the paper fixes and no experiment varies (the
+    histogram's 10 bins, the 30-reading recent ring, 12 summary
+    neighbours, batches of 5, the 32-entry neighbour and descendant
+    lists, the flash capacity, Trickle's bounds, the query gossip and
+    the index tie tolerance) are not settable: each is stated once,
+    next to its one reader, with its citation.
+    """
 
     # -- workload timing (paper experiment table) ------------------------
     #: Seconds between sensor samples ("sample rate: 1 in 15 seconds").
@@ -202,12 +211,6 @@ class ScoopConfig:
     #: attribute with its own domain, histogram statistics, storage index
     #: and summary stream.
     attributes: Tuple[AttributeSpec, ...] = ()
-    #: Histogram bins in summary messages ("nBins is 10").
-    n_bins: int = 10
-    #: Recent-readings ring size ("size 30, in our experiments").
-    recent_readings_size: int = 30
-    #: Neighbors reported in a summary ("12, in our experiments").
-    summary_neighbors: int = 12
     #: Summary intervals of silence after which the basestation treats a
     #: node as dead: stale nodes stop being index-owner candidates and
     #: their ranges are reassigned at the next remap (the Section 6
@@ -215,40 +218,23 @@ class ScoopConfig:
     #: the paper's testbed, so the default tolerates several consecutive
     #: losses before declaring death; churn scenarios tighten it.
     node_staleness_intervals: float = 6.0
-    #: Descendants/neighbor list capacity ("32, in our experiments").
-    max_descendants: int = 32
-    max_neighbors: int = 32
 
     # -- data routing -----------------------------------------------------
-    #: Readings batched into one data message ("by default we use n = 5").
-    batch_size: int = 5
-    #: Hop budget before a data packet gives up and routes to the root
-    #: (loop protection; the paper reports ~15% of readings falling back to
-    #: the root when the owner "could not be found"). Roughly twice the
-    #: network diameter.
-    max_data_hops: int = 10
     #: Seconds a partially filled batch may wait before being flushed. The
     #: paper flushes only on owner change or a full batch; the timeout is a
-    #: liveness backstop and must exceed batch_size × sample_interval or it
+    #: liveness backstop and must exceed the batch size
+    #: (:data:`repro.core.node.BATCH_SIZE`) times ``sample_interval`` or it
     #: defeats batching entirely.
     batch_flush_timeout: float = 120.0
 
     # -- queries ------------------------------------------------------------
-    #: Query width as a fraction of the value domain ("a query ... over
-    #: 1-5% of the attribute's value domain").
-    query_width_frac: Tuple[float, float] = (0.01, 0.05)
     #: How long the basestation keeps a query open for replies (the paper:
     #: "it takes several seconds for the first replies to come back"; with
     #: staggered answers and per-hop retransmission backoff, stragglers
     #: arrive close to 15 s).
     query_reply_window: float = 20.0
 
-    # -- index construction / dissemination --------------------------------
-    #: Suppress dissemination when the new index maps at least this
-    #: fraction of the domain identically to the current one (Section 5.3:
-    #: "suppressing the dissemination of a new storage index altogether if
-    #: it is very similar to the previous storage index").
-    suppression_similarity: float = 0.95
+    # -- index construction -------------------------------------------------
     #: Whether the basestation may fall back to a store-local policy when
     #: that is cheaper (Section 4). The paper's SCOOP experiments disable
     #: this ("the optimization ... has been disabled") so the figures
@@ -263,29 +249,6 @@ class ScoopConfig:
 
     # -- protocol timing ----------------------------------------------------
     beacon_interval: float = 10.0
-    #: Trickle bounds for mapping dissemination. imax is half the remap
-    #: interval: steady-state maintenance is one advert per neighborhood
-    #: per 2 minutes, negligible next to data traffic.
-    trickle_imin: float = 2.0
-    trickle_imax: float = 120.0
-    trickle_k: int = 1
-    #: Random assessment delay before rebroadcasting a query packet.
-    query_rebroadcast_delay: Tuple[float, float] = (0.02, 0.25)
-    #: Query relay eligibility: "selective" is the paper's rule (relay only
-    #: when the bitmap intersects the descendants/neighbor lists); "tree"
-    #: additionally lets every routing-tree interior node relay, trading
-    #: extra query messages for reach in small/sparse networks.
-    query_relay_mode: str = "selective"
-    #: Gossip repetitions per query (the modified-Trickle rounds).
-    query_gossip_rounds: int = 3
-    #: Near-tie tolerance when stabilising index owner choices: candidates
-    #: within this fraction of the per-value minimum cost may be replaced
-    #: by the contiguity/stability-preferred owner.
-    index_tie_tolerance: float = 0.15
-
-    # -- storage ------------------------------------------------------------
-    #: Flash capacity in readings (paper: ~670,000 per MB; default 1 MB).
-    flash_capacity: int = 670_000
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
@@ -297,15 +260,8 @@ class ScoopConfig:
                 f"{self.n_nodes} nodes exceeds the {self.max_network_size}-node "
                 "query bitmap; raise max_network_size to widen it"
             )
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
         if self.node_staleness_intervals <= 0:
             raise ValueError("node_staleness_intervals must be positive")
-        lo, hi = self.query_width_frac
-        if not (0 < lo <= hi <= 1):
-            raise ValueError("query_width_frac must satisfy 0 < lo <= hi <= 1")
         if self.attributes:
             names = [spec.name for spec in self.attributes]
             if len(set(names)) != len(names):

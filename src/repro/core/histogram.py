@@ -50,7 +50,8 @@ class Histogram:
     # ------------------------------------------------------------------
     @classmethod
     def from_values(cls, values: Sequence[int], n_bins: int = 10) -> "Histogram":
-        """Build from a node's recent-readings buffer.
+        """Build from a node's recent-readings buffer, in the paper's
+        ``n_bins`` of 10 ("nBins is 10") unless told otherwise.
 
         Raises ``ValueError`` on an empty sequence — a node with no recent
         readings sends no histogram (its summary simply reports nothing).

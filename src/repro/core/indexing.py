@@ -46,6 +46,11 @@ from repro.core.storage_index import StorageIndex
 #: the matrices stay finite.
 UNREACHABLE_COST = 1e12
 
+#: Near-tie tolerance when stabilising index owner choices: candidates
+#: within this fraction of the per-value minimum cost may be replaced by
+#: the contiguity/stability-preferred owner (:func:`_stabilise_choice`).
+INDEX_TIE_TOLERANCE = 0.15
+
 
 @dataclass
 class IndexBuildResult:
@@ -247,7 +252,6 @@ def _stabilise_choice(
     cost: np.ndarray,
     choice: np.ndarray,
     previous_pick: np.ndarray,
-    tolerance: float = 0.05,
 ) -> np.ndarray:
     """Resolve near-ties in favour of contiguity and stability.
 
@@ -256,9 +260,9 @@ def _stabilise_choice(
     argmin interleaves them — producing width-1 ranges that defeat both
     range compaction (Section 5.3) and data batching (Section 5.4), and
     churning owners between remaps so similarity-based suppression never
-    fires. Within a ``tolerance`` band of the minimum, prefer (1) the owner
-    already chosen for the previous value, then (2) the owner the previous
-    index assigned; otherwise keep the argmin.
+    fires. Within :data:`INDEX_TIE_TOLERANCE` of the minimum, prefer (1)
+    the owner already chosen for the previous value, then (2) the owner
+    the previous index assigned; otherwise keep the argmin.
 
     ``previous_pick[v]`` is the candidate column of the previous index's
     owner for v, or -1.
@@ -267,7 +271,7 @@ def _stabilise_choice(
     min_cost = cost[np.arange(cost.shape[0]), choice]
     prev_column = -1
     for vi in range(cost.shape[0]):
-        threshold = min_cost[vi] * (1.0 + tolerance) + 1e-12
+        threshold = min_cost[vi] * (1.0 + INDEX_TIE_TOLERANCE) + 1e-12
         for candidate in (prev_column, int(previous_pick[vi])):
             if candidate >= 0 and cost[vi, candidate] <= threshold:
                 stabilised[vi] = candidate
@@ -323,9 +327,7 @@ def build_storage_index(
     if previous is not None and previous.domain == domain:
         for vi, v in enumerate(domain):
             previous_pick[vi] = candidate_column.get(previous.owner_of(v), -1)
-    choice = _stabilise_choice(
-        cost, choice, previous_pick, tolerance=config.index_tie_tolerance
-    )
+    choice = _stabilise_choice(cost, choice, previous_pick)
 
     if config.max_owners_per_value > 1:
         owner_sets = _greedy_owner_sets(inputs, choice, config.max_owners_per_value)

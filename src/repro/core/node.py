@@ -21,7 +21,7 @@ the node half of Scoop:
     5. if the owner is in the descendants list, send down that branch;
     6. otherwise send to the parent;
 
-  with batching of up to ``batch_size`` readings per data message;
+  with batching of up to :data:`BATCH_SIZE` readings per data message;
 * **query handling**: answering queries whose bitmap names this node by a
   linear flash scan, and selectively rebroadcasting query packets using the
   bitmap plus the neighbor and descendants lists (Section 5.5).
@@ -57,6 +57,24 @@ from repro.sim.trickle import Advertisement, ChunkDisseminator
 
 #: A reading producer: (node_id, now, attr) -> raw value.
 DataSource = Callable[[int, float, int], int]
+
+#: Readings batched into one data message ("by default we use n = 5");
+#: query replies are fragmented at the same size.
+BATCH_SIZE = 5
+#: Hop budget before a data packet gives up and routes to the root
+#: (loop protection; the paper reports ~15% of readings falling back to
+#: the root when the owner "could not be found"). Roughly twice the
+#: network diameter.
+MAX_DATA_HOPS = 10
+#: Neighbors reported in a summary ("12, in our experiments").
+SUMMARY_NEIGHBORS = 12
+#: Trickle redundancy constant of mapping dissemination: a node stays
+#: quiet for an interval once it has heard one consistent advert.
+TRICKLE_K = 1
+#: Random assessment delay, in seconds, before rebroadcasting a query.
+QUERY_REBROADCAST_DELAY = (0.02, 0.25)
+#: Gossip repetitions per query (the modified-Trickle rounds).
+QUERY_GOSSIP_ROUNDS = 3
 
 
 class _AttrBatch:
@@ -113,19 +131,14 @@ class ScoopNode(Mote):
             radio,
             is_root=is_root,
             beacon_interval=config.beacon_interval,
-            max_descendants=config.max_descendants,
-            max_neighbors=config.max_neighbors,
         )
         self.config = config
         self.source = source
         self.tracker = tracker
-        self.flash = Flash(
-            capacity_readings=config.flash_capacity, meter=energy, node_id=node_id
-        )
+        self.flash = Flash(meter=energy, node_id=node_id)
         #: per-attribute recent-readings rings (summary histograms).
         self._recent_by_attr: Dict[int, RecentReadings] = {
-            attr: RecentReadings(config.recent_readings_size)
-            for attr in config.attribute_ids
+            attr: RecentReadings() for attr in config.attribute_ids
         }
 
         #: last *complete* storage index per attribute (missing entry ->
@@ -136,9 +149,7 @@ class ScoopNode(Mote):
             send_advert=self._send_advert,
             send_chunk=self._send_chunk,
             on_complete=self._index_complete,
-            imin=config.trickle_imin,
-            imax=config.trickle_imax,
-            k=config.trickle_k,
+            k=TRICKLE_K,
         )
 
         self._sample_timer = Timer(
@@ -220,8 +231,7 @@ class ScoopNode(Mote):
             batch.readings = []
             batch.owner = None
         self._recent_by_attr = {
-            attr: RecentReadings(self.config.recent_readings_size)
-            for attr in self.config.attribute_ids
+            attr: RecentReadings() for attr in self.config.attribute_ids
         }
         self.readings_since_summary = 0
         self.disseminator.stop()
@@ -325,7 +335,7 @@ class ScoopNode(Mote):
                 self.config.batch_flush_timeout, self._flush_batch, attr
             )
         batch.readings.append(reading)
-        if len(batch.readings) >= self.config.batch_size:
+        if len(batch.readings) >= BATCH_SIZE:
             self._flush_batch(attr)
 
     def _flush_batch(self, attr: int = 0) -> None:
@@ -420,7 +430,7 @@ class ScoopNode(Mote):
         # Loop/hop-budget protection: give up on the owner and climb to the
         # root (the paper's "value ends up being stored at the root"
         # fallback path).
-        if message.hops >= self.config.max_data_hops:
+        if message.hops >= MAX_DATA_HOPS:
             message.force_base = True
         if not message.force_base:
             # Rule 3: shortcut straight to a listed neighbor (if the link
@@ -484,9 +494,7 @@ class ScoopNode(Mote):
     # ------------------------------------------------------------------
     def _attr_summary_block(self, attr: int) -> AttributeSummary:
         values = self._recent_by_attr[attr].values()
-        histogram = (
-            Histogram.from_values(values, self.config.n_bins) if values else None
-        )
+        histogram = Histogram.from_values(values) if values else None
         return AttributeSummary(
             attr=attr,
             histogram=histogram,
@@ -500,7 +508,7 @@ class ScoopNode(Mote):
         return SummaryMessage(
             origin=self.node_id,
             readings_since_last=self.readings_since_summary,
-            neighbors=tuple(self.linkest.best_neighbors(self.config.summary_neighbors)),
+            neighbors=tuple(self.linkest.best_neighbors(SUMMARY_NEIGHBORS)),
             # one block per attribute rides in the same packet — bytes,
             # not messages, which keeps Scoop's maintenance cost
             # sublinear in the attribute count (E15).
@@ -613,26 +621,20 @@ class ScoopNode(Mote):
     def _should_rebroadcast(self, query: QueryMessage) -> bool:
         """Selective rebroadcast (Section 5.5).
 
-        A node relays the query when the bitmap intersects its descendants
-        or neighbor lists (it can demonstrably help reach a target), and
-        also when it is a routing-tree interior node — descendants lists go
-        briefly stale after parent switches, so interior nodes must keep
-        the wave moving down the tree or targets behind the staleness
-        window become unreachable. Leaves with no listed target suppress,
-        which is what keeps Scoop's query cost below LOCAL's full flood.
+        A node relays the query only when the bitmap names a node other
+        than itself that is in its descendants or neighbor lists, so it
+        can demonstrably help reach a target. Every other node, interior
+        or leaf, suppresses, which is what keeps Scoop's query cost below
+        LOCAL's full flood.
         """
         targets = query.bitmap - {self.node_id}
         if not targets:
             return False
         reachable = set(self.tree.descendants()) | set(self.tree.neighbor_list())
-        if targets & reachable:
-            return True
-        if self.config.query_relay_mode == "tree":
-            return len(self.tree.descendants()) > 0
-        return False
+        return bool(targets & reachable)
 
     def _start_query_gossip(self, query: QueryMessage) -> None:
-        lo, hi = self.config.query_rebroadcast_delay
+        lo, hi = QUERY_REBROADCAST_DELAY
         state = {"round": 0, "heard_this_round": 0}
         self._query_gossip[query.query_id] = state
         self.sim.schedule(self.sim.rng.uniform(lo, hi), self._query_gossip_fire, query)
@@ -647,10 +649,10 @@ class ScoopNode(Mote):
             self.broadcast(FrameKind.QUERY, query)
         state["round"] += 1
         state["heard_this_round"] = 0
-        if state["round"] >= self.config.query_gossip_rounds:
+        if state["round"] >= QUERY_GOSSIP_ROUNDS:
             del self._query_gossip[query.query_id]
             return
-        lo, hi = self.config.query_rebroadcast_delay
+        lo, hi = QUERY_REBROADCAST_DELAY
         delay = (
             self.sim.rng.uniform(lo, hi) * (2 ** state["round"])
             + 0.25 * state["round"]
@@ -680,8 +682,7 @@ class ScoopNode(Mote):
         ]
         # "The node then sends a reply—even if no tuples matched the query."
         fragments: List[List[WireReading]] = [
-            readings[i : i + self.config.batch_size]
-            for i in range(0, len(readings), self.config.batch_size)
+            readings[i : i + BATCH_SIZE] for i in range(0, len(readings), BATCH_SIZE)
         ] or [[]]
         total = len(fragments)
         for number, fragment in enumerate(fragments):

@@ -113,7 +113,9 @@ def export_campaign(doc: Dict[str, object], out_dir: Optional[Path] = None) -> P
 
 
 def load_campaign_export(path: Path) -> Dict[str, object]:
-    """Read and validate one export document."""
+    """Read and validate one export document: its export schema, and the
+    spec schema its trials were written under (a trial's spec of another
+    schema does not rebuild into this version's classes)."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("kind") != EXPORT_KIND:
         raise ValueError(f"{path} is not a campaign export")
@@ -121,6 +123,11 @@ def load_campaign_export(path: Path) -> Dict[str, object]:
         raise ValueError(
             f"{path} has export schema {doc.get('schema')!r}; "
             f"this version reads {EXPORT_SCHEMA_VERSION}"
+        )
+    if doc.get("spec_schema") != SPEC_SCHEMA_VERSION:
+        raise ValueError(
+            f"{path} has spec schema {doc.get('spec_schema')!r}; "
+            f"this version reads {SPEC_SCHEMA_VERSION}"
         )
     return doc
 

@@ -15,7 +15,6 @@ import statistics
 from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import ExperimentResult
 
 #: Figure 3's stacked-bar categories, in the paper's legend order.
 CATEGORIES = ("data", "summary", "mapping", "query/reply")
@@ -152,40 +151,6 @@ def sweep_point(label: str) -> Optional[Tuple[str, str, str]]:
     ``("n", "64", "scoop")``), or ``None`` for any other label."""
     match = _SWEEP_LABEL.match(label)
     return match.groups() if match else None
-
-
-def format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
-) -> str:
-    """Align a list of rows under headers, monospace-table style."""
-    materialised = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in materialised:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in materialised:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def breakdown_row(result: ExperimentResult) -> List[object]:
-    """One stacked-bar row: policy/workload plus per-category counts."""
-    label = f"{result.policy}/{result.workload}"
-    cells: List[object] = [label]
-    for category in CATEGORIES:
-        cells.append(int(result.breakdown.get(category, 0)))
-    cells.append(int(result.total_messages))
-    return cells
-
-
-def breakdown_table(results: Sequence[ExperimentResult], title: str) -> str:
-    headers = ["system/source", *CATEGORIES, "total"]
-    return format_table(headers, [breakdown_row(r) for r in results], title=title)
 
 
 def plus_minus(mean: float, ci95: float) -> str:

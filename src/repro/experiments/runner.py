@@ -67,9 +67,12 @@ TOPOLOGY_KINDS = ("testbed", "geometric", "line", "grid")
 #: from a dedicated batched stream, which changes trial trajectories. v6:
 #: specs grew the serving-layer knobs (E16: ``service_qps`` and the
 #: gateway limits) and metrics a ``service`` scorecard. v7: metrics
-#: carry the per-shard serving breakdown (``service_shards``) that the
-#: sharded multi-process gateway reports.
-SPEC_SCHEMA_VERSION = 7
+#: carry a per-shard serving breakdown. v8: the spec keeps only the
+#: fields some experiment varies — 17 fields the paper fixes or nothing
+#: reads leave ``ScoopConfig``, the gateway limits leave the spec,
+#: ``popularity_bias`` leaves the query plan and the per-shard breakdown
+#: leaves the metrics; no trial moves.
+SPEC_SCHEMA_VERSION = 8
 
 
 @dataclass
@@ -117,14 +120,6 @@ class ExperimentSpec:
     #: (:func:`repro.service.loadtest.drive_load`) and exports the
     #: serving scorecard through ``TrialMetrics.service``.
     service_qps: float = 0.0
-    #: Admission-control bound: per-tenant queued requests beyond this
-    #: are shed with an explicit status.
-    service_queue_depth: int = 8
-    #: Basestation queries issued per batch window at most.
-    service_batch_capacity: int = 4
-    #: Value-domain buckets for answer-cache keys and query coalescing
-    #: (0 or 1 disables quantization — whole-domain queries).
-    service_cache_buckets: int = 16
 
     def __post_init__(self) -> None:
         if not is_registered(self.policy):
@@ -155,20 +150,6 @@ class ExperimentSpec:
             )
         if self.service_qps < 0:
             raise ValueError(f"service_qps must be >= 0, got {self.service_qps}")
-        if self.service_queue_depth < 1:
-            raise ValueError(
-                f"service_queue_depth must be >= 1, got {self.service_queue_depth}"
-            )
-        if self.service_batch_capacity < 1:
-            raise ValueError(
-                f"service_batch_capacity must be >= 1, "
-                f"got {self.service_batch_capacity}"
-            )
-        if self.service_cache_buckets < 0:
-            raise ValueError(
-                f"service_cache_buckets must be >= 0, "
-                f"got {self.service_cache_buckets}"
-            )
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready mapping; inverse of :meth:`from_dict`.
@@ -446,7 +427,6 @@ def _collect(
     queries_issued: int,
     wall_clock_s: float = 0.0,
     service: Optional[Dict[str, float]] = None,
-    service_shards: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> ExperimentResult:
     census = net.census
     tracker = net.tracker
@@ -473,7 +453,6 @@ def _collect(
         attributes=attributes,
         oracle=oracle,
         service=service,
-        service_shards=service_shards,
         timing=timing,
     )
     return ExperimentResult(

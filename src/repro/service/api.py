@@ -195,18 +195,21 @@ class QueryAnswer:
         return self.status == "ok"
 
     @classmethod
-    def from_ticket(cls, ticket: Any, shard: str = "") -> "QueryAnswer":
-        """Fold one service-internal ticket into its public form."""
+    def from_ticket(
+        cls, ticket: Any, shard: str = "", seq: Optional[int] = None
+    ) -> "QueryAnswer":
+        """Fold one service-internal ticket into its public form, under
+        ``seq`` (the request's correlation id) when given, else the
+        ticket's own. The ticket's readings are ``(value, time, node)``
+        tuples already."""
         return cls(
             tenant=ticket.tenant,
-            seq=ticket.seq,
+            seq=ticket.seq if seq is None else seq,
             attr=ticket.attr,
             lo=ticket.lo,
             hi=ticket.hi,
             status=ticket.status,
-            readings=tuple(
-                tuple(r) for r in ticket.readings[:MAX_WIRE_READINGS]
-            ),
+            readings=tuple(ticket.readings[:MAX_WIRE_READINGS]),
             n_readings=len(ticket.readings),
             latency_s=round(ticket.latency_s, 6),
             cache_hit=ticket.cache_hit,

@@ -81,10 +81,6 @@ class Deployment:
         #: (:func:`repro.service.loadtest.drive_load`); exported through
         #: ``TrialMetrics.service``.
         self.service_stats: Dict[str, float] = {}
-        #: per-shard serving breakdown, same source; the in-process load
-        #: driver reports the single synthetic ``shard0``. Exported
-        #: through ``TrialMetrics.service_shards``.
-        self.service_shards: Dict[str, Dict[str, float]] = {}
         self._phase = "created"
         self._generator: Optional[QueryGenerator] = None
 
@@ -285,5 +281,4 @@ class Deployment:
             self.queries_issued,
             wall_clock_s=wall_clock_s,
             service=self.service_stats or None,
-            service_shards=self.service_shards or None,
         )

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.core.messages import WireReading
-from repro.experiments.runner import ExperimentSpec
 
 
 def percentile(values: List[float], q: float) -> float:
@@ -74,7 +73,9 @@ def _catch_up(ordered: List[float], values: List[float]) -> List[float]:
 
 @dataclass
 class ServiceLimits:
-    """Per-tenant serving knobs (defaults mirror the spec fields)."""
+    """Per-tenant serving limits. Every served deployment, batch trial
+    or gateway, runs these defaults; tests pass tighter ones to exercise
+    shedding, windowing and the cache."""
 
     #: admission-control bound: queued (unanswered) requests beyond this
     #: are shed with an explicit status.
@@ -87,14 +88,6 @@ class ServiceLimits:
     cache_buckets: int = 16
     #: answer-cache entry bound (LRU beyond it).
     cache_capacity: int = 256
-
-    @classmethod
-    def from_spec(cls, spec: ExperimentSpec) -> "ServiceLimits":
-        return cls(
-            queue_depth=spec.service_queue_depth,
-            batch_capacity=spec.service_batch_capacity,
-            cache_buckets=spec.service_cache_buckets,
-        )
 
 
 @dataclass
@@ -427,9 +420,7 @@ class TenantService(ServingFront):
         deployment,
         limits: Optional[ServiceLimits] = None,
     ):
-        super().__init__(
-            name, deployment.config, limits or ServiceLimits.from_spec(deployment.spec)
-        )
+        super().__init__(name, deployment.config, limits or ServiceLimits())
         self.deployment = deployment
 
     def submit(

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentSpec
-from repro.service.api import aggregate_shard_stats
 
 #: Salt for the load-trace RNG stream — any spec-derived seed must not
 #: collide with the simulation seed itself.
@@ -154,12 +153,6 @@ def drive_load(deployment) -> Dict[str, float]:
     stats["qps_offered"] = service.offered / config.duration
     stats["qps_served"] = service.served / config.duration
     deployment.service_stats = stats
-    # The per-shard breakdown: in-process batch trials are the one-shard
-    # special case. worker_pid is pinned to 0 — a real pid would break
-    # the campaign pipeline's bit-identity checks.
-    deployment.service_shards = {
-        "shard0": aggregate_shard_stats({service.name: stats}, worker_pid=0)
-    }
     return stats
 
 

@@ -370,7 +370,6 @@ class ShardedGateway:
             names, [shard_name(i) for i in range(self.workers)]
         )
         self._shards: Dict[str, _Shard] = {}
-        self._limits = ServiceLimits.from_spec(spec)
         #: tenant -> serving front, set from each ``ready`` and
         #: ``adopted`` reply (see the module docstring).
         self._fronts: Dict[str, ServingFront] = {}
@@ -679,7 +678,7 @@ class ShardedGateway:
         starting clock and epoch."""
         for tenant, (now, epoch) in starts.items():
             self._fronts[tenant] = ServingFront(
-                tenant, self.spec.scoop, self._limits, now=now, epoch=epoch
+                tenant, self.spec.scoop, ServiceLimits(), now=now, epoch=epoch
             )
 
     async def _pump(self, shard: _Shard):
@@ -784,8 +783,7 @@ class ShardedGateway:
     def _answer_of(
         shard: _Shard, request: QueryRequest, ticket: ServiceTicket
     ) -> QueryAnswer:
-        answer = QueryAnswer.from_ticket(ticket, shard=shard.name)
-        return dataclasses.replace(answer, seq=request.seq)
+        return QueryAnswer.from_ticket(ticket, shard=shard.name, seq=request.seq)
 
     async def answer(self, request: QueryRequest) -> QueryAnswer:
         """Settle one request at its tenant's front, and await the

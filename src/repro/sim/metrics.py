@@ -170,13 +170,6 @@ class TrialMetrics:
     #: staleness percentiles — all simulated-time quantities, so fully
     #: deterministic in the spec. Empty for plain batch trials.
     service: Dict[str, float] = field(default_factory=dict)
-    #: Per-shard serving breakdown, shard name (``"shard0"``...) ->
-    #: aggregate scorecard (requests offered/served/shed, hit rate,
-    #: queue depth, worst-tenant p95). Batch trials run in-process, so
-    #: they carry the single synthetic ``shard0``; multi-worker serving
-    #: runs report one entry per worker process. Empty for trials
-    #: without serving load.
-    service_shards: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Simulated seconds this trial covered (stabilization + measured +
     #: drain).
     sim_time_s: float = 0.0
@@ -204,9 +197,6 @@ class TrialMetrics:
             "attributes": {k: dict(v) for k, v in self.attributes.items()},
             "oracle": dict(self.oracle),
             "service": dict(self.service),
-            "service_shards": {
-                k: dict(v) for k, v in self.service_shards.items()
-            },
             "sim_time_s": self.sim_time_s,
             "wall_clock_s": self.wall_clock_s,
             "timing": dict(self.timing),
@@ -233,7 +223,6 @@ class TrialMetrics:
         attributes: Optional[Dict[str, Dict[str, float]]] = None,
         oracle: Optional[Dict[str, float]] = None,
         service: Optional[Dict[str, float]] = None,
-        service_shards: Optional[Dict[str, Dict[str, float]]] = None,
         timing: Optional[Dict[str, float]] = None,
     ) -> "TrialMetrics":
         """Fold one trial's accounting objects into a metrics record.
@@ -275,9 +264,6 @@ class TrialMetrics:
             attributes=dict(attributes or {}),
             oracle=dict(oracle or {}),
             service=dict(service or {}),
-            service_shards={
-                k: dict(v) for k, v in (service_shards or {}).items()
-            },
             sim_time_s=sim_time_s,
             wall_clock_s=wall_clock_s,
             timing=dict(timing or {}),

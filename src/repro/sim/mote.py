@@ -61,7 +61,6 @@ class Mote:
         is_root: bool = False,
         beacon_interval: float = 10.0,
         neighbor_silence_timeout: float = 300.0,
-        max_descendants: int = 32,
         max_neighbors: int = 32,
     ):
         self.node_id = node_id
@@ -78,7 +77,6 @@ class Mote:
             linkest=self.linkest,
             is_root=is_root,
             beacon_interval=beacon_interval,
-            max_descendants=max_descendants,
         )
         self._beacon_timer = Timer(
             sim, self._send_beacon, interval=beacon_interval, periodic=True, jitter=0.2

@@ -72,7 +72,8 @@ class RoutingTree:
     forwarding observations (:meth:`note_uplink`) and overheard origin/parent
     headers (:meth:`note_origin_header`), and should consult
     :attr:`parent`, :meth:`next_hop_down` and :meth:`in_neighbor_list` when
-    routing.
+    routing. The descendants list holds ``max_descendants`` entries
+    ("32, in our experiments"), least recently refreshed out first.
     """
 
     __slots__ = (

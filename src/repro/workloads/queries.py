@@ -35,9 +35,6 @@ class QueryPlanConfig:
     node_frac: float = 0.10
     #: how far back in time queries look, in seconds.
     time_window: float = 240.0
-    #: must stay 0: query centers are uniform. Kept so spec keys and
-    #: cached results do not move.
-    popularity_bias: float = 0.0
     #: attributes the stream cycles over (E15): queries round-robin
     #: attribute ids 0..n_attributes-1, so every attribute sees the same
     #: per-attribute query rate. 1 = the paper's single-attribute stream.
@@ -50,11 +47,6 @@ class QueryPlanConfig:
             raise ValueError("node_frac must be in (0, 1]")
         if self.n_attributes < 1:
             raise ValueError("n_attributes must be >= 1")
-        if self.popularity_bias != 0:
-            raise ValueError(
-                f"popularity_bias must be 0, got {self.popularity_bias}: no "
-                "query stream knows recently produced values to bias toward"
-            )
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; inverse of :meth:`from_dict`.

@@ -125,22 +125,22 @@ ANALYTICAL_SPECS: Dict[str, Callable[[], ExperimentSpec]] = {
 # fmt: off
 #: name -> (total_messages, events_processed, int-leaf digest)
 TRIAL_PINS: Dict[str, Tuple[int, int, str]] = {
-    "scoop": (2290, 10010, "423f37637d836215744394239d7630c2082845592a9abe7e66d0cc5a7ab39107"),
-    "local": (1254, 6172, "eff69739417896500034da0b1827b34fbf478a5ed2434a7fb3ebec4b6ad662af"),
-    "base": (3919, 14114, "cea1b2da6f388ebea4993afe9436cb3ecd80470f409675b696a95d57a862393b"),
-    "hash": (2457, 9629, "8e42e7a411088a2c1acc5c772fa3ac67ebd454495ded6c134086d8ea4369b4d9"),
-    "scoop-k2": (2385, 10138, "fc170cfa5a607dd0e7fda0d95d77443e2a8fb958cc518884de66b1c462bca991"),
-    "local-k2": (1121, 5770, "af2b008d4a32e6eae18508a33a5f669fd90305e0984b41a05d1ff317dbc8c88a"),
-    "base-k2": (6126, 20952, "ff23b0a03fb2be8bca7d38849a53457f5614008eabc9e61a8e0e6d89a9b54f3d"),
-    "hash-k2": (4675, 16752, "0338df16405b7971df2a623c12572e19d0d9bcfa8030a85567170c85a1a9cccd"),
-    "scoop-k1-registry": (2290, 10010, "dcd381ba59ff91fd26b6d2406b07e8d297b6fffc59707b21818b8bb849fc4fce"),
-    "scoop-churn": (1599, 7410, "856838948390b8a7a9e495570806279aa3484ab784b9befef543869da5121e0b"),
-    "local-churn": (929, 4917, "49675183fd77b94b9bd4e20748de659b7556583c294e9eff3058982ac734e7e5"),
-    "base-churn": (2661, 9823, "7ac96f8bcddce6184b922b1d1693b3a9b24748bb383facc8c628b44c3f586c45"),
-    "scoop-e16": (15697, 58441, "a8a08c70f8dd9cbbf949d84897a1983ad93da3c95c0a7332118ecb8a4ebb39db"),
-    "local-e16": (17769, 66163, "346b6a1ae70d2cefb18bea967d32cc322d8b4a98e7e133d83fe1c782669c9ad7"),
-    "scoop-lossy-grid": (4538, 20067, "4c2e98b85ea45816e0c51f9bdbd785c80f7261b34538de169bce6ef31f170fbd"),
-    "scoop-e13-64": (8440, 45496, "f17fe35a312184d751b92833501df019ce13c32a97dd7216c54dee81e6b80b46"),
+    "scoop": (2290, 10010, "6dcddeef652c3b76516fafb8c6bc57bf10cd6283c07f87573c7489b67a44e7f8"),
+    "local": (1254, 6172, "1c838ad58631923bf865c52875a1c46e09e075f0a8de800a655223973305ff41"),
+    "base": (3919, 14114, "43a3aaa144d0910c5a8f8b968dc65df320ccd62da033026230de1278a5147e7a"),
+    "hash": (2457, 9629, "02b421bea91f974ce64147a0fced880f9846d3296001c693c79d41d13ea95d4e"),
+    "scoop-k2": (2385, 10138, "852987459827c14cc9e45bf91ee322fe71446484b22a956708865b5e03adbfcd"),
+    "local-k2": (1121, 5770, "6bb30f4045455544827fe71a56190541066f2a3518328704980f29c76bc3cb55"),
+    "base-k2": (6126, 20952, "dc503c9e7085b2b4f963cfb14f1c6a5a0b13637fe0acb903e6539f89e6da4606"),
+    "hash-k2": (4675, 16752, "50b82459fc7514c284bb1f4257a5f52bf5407edab8659aeca69043e6c90331b4"),
+    "scoop-k1-registry": (2290, 10010, "3840b32267ef3555c0801e6a9addfe62e99348eb5dd2ab1254db5020c4693811"),
+    "scoop-churn": (1599, 7410, "fff1c2096e24bcd4c39b9bd2172fe34b5c9cc5df12431ea14504cbf2f91e0e6b"),
+    "local-churn": (929, 4917, "081a7c809fb4d1e70f193a45c85a2f32d422d6e4040026e200f6509d6be03972"),
+    "base-churn": (2661, 9823, "089f46696bb69ab4b9d97a25bfa6fb440938bfafed0c323b1907409fd2cea09e"),
+    "scoop-e16": (15697, 58441, "0bbda3c4b449f8ebd5ef1eb1b2cebe2047850367f57b360c3ed740b72b2d35b4"),
+    "local-e16": (17769, 66163, "e263a548f2cf0e01eea4cfac005bfeee3941c2ec92e222985cea83746d8c561e"),
+    "scoop-lossy-grid": (4538, 20067, "ba45a84cb8fe86f8a2830af2aa24e43d8238b7370d6da68d896d60a115434dc5"),
+    "scoop-e13-64": (8440, 45496, "91a2d16e04683f8b36fa37259456f6638f370ed1fe2d96fdb95d04b881a8089c"),
 }
 
 #: name -> (total_messages, breakdown["data"], breakdown["query/reply"])

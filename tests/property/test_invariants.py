@@ -246,7 +246,11 @@ def test_index_choice_beats_uniform_alternatives(seed, n_nodes):
     import random
 
     from repro.core.cost_model import NetworkModel
-    from repro.core.indexing import build_storage_index, evaluate_index_cost
+    from repro.core.indexing import (
+        INDEX_TIE_TOLERANCE,
+        build_storage_index,
+        evaluate_index_cost,
+    )
     from repro.core.messages import AttributeSummary, SummaryMessage
     from repro.core.statistics import BasestationStatistics
 
@@ -286,4 +290,4 @@ def test_index_choice_beats_uniform_alternatives(seed, n_nodes):
     for node in range(n_nodes):
         uniform = StorageIndex.uniform(9, domain, node)
         alternative = evaluate_index_cost(uniform, stats, model, config, 300.0)
-        assert chosen <= alternative * (1 + config.index_tie_tolerance) + 1e-6
+        assert chosen <= alternative * (1 + INDEX_TIE_TOLERANCE) + 1e-6

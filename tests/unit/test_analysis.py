@@ -265,10 +265,10 @@ def write_schema_tree(
     spec_extra="",
     wire_extra="",
     default="0",
+    scoop_default="15.0",
 ):
-    (root / "src/repro/experiments").mkdir(parents=True, exist_ok=True)
-    (root / "src/repro/sim").mkdir(parents=True, exist_ok=True)
-    (root / "src/repro/service").mkdir(parents=True, exist_ok=True)
+    for package in ("experiments", "core", "workloads", "sim", "service"):
+        (root / "src/repro" / package).mkdir(parents=True, exist_ok=True)
     (root / "src/repro/experiments/runner.py").write_text(
         textwrap.dedent(
             f"""
@@ -285,6 +285,28 @@ def write_schema_tree(
             @dataclass
             class ExperimentResult:
                 total_messages: float = 0.0
+            """
+        )
+    )
+    (root / "src/repro/core/config.py").write_text(
+        textwrap.dedent(
+            f"""
+            from dataclasses import dataclass
+
+            @dataclass
+            class ScoopConfig:
+                sample_interval: float = {scoop_default}
+            """
+        )
+    )
+    (root / "src/repro/workloads/queries.py").write_text(
+        textwrap.dedent(
+            """
+            from dataclasses import dataclass
+
+            @dataclass
+            class QueryPlanConfig:
+                kind: str = "value"
             """
         )
     )
@@ -358,6 +380,18 @@ class TestSchema01:
         )
         assert len(findings) == 1
         assert "without a SPEC_SCHEMA_VERSION bump" in findings[0].message
+
+    def test_nested_config_default_change_without_bump_fires(self, tmp_path):
+        write_schema_tree(tmp_path)
+        fp = tmp_path / "fingerprint.json"
+        write_fingerprint(tmp_path, path=fp)
+        write_schema_tree(tmp_path, scoop_default="30.0")
+        findings = list(
+            SchemaVersionRule(fingerprint_path=fp).check_project(tmp_path)
+        )
+        assert len(findings) == 1
+        assert "without a SPEC_SCHEMA_VERSION bump" in findings[0].message
+        assert "(ScoopConfig)" in findings[0].message
 
     def test_bump_with_refresh_is_clean_without_refresh_fires(self, tmp_path):
         write_schema_tree(tmp_path)

@@ -133,7 +133,7 @@ class TestSpecSerialization:
             clone = ExperimentSpec.from_dict(spec.to_dict())
             assert clone == spec
             # Tuple-typed config fields survive the list round trip.
-            assert isinstance(clone.scoop.query_width_frac, tuple)
+            assert isinstance(clone.scoop.attributes, tuple)
             assert isinstance(clone.query_plan.width_frac, tuple)
 
     def test_to_dict_is_json_ready(self):

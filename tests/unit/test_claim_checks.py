@@ -19,6 +19,7 @@ from repro.experiments.export import (
     latest_export,
     load_campaign_export,
 )
+from repro.experiments.runner import SPEC_SCHEMA_VERSION
 from repro.experiments.scenarios import (
     SCENARIOS,
     check_export,
@@ -161,6 +162,7 @@ def synthetic_export(name, scale=0.05, seeds=(1,), doctor=None):
         "kind": EXPORT_KIND,
         "name": name,
         "generated_at": "2026-10-19T00:00:00Z",
+        "spec_schema": SPEC_SCHEMA_VERSION,
         "seeds": list(seeds),
         "scale": scale,
         "execution": {"trials": len(trials), "executed": 0, "cached": len(trials)},

@@ -11,6 +11,7 @@ from repro.core.config import ScoopConfig, ValueDomain
 from repro.core.cost_model import NetworkModel
 from repro.core.histogram import Histogram
 from repro.core.indexing import (
+    INDEX_TIE_TOLERANCE,
     build_storage_index,
     evaluate_index_cost,
     evaluate_store_local_cost,
@@ -130,7 +131,7 @@ class TestBasicPlacement:
         send_base = StorageIndex.uniform(9, DOMAIN, 0)
         base_cost = evaluate_index_cost(send_base, stats, model, config, 400.0)
         # tie-stabilisation allows up to the tolerance band above optimal
-        assert chosen_cost <= base_cost * (1.0 + config.index_tie_tolerance) + 1e-9
+        assert chosen_cost <= base_cost * (1.0 + INDEX_TIE_TOLERANCE) + 1e-9
 
 
 class TestStoreLocalComparison:

@@ -28,7 +28,12 @@ from repro.experiments.reporting import (
     sample_stats,
     t_critical_95,
 )
-from repro.experiments.runner import ExperimentResult, ExperimentSpec, spec_key
+from repro.experiments.runner import (
+    SPEC_SCHEMA_VERSION,
+    ExperimentResult,
+    ExperimentSpec,
+    spec_key,
+)
 from repro.sim.metrics import TrialMetrics
 
 
@@ -226,6 +231,13 @@ class TestCampaignExport:
         schema1.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="export schema 1"):
             load_campaign_export(schema1)
+        # Trials of another spec schema do not rebuild into today's specs.
+        spec7 = tmp_path / "w.json"
+        doc = dict(campaign_to_dict(fake_campaign_result()), spec_schema=7)
+        spec7.write_text(json.dumps(doc))
+        expected = f"spec schema 7; this version reads {SPEC_SCHEMA_VERSION}"
+        with pytest.raises(ValueError, match=expected):
+            load_campaign_export(spec7)
 
     def test_latest_export_empty_dir(self, tmp_path):
         assert latest_export(root=tmp_path / "missing") is None

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import AttributeSpec, ScoopConfig, ValueDomain
 from repro.core.messages import DataMessage, QueryMessage
+from repro.core.node import BATCH_SIZE, MAX_DATA_HOPS, SUMMARY_NEIGHBORS
 from repro.core.storage_index import STORE_LOCAL, StorageIndex
 from repro.sim.topology import perfect
 from repro.workloads.synthetic import UniqueWorkload
@@ -126,7 +127,7 @@ class TestRoutingRules:
             readings=[(5, 0.0, 1)],
             owner=99,  # unreachable owner
             sid=1,
-            hops=small_config.max_data_hops,
+            hops=MAX_DATA_HOPS,
         )
         nodes[0].route_data(msg)
         net.run(net.sim.now + 3.0)
@@ -148,11 +149,11 @@ class TestBatching:
         net, base, nodes = stabilised(config=small_config)
         install_index(net, base, nodes, [3] * DOMAIN.size)
         producer = nodes[0]
-        for _ in range(small_config.batch_size - 1):
+        for _ in range(BATCH_SIZE - 1):
             producer._add_to_batch((5, net.sim.now, 1), 3)
             assert producer._batches[0].readings  # still buffered
         producer._add_to_batch((5, net.sim.now, 1), 3)
-        assert not producer._batches[0].readings  # flushed at batch_size
+        assert not producer._batches[0].readings  # flushed at BATCH_SIZE
 
     def test_owner_change_flushes(self, small_config):
         net, base, nodes = stabilised(config=small_config)
@@ -240,7 +241,7 @@ class TestSummaries:
         summary = node._build_summary()
         qualities = [q for _n, q in summary.neighbors]
         assert qualities == sorted(qualities, reverse=True)
-        assert len(summary.neighbors) <= node.config.summary_neighbors
+        assert len(summary.neighbors) <= SUMMARY_NEIGHBORS
 
 
 class TestQueryHandling:

@@ -18,6 +18,7 @@ from repro.experiments.plotting import (
     series_svg,
 )
 from repro.experiments.reporting import label_stats, metric_reader
+from repro.experiments.runner import SPEC_SCHEMA_VERSION
 from repro.experiments.scenarios import (
     SCENARIOS,
     canonical_scenario_name,
@@ -47,6 +48,7 @@ def make_doc(trials, name="smoke"):
         "kind": EXPORT_KIND,
         "name": name,
         "generated_at": "2026-07-30T00:00:00Z",
+        "spec_schema": SPEC_SCHEMA_VERSION,
         "seeds": [1, 2],
         "execution": {"trials": len(trials), "executed": 0, "cached": len(trials)},
         "trials": trials,

@@ -1,20 +1,13 @@
-"""Unit tests for the experiment runner, scenarios, reporting and the
-remaining substrate plumbing (mote dispatch, network assembly)."""
+"""Unit tests for the experiment runner, scenarios and the remaining
+substrate plumbing (mote dispatch, network assembly)."""
 
 import dataclasses
 
 import pytest
 
 from repro.core.config import ScoopConfig, ValueDomain
-from repro.experiments.reporting import (
-    CATEGORIES,
-    breakdown_row,
-    breakdown_table,
-    format_table,
-)
 from repro.experiments.runner import (
     POLICIES,
-    ExperimentResult,
     ExperimentSpec,
     build_topology,
     scale_spec,
@@ -124,31 +117,6 @@ class TestScenarios:
     def test_all_scenarios_produce_valid_policies(self):
         for spec in scenarios.fig3_middle() + scenarios.fig3_left():
             assert spec.policy in POLICIES
-
-
-class TestReporting:
-    def _result(self, policy="scoop", workload="real", total=100):
-        return ExperimentResult(
-            spec=ExperimentSpec(policy=policy, workload=workload),
-            breakdown={c: 10 for c in CATEGORIES},
-            total_messages=total,
-        )
-
-    def test_format_table_aligns(self):
-        text = format_table(["a", "bb"], [[1, 2], [33, 4]], title="T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "a" in lines[1] and "bb" in lines[1]
-        assert len(lines) == 5
-
-    def test_breakdown_row_order(self):
-        row = breakdown_row(self._result())
-        assert row[0] == "scoop/real"
-        assert row[-1] == 100
-
-    def test_breakdown_table_contains_all_rows(self):
-        text = breakdown_table([self._result(), self._result("local")], "X")
-        assert "scoop/real" in text and "local/real" in text
 
 
 class TestMoteDispatch:

@@ -153,5 +153,3 @@ class TestQueryGenerator:
             QueryPlanConfig(kind="bogus")
         with pytest.raises(ValueError):
             QueryPlanConfig(node_frac=0.0)
-        with pytest.raises(ValueError, match="popularity_bias must be 0"):
-            QueryPlanConfig(popularity_bias=1.0)
