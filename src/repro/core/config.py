@@ -171,8 +171,9 @@ class ScoopConfig:
     histogram's 10 bins, the 30-reading recent ring, 12 summary
     neighbours, batches of 5, the 32-entry neighbour and descendant
     lists, the flash capacity, Trickle's bounds, the query gossip and
-    the index tie tolerance) are not settable: each is stated once,
-    next to its one reader, with its citation.
+    the index tie tolerance) are not settable: each is stated once, as
+    the default of the component that uses it or as a named constant
+    beside its one reader.
     """
 
     # -- workload timing (paper experiment table) ------------------------
